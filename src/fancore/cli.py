@@ -25,10 +25,16 @@ from .errors import GraphError, ResourceLimitError
 
 def _load(path: str) -> mg.Multigraph:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return mg.parse(fh.read())
+        return mg.load(path)
     except OSError as exc:
         raise GraphError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type of the --max-* caps: ASCII digits, so a negative cap is a usage error."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _block(out, name: str, body: str) -> None:
@@ -175,24 +181,24 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bqueue", help="search for a full B-queue of a simple graph")
     p.add_argument("file")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--max-vertices", type=int, default=bq.EXHAUSTIVE_VERTEX_CAP)
+    p.add_argument("--max-vertices", type=_nonnegative_int, default=bq.EXHAUSTIVE_VERTEX_CAP)
     p.set_defaults(func=_cmd_bqueue)
 
     p = sub.add_parser("corefan", help="corefan value with witness subgraph")
     p.add_argument("file")
     p.add_argument("--brute", action="store_true")
-    p.add_argument("--max-classes", type=int, default=fm.COREFAN_CLASS_CAP)
-    p.add_argument("--max-subgraphs", type=int, default=fm.BRUTEFORCE_PRODUCT_CAP)
+    p.add_argument("--max-classes", type=_nonnegative_int, default=fm.COREFAN_CLASS_CAP)
+    p.add_argument("--max-subgraphs", type=_nonnegative_int, default=fm.BRUTEFORCE_PRODUCT_CAP)
     p.set_defaults(func=_cmd_corefan)
 
     p = sub.add_parser("fan", help="fan and Fan values with witness subgraph")
     p.add_argument("file")
-    p.add_argument("--max-subgraphs", type=int, default=fm.FAN_PRODUCT_CAP)
+    p.add_argument("--max-subgraphs", type=_nonnegative_int, default=fm.FAN_PRODUCT_CAP)
     p.set_defaults(func=_cmd_fan)
 
     p = sub.add_parser("chi", help="exact chromatic index with an optimal colouring")
     p.add_argument("file")
-    p.add_argument("--max-instances", type=int, default=col.INSTANCE_CAP)
+    p.add_argument("--max-instances", type=_nonnegative_int, default=col.INSTANCE_CAP)
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("colour", help="k-edge-colouring via the fan engine")

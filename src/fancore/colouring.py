@@ -357,6 +357,22 @@ def _run_pass(g: Multigraph, k: int, order: list[int]) -> _State | None:
     return st
 
 
+def _pass_orders(total: int):
+    """Instance orders of the successive passes, made one at a time.
+
+    Every rotation of the forward order, then every rotation of the
+    reversed one; a single empty order when there are no instances.
+    They are made lazily because together they take O(total^2) memory,
+    while the first pass almost always succeeds.
+    """
+    base = list(range(total))
+    rev = base[::-1]
+    for o in range(max(1, total)):
+        yield base[o:] + base[:o]
+    for o in range(total):
+        yield rev[o:] + rev[:o]
+
+
 def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
     """Colour g with k colours by fan recolouring; None when the search fails.
 
@@ -373,13 +389,8 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
         raise GraphError(f"colour count must be a nonnegative integer, got {k!r}")
     if k < g.max_degree():
         raise GraphError(f"{k} colours is below the maximum degree {g.max_degree()}")
-    total = g.total_instances()
-    base = list(range(total))
-    rev = list(reversed(base))
-    orders = [base[o:] + base[:o] for o in range(max(1, total))]
-    orders += [rev[o:] + rev[:o] for o in range(total)]
     st = None
-    for order in orders:
+    for order in _pass_orders(g.total_instances()):
         st = _run_pass(g, k, order)
         if st is not None:
             break

@@ -23,15 +23,28 @@ Subset notation is read non-strictly throughout (Z may equal N(x), K may
 equal H): singleton and whole-graph cases are exactly the ones several of
 the tested equivalences depend on.
 
-Enumeration order is pinned for reproducible witnesses: classes sorted by
-dense endpoint pair, assignment vectors in colexicographic order (class 0
-is the fastest digit), ordered pairs per class as (lo, hi) then (hi, lo),
-and ties in max/min resolved to the first candidate encountered.
+Both invariants are a maximum over subgraphs of a minimum over ordered
+pairs, differing only in the per-pair degree, so one enumerator and one
+max-min routine compute fan_number, corefan and corefan_bruteforce, and
+full_multiplicity_criterion walks the same enumerator. Candidates live in
+the host's dense index space as plain degree and adjacency lists; the
+witness subgraph, label pair and certifying set are built once, for the
+winning candidate only.
+
+Enumeration order is pinned for reproducible witnesses. Classes are sorted
+by dense endpoint pair, and candidates are multiplicity vectors in
+colexicographic order, class 0 the fastest digit, each class taking every
+multiplicity 0..m (fan_number, corefan_bruteforce) or only 0 and m
+(corefan, full_multiplicity_criterion). Within a candidate, ordered pairs
+are tried class by class as (lo, hi) then (hi, lo); the minimum is the
+first pair attaining it, and the scan stops as soon as it reaches 0. The
+maximum is the first candidate attaining it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 from .errors import GraphError, ResourceLimitError
@@ -44,7 +57,7 @@ BRUTEFORCE_PRODUCT_CAP = 1 << 16
 GraphLike = Union[Multigraph, SubgraphSelection]
 
 
-# -- the inner threshold test -------------------------------------------
+# -- per-pair degrees ----------------------------------------------------
 #
 # For fixed x and k, condition (ii) ranges over all admissible Z. The sum
 # is maximized by taking y together with every other neighbour whose term
@@ -74,12 +87,47 @@ def _worst_set(base: dict[int, int], y: int, k: int, need_two: bool) -> tuple[in
     return ty + base[zb] - k, tuple(sorted((y, zb)))
 
 
-def _pair_indices(j: GraphLike, x: str, y: str) -> tuple[int, int, int]:
+def _fan_terms(deg, adj, x: int, y: int) -> tuple[dict[int, int], int, bool, int]:
+    """The arguments of _level for the fan degree of (x, y) in index space.
+
+    The term of neighbour z is d_J(z) + mult_J(x, z), Z needs two members,
+    and condition (i) caps the value at d_J(x) + d_J(y) - mult_J(x, y).
+    """
+    base = {z: deg[z] + m for z, m in adj[x].items()}
+    return base, y, True, deg[x] + deg[y] - adj[x][y]
+
+
+def _cfan_terms(hdeg, deg, adj, x: int, y: int) -> tuple[dict[int, int], int, bool, int]:
+    """The arguments of _level for the cfan degree of (x, y) in index space.
+
+    The term of neighbour z is the deficit d_K(z) - d_H(z) plus
+    mult_K(x, z), and Z may be {y} alone. Once l reaches every term, no Z
+    sums above 0, so the largest term caps the value.
+    """
+    base = {z: deg[z] - hdeg[z] + m for z, m in adj[x].items()}
+    return base, y, False, max(base.values())
+
+
+def _level(base: dict[int, int], y: int, need_two: bool, cap: int) -> int:
+    """Smallest k below cap at which the worst Z sums to at most 1, else cap."""
+    k = 0
+    while k < cap and _worst_set(base, y, k, need_two)[0] > 1:
+        k += 1
+    return k
+
+
+def _certified(labels, base: dict[int, int], y: int, need_two: bool, cap: int) -> tuple[int, frozenset[str]]:
+    """_level plus the certifying set described in fan_degree, as labels."""
+    value = _level(base, y, need_two, cap)
+    zset = _worst_set(base, y, value - 1, need_two)[1] if value else (y,)
+    return value, frozenset(labels[z] for z in zset)
+
+
+def _pair_indices(j: GraphLike, x: str, y: str) -> tuple[int, int]:
     xi, yi = j.index_of(x), j.index_of(y)
-    mu = j.adj[xi].get(yi, 0)
-    if mu == 0:
+    if yi not in j.adj[xi]:
         raise GraphError(f"pair {x!r},{y!r} has no edge in the subgraph")
-    return xi, yi, mu
+    return xi, yi
 
 
 def fan_degree(j: GraphLike, x: str, y: str) -> tuple[int, frozenset[str]]:
@@ -91,26 +139,8 @@ def fan_degree(j: GraphLike, x: str, y: str) -> tuple[int, frozenset[str]]:
     explicit violator showing the value cannot be smaller; for value 0 it
     degenerates to {y}.
     """
-    xi, yi, mu = _pair_indices(j, x, y)
-    deg = j.deg
-    base = {z: deg[z] + m for z, m in j.adj[xi].items()}
-    cap = deg[xi] + deg[yi] - mu
-    k = 0
-    while True:
-        if k >= cap:
-            value = cap
-            break
-        total, _ = _worst_set(base, yi, k, need_two=True)
-        if total <= 1:
-            value = k
-            break
-        k += 1
-    if value == 0:
-        witness = (yi,)
-    else:
-        _, witness = _worst_set(base, yi, value - 1, need_two=True)
-    labels = j.labels
-    return value, frozenset(labels[z] for z in witness)
+    xi, yi = _pair_indices(j, x, y)
+    return _certified(j.labels, *_fan_terms(j.deg, j.adj, xi, yi))
 
 
 def fan_pair_exceeds(j: GraphLike, x: str, y: str, k: int) -> tuple[bool, Optional[frozenset[str]]]:
@@ -122,16 +152,14 @@ def fan_pair_exceeds(j: GraphLike, x: str, y: str, k: int) -> tuple[bool, Option
     certificate used on constructed witness graphs, where the fan degree
     itself is astronomically large.
     """
-    xi, yi, mu = _pair_indices(j, x, y)
-    deg = j.deg
-    if deg[xi] + deg[yi] - mu <= k:
+    xi, yi = _pair_indices(j, x, y)
+    base, _, need_two, cap = _fan_terms(j.deg, j.adj, xi, yi)
+    if cap <= k:
         return False, None
-    base = {z: deg[z] + m for z, m in j.adj[xi].items()}
-    total, witness = _worst_set(base, yi, k, need_two=True)
-    if total <= 1 or len(witness) < 2:
+    total, zset = _worst_set(base, yi, k, need_two)
+    if total <= 1:
         return False, None
-    labels = j.labels
-    return True, frozenset(labels[z] for z in witness)
+    return True, frozenset(j.labels[z] for z in zset)
 
 
 def cfan_degree(h: Multigraph, k_sel: SubgraphSelection, x: str, y: str) -> tuple[int, frozenset[str]]:
@@ -143,25 +171,11 @@ def cfan_degree(h: Multigraph, k_sel: SubgraphSelection, x: str, y: str) -> tupl
     """
     if k_sel.parent is not h and k_sel.parent != h:
         raise GraphError("subgraph selection does not belong to the given host graph")
-    xi, yi, _ = _pair_indices(k_sel, x, y)
-    kdeg, hdeg = k_sel.deg, h.deg
-    base = {z: kdeg[z] - hdeg[z] + m for z, m in k_sel.adj[xi].items()}
-    l = 0
-    while True:
-        total, _ = _worst_set(base, yi, l, need_two=False)
-        if total <= 1:
-            value = l
-            break
-        l += 1
-    if value == 0:
-        witness = (yi,)
-    else:
-        _, witness = _worst_set(base, yi, value - 1, need_two=False)
-    labels = h.labels
-    return value, frozenset(labels[z] for z in witness)
+    xi, yi = _pair_indices(k_sel, x, y)
+    return _certified(h.labels, *_cfan_terms(h.deg, k_sel.deg, k_sel.adj, xi, yi))
 
 
-# -- reports -------------------------------------------------------------
+# -- the subgraph max-min -------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -189,10 +203,6 @@ class FanReport:
         return cfan_degree(self.witness.parent, self.witness, x, y)[0]
 
 
-def _trivial_report(kind: str, g: Multigraph) -> FanReport:
-    return FanReport(kind=kind, value=0, witness=SubgraphSelection.full(g), pair=None, zset=frozenset())
-
-
 def _assignment_space(classes, cap: int, op: str) -> None:
     product = 1
     for _, _, m in classes:
@@ -203,52 +213,79 @@ def _assignment_space(classes, cap: int, op: str) -> None:
             )
 
 
-def _min_fan_over_pairs(sel: SubgraphSelection):
-    """Minimum fan degree over ordered pairs on selected classes.
+def _class_cap(classes, cap: int, op: str) -> None:
+    if len(classes) > cap:
+        raise ResourceLimitError(f"{op}: {len(classes)} parallel classes exceed the cap of {cap}")
 
-    Both orientations of every class are evaluated; the first strict
-    improvement wins, and the scan stops early once the floor of 0 is hit.
+
+def _selections(classes, full_only: bool):
+    """Yield the nonempty multiplicity vectors over classes in colex order.
+
+    Class 0 is the fastest digit. A class of multiplicity m takes every
+    value 0..m, or only 0 and m when full_only is set. One list is yielded
+    throughout, updated in place.
     """
-    labels = sel.parent.labels
-    best = None
-    for (i, j) in sel.pairs:
-        for xi, yi in ((i, j), (j, i)):
-            value, zset = fan_degree(sel, labels[xi], labels[yi])
-            if best is None or value < best[0]:
-                best = (value, (labels[xi], labels[yi]), zset)
-            if best[0] == 0:
-                return best
-    return best
-
-
-def _min_cfan_over_pairs(h: Multigraph, sel: SubgraphSelection):
-    labels = h.labels
-    best = None
-    for (i, j) in sel.pairs:
-        for xi, yi in ((i, j), (j, i)):
-            value, zset = cfan_degree(h, sel, labels[xi], labels[yi])
-            if best is None or value < best[0]:
-                best = (value, (labels[xi], labels[yi]), zset)
-            if best[0] == 0:
-                return best
-    return best
-
-
-def _iter_assignments(classes):
-    """Yield multiplicity vectors in colexicographic order, skipping zero."""
     n = len(classes)
     vec = [0] * n
     while True:
         pos = 0
-        while pos < n:
-            if vec[pos] < classes[pos][2]:
-                vec[pos] += 1
-                break
+        while pos < n and vec[pos] == classes[pos][2]:
             vec[pos] = 0
             pos += 1
         if pos == n:
             return
+        vec[pos] = classes[pos][2] if full_only else vec[pos] + 1
         yield vec
+
+
+def _selection(g: Multigraph, vec) -> SubgraphSelection:
+    """The subgraph of g keeping multiplicity vec[c] of its class c."""
+    pairs = {(i, j): m for (i, j, _), m in zip(g.index_classes, vec) if m}
+    return SubgraphSelection._raw(g, pairs, frozenset(range(len(g.labels))))
+
+
+def _max_min(g: Multigraph, full_only: bool, terms):
+    """Maximum over selections of g of the minimum degree over ordered pairs.
+
+    terms(deg, adj, x, y) gives the arguments of _level for one pair, in the
+    index space of the candidate. Returns (value, vector, (x, y)) for the
+    first maximizing selection and its first minimizing pair, with x and y
+    dense indices; None when g has no class.
+    """
+    classes = g.index_classes
+    n = len(g.labels)
+    best = None
+    for vec in _selections(classes, full_only):
+        deg = [0] * n
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
+        pairs = []
+        for (i, j, _), m in zip(classes, vec):
+            if m:
+                deg[i] += m
+                deg[j] += m
+                adj[i][j] = adj[j][i] = m
+                pairs += ((i, j), (j, i))
+        low = None
+        for x, y in pairs:
+            value = _level(*terms(deg, adj, x, y))
+            if low is None or value < low[0]:
+                low = (value, x, y)
+                if value == 0:
+                    break
+        if best is None or low[0] > best[0]:
+            best = (low[0], tuple(vec), low[1:])
+    return best
+
+
+def _report(kind: str, g: Multigraph, best) -> FanReport:
+    """The FanReport of a _max_min result; the trivial one for None."""
+    value, vec, pair = best or (0, (), None)
+    sel = _selection(g, vec)
+    if pair is None:
+        return FanReport(kind=kind, value=value, witness=sel, pair=None, zset=frozenset())
+    x, y = (g.labels[v] for v in pair)
+    _, zset = fan_degree(sel, x, y) if kind == "fan" else cfan_degree(g, sel, x, y)
+    return FanReport(kind=kind, value=value, witness=sel, pair=(x, y), zset=zset)
 
 
 def fan_number(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> FanReport:
@@ -257,21 +294,8 @@ def fan_number(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> FanReport:
     Enumerates every sub-multiplicity assignment with at least one edge;
     guarded by a cap on prod(mult + 1) over parallel classes.
     """
-    classes = g.index_classes
-    if not classes:
-        return _trivial_report("fan", g)
-    _assignment_space(classes, max_product, "fan_number")
-    mask = frozenset(range(len(g.labels)))
-    best: Optional[FanReport] = None
-    for vec in _iter_assignments(classes):
-        pairs = {
-            (i, j): v for (i, j, _), v in zip(classes, vec) if v > 0
-        }
-        sel = SubgraphSelection._raw(g, pairs, mask)
-        value, pair, zset = _min_fan_over_pairs(sel)
-        if best is None or value > best.value:
-            best = FanReport(kind="fan", value=value, witness=sel, pair=pair, zset=zset)
-    return best
+    _assignment_space(g.index_classes, max_product, "fan_number")
+    return _report("fan", g, _max_min(g, False, _fan_terms))
 
 
 def fan_bound(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> int:
@@ -287,26 +311,8 @@ def corefan(h: Multigraph, max_classes: int = COREFAN_CLASS_CAP) -> FanReport:
     value-preserving (see module docstring), which corefan_bruteforce
     verifies independently on enumerable inputs.
     """
-    classes = h.index_classes
-    if not classes:
-        return _trivial_report("corefan", h)
-    if len(classes) > max_classes:
-        raise ResourceLimitError(
-            f"corefan: {len(classes)} parallel classes exceed the cap of {max_classes}"
-        )
-    mask = frozenset(range(len(h.labels)))
-    best: Optional[FanReport] = None
-    for bits in range(1, 1 << len(classes)):
-        pairs = {
-            (i, j): m
-            for pos, (i, j, m) in enumerate(classes)
-            if bits >> pos & 1
-        }
-        sel = SubgraphSelection._raw(h, pairs, mask)
-        value, pair, zset = _min_cfan_over_pairs(h, sel)
-        if best is None or value > best.value:
-            best = FanReport(kind="corefan", value=value, witness=sel, pair=pair, zset=zset)
-    return best
+    _class_cap(h.index_classes, max_classes, "corefan")
+    return _report("corefan", h, _max_min(h, True, partial(_cfan_terms, h.deg)))
 
 
 def corefan_bruteforce(h: Multigraph, max_product: int = BRUTEFORCE_PRODUCT_CAP) -> int:
@@ -314,23 +320,9 @@ def corefan_bruteforce(h: Multigraph, max_product: int = BRUTEFORCE_PRODUCT_CAP)
 
     Oracle counterpart of corefan; returns the value only.
     """
-    classes = h.index_classes
-    if not classes:
-        return 0
-    _assignment_space(classes, max_product, "corefan_bruteforce")
-    mask = frozenset(range(len(h.labels)))
-    best = 0
-    first = True
-    for vec in _iter_assignments(classes):
-        pairs = {
-            (i, j): v for (i, j, _), v in zip(classes, vec) if v > 0
-        }
-        sel = SubgraphSelection._raw(h, pairs, mask)
-        value, _, _ = _min_cfan_over_pairs(h, sel)
-        if first or value > best:
-            best = value
-            first = False
-    return best
+    _assignment_space(h.index_classes, max_product, "corefan_bruteforce")
+    best = _max_min(h, False, partial(_cfan_terms, h.deg))
+    return best[0] if best else 0
 
 
 # -- constant-multiplicity criterion --------------------------------------
@@ -373,24 +365,12 @@ def full_multiplicity_criterion(
     which the test suite checks against corefan directly.
     """
     classes = h.index_classes
-    if not classes:
-        return True, []
-    mults = {m for _, _, m in classes}
-    if len(mults) != 1:
+    if len({m for _, _, m in classes}) > 1:
         raise GraphError("the qualifying-edge criterion needs constant multiplicity")
-    if len(classes) > max_classes:
-        raise ResourceLimitError(
-            f"full_multiplicity_criterion: {len(classes)} classes exceed the cap of {max_classes}"
-        )
-    mask = frozenset(range(len(h.labels)))
+    _class_cap(classes, max_classes, "full_multiplicity_criterion")
     results: list[tuple[SubgraphSelection, bool]] = []
-    for bits in range(1, 1 << len(classes)):
-        pairs = {
-            (i, j): m
-            for pos, (i, j, m) in enumerate(classes)
-            if bits >> pos & 1
-        }
-        sel = SubgraphSelection._raw(h, pairs, mask)
+    for vec in _selections(classes, True):
+        sel = _selection(h, vec)
         results.append((sel, has_qualifying_edge(h, sel)))
     return all(ok for _, ok in results), results
 

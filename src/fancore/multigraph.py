@@ -358,8 +358,9 @@ class SubgraphSelection:
 #
 # Line-oriented UTF-8. '#' starts a comment anywhere in a line. A line of
 # the form 'vertex <label>' declares an isolated vertex; '<u> <v> <mult>'
-# declares a parallel class with a positive multiplicity. Tokens are
-# whitespace-separated, so labels cannot contain whitespace.
+# declares a parallel class with a positive multiplicity, written in ASCII
+# digits only. Tokens are whitespace-separated, so labels cannot contain
+# whitespace.
 
 
 def parse(text: str) -> Multigraph:
@@ -384,10 +385,10 @@ def parse(text: str) -> Multigraph:
             vertices.append(label)
         elif len(tokens) == 3:
             u, v, raw_m = tokens
-            try:
-                m = int(raw_m)
-            except ValueError:
-                raise ParseError(lineno, f"multiplicity {raw_m!r} is not an integer") from None
+            digits = raw_m[1:] if raw_m.startswith("-") else raw_m
+            if not (digits.isascii() and digits.isdigit()):
+                raise ParseError(lineno, f"multiplicity {raw_m!r} is not an integer")
+            m = int(raw_m)
             if m < 0:
                 raise ParseError(lineno, f"negative multiplicity {m}")
             if m == 0:

@@ -237,6 +237,24 @@ class TestProcessLevel:
         assert "loop" in result.stderr
 
 
+class TestCapArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("corefan", "--max-classes"),
+            ("corefan", "--brute", "--max-subgraphs"),
+            ("fan", "--max-subgraphs"),
+            ("chi", "--max-instances"),
+            ("bqueue", "--exhaustive", "--max-vertices"),
+        ],
+    )
+    def test_negative_cap_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli(argv[0], fx("c3.graph"), *argv[1:], -1)
+        assert exc.value.code == 2
+        assert "nonnegative integer" in capsys.readouterr().err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,7 @@
 """Edge-colouring verification, the exact solver, and the fan engine."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from fancore import (
     ResourceLimitError,
     bqueue_core_condition,
     chromatic_index_exact,
+    construct_witness,
     fan_bound,
     fan_colouring,
     forest_core_condition,
@@ -146,6 +148,19 @@ class TestFanColouring:
                 continue
             c = fan_colouring(g, g.ore_bound())
             assert c is not None and verify_colouring(c)
+
+    def test_retry_orders_are_made_lazily(self):
+        # all 2N pass orders held at once take O(N^2) memory: about 110 MB
+        # on this 2,662-instance witness, against about 1.5 MB for one pass
+        g, _ = construct_witness(fixture("double-edge.graph"), 0)
+        tracemalloc.start()
+        try:
+            c = fan_colouring(g, g.ore_bound())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c is not None and verify_colouring(c)
+        assert peak < 16 * 2**20
 
     def test_core_conditions_imply_colourability(self):
         # a passing core condition at t certifies max_degree + t colours

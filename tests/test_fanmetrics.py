@@ -1,5 +1,6 @@
 """Fan and corefan metrics against brute-force oracles and known values."""
 
+import itertools
 import random
 
 import pytest
@@ -238,6 +239,59 @@ class TestCorefan:
         g = Multigraph(edges=[(f"a{i}", f"b{i}", 1) for i in range(21)])
         with pytest.raises(ResourceLimitError):
             corefan(g)
+
+
+def colex_vectors(mults, full_only):
+    """Nonempty multiplicity vectors in colex order, class 0 the fastest digit."""
+    digits = [(0, m) if full_only else range(m + 1) for m in reversed(mults)]
+    for rev in itertools.product(*digits):
+        if any(rev):
+            yield rev[::-1]
+
+
+def first_maximiser(g, kind):
+    """(value, witness classes, pair, maximisers, minimising pairs) by oracle.
+
+    The witness is the first candidate in colex order whose minimum equals
+    the maximum, and the pair the first ordered pair, (lo, hi) before
+    (hi, lo) class by class, that attains the minimum there. The last two
+    fields count how many candidates tie at the maximum and how many pairs
+    tie at the minimum in the witness.
+    """
+    classes = g.classes()
+    rows = []
+    for vec in colex_vectors([m for _, _, m in classes], kind == "corefan"):
+        k_graph = Multigraph(g.labels, [(u, v, m) for (u, v, _), m in zip(classes, vec) if m])
+        degrees = [
+            ((x, y), fan_degree_oracle(k_graph, x, y) if kind == "fan"
+             else cfan_degree_oracle(g, k_graph, x, y))
+            for u, v, _ in k_graph.classes()
+            for x, y in ((u, v), (v, u))
+        ]
+        low = min(d for _, d in degrees)
+        pairs = [p for p, d in degrees if d == low]
+        rows.append((low, k_graph.classes(), pairs))
+    top = max(low for low, _, _ in rows)
+    low, witness, pairs = next(row for row in rows if row[0] == top)
+    return low, witness, pairs[0], sum(row[0] == top for row in rows), len(pairs)
+
+
+class TestFirstMaximiser:
+    @pytest.mark.parametrize("kind,report_of", [("fan", fan_number), ("corefan", corefan)])
+    def test_random_witnesses_match_colex_reference(self, kind, report_of):
+        rng = random.Random(82)
+        tied_subgraphs = tied_pairs = 0
+        for _ in range(60):
+            g = random_multigraph(rng, rng.randint(3, 5), 4, 3)
+            if g.class_count == 0:
+                continue
+            value, witness, pair, maximisers, minimisers = first_maximiser(g, kind)
+            report = report_of(g)
+            assert (report.value, report.witness.classes(), report.pair) == (value, witness, pair), g.classes()
+            tied_subgraphs += maximisers > 1
+            tied_pairs += minimisers > 1
+        # both tie rules must have been exercised for the test to mean anything
+        assert tied_subgraphs and tied_pairs
 
 
 class TestReductions:

@@ -162,6 +162,9 @@ class TestTextFormat:
             ("a b 0\n", "zero"),
             ("a b 1\na b 2\n", "duplicate pair"),
             ("a b one\n", "not an integer"),
+            ("a b 1_0\n", "not an integer"),
+            ("a b +2\n", "not an integer"),
+            ("a b \u0663\n", "not an integer"),
             ("a b\n", "malformed"),
             ("vertex\n", "vertex declaration"),
             ("vertex x\nvertex x\n", "duplicate vertex"),
