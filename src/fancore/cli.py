@@ -23,11 +23,24 @@ from . import witness as wit
 from .errors import GraphError, ResourceLimitError
 
 
-def _load(path: str) -> mg.Multigraph:
+def _read(path: str) -> str:
+    """The text of a graph or plan file; an unreadable file is a domain error."""
     try:
-        return mg.load(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise GraphError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _load(path: str) -> mg.Multigraph:
+    return mg.parse(_read(path))
+
+
+def _verdict(out, ok: bool, diags: list[str]) -> int:
+    out.write(f"verified {'true' if ok else 'false'}\n")
+    for diag in diags:
+        out.write(f"diagnostic {diag}\n")
+    return 0 if ok else 1
 
 
 def _nonnegative_int(text: str) -> int:
@@ -139,25 +152,14 @@ def _cmd_construct(args, out) -> int:
     out.write(f"D {plan.D}\n")
     out.write(f"r {plan.r}\n")
     out.write(f"reg_k {plan.reg_k}\n")
-    out.write(f"verified {'true' if ok else 'false'}\n")
-    for diag in diags:
-        out.write(f"diagnostic {diag}\n")
-    return 0 if ok else 1
+    return _verdict(out, ok, diags)
 
 
 def _cmd_verify_witness(args, out) -> int:
     h = _load(args.host)
     g = _load(args.graph)
-    try:
-        with open(args.plan, "r", encoding="utf-8") as fh:
-            plan = wit.plan_from_text(fh.read())
-    except OSError as exc:
-        raise GraphError(f"cannot read {args.plan}: {exc.strerror}") from None
-    ok, diags = wit.verify_witness(h, args.t, g, plan)
-    out.write(f"verified {'true' if ok else 'false'}\n")
-    for diag in diags:
-        out.write(f"diagnostic {diag}\n")
-    return 0 if ok else 1
+    plan = wit.plan_from_text(_read(args.plan))
+    return _verdict(out, *wit.verify_witness(h, args.t, g, plan))
 
 
 def _parser() -> argparse.ArgumentParser:

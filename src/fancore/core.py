@@ -17,32 +17,25 @@ from .errors import GraphError
 from .multigraph import Multigraph
 
 
-def _check_t(t: int) -> int:
+def check_t(t: int) -> None:
     if not isinstance(t, int) or t < 0:
         raise GraphError(f"t must be a nonnegative integer, got {t!r}")
-    return t
 
 
 def t_core(g: Multigraph, t: int) -> Multigraph:
-    """Induced subgraph on the vertices with degree + vertex_mult > max_degree + t.
+    """Induced subgraph on the vertices with ore_degree > max_degree + t.
 
     Degrees and multiplicities are evaluated in g itself, so the result is
     generally not a fixed point of this operation.
     """
-    _check_t(t)
+    check_t(t)
     threshold = g.max_degree() + t
-    adj = g.adj
-    keep = [
-        label
-        for i, label in enumerate(g.labels)
-        if g.deg[i] + (max(adj[i].values()) if adj[i] else 0) > threshold
-    ]
-    return g.induced(keep)
+    return g.induced([v for v in g.labels if g.ore_degree(v) > threshold])
 
 
 def edges_above(h: Multigraph, t: int) -> Multigraph:
     """Keep every vertex of h but only the classes with multiplicity > t."""
-    _check_t(t)
+    check_t(t)
     return Multigraph(h.labels, [(u, v, m) for u, v, m in h.classes() if m > t])
 
 

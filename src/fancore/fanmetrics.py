@@ -240,8 +240,7 @@ def _selections(classes, full_only: bool):
 
 def _selection(g: Multigraph, vec) -> SubgraphSelection:
     """The subgraph of g keeping multiplicity vec[c] of its class c."""
-    pairs = {(i, j): m for (i, j, _), m in zip(g.index_classes, vec) if m}
-    return SubgraphSelection._raw(g, pairs, frozenset(range(len(g.labels))))
+    return SubgraphSelection(g, [(u, v, m) for (u, v, _), m in zip(g.classes(), vec) if m])
 
 
 def _max_min(g: Multigraph, full_only: bool, terms):

@@ -10,21 +10,76 @@ all operations here are pure functions of their inputs.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import GraphError, ParseError
 
 _RESERVED = "vertex"
 
 
-def _checked_label(label) -> str:
+def _check_label(label) -> None:
     if not isinstance(label, str) or not label:
         raise GraphError(f"vertex label must be a non-empty string, got {label!r}")
     if label == _RESERVED:
         raise GraphError("'vertex' is a reserved word in the text format and cannot name a vertex")
     if "#" in label or any(ch.isspace() for ch in label):
         raise GraphError(f"vertex label {label!r} may not contain whitespace or '#'")
-    return label
+
+
+class _Builder:
+    """A graph under construction: every per-item check, applied in input order.
+
+    Multigraph's constructor and parse both declare vertices and add classes
+    through one builder, so each check exists once and parse can attach the
+    line number of the item that failed it.
+    """
+
+    def __init__(self):
+        self.labels: list[str] = []
+        self.index: dict[str, int] = {}
+        self.adj: list[dict[int, int]] = []
+
+    def _intern(self, label: str) -> int:
+        got = self.index.get(label)
+        if got is None:
+            _check_label(label)
+            got = self.index[label] = len(self.labels)
+            self.labels.append(label)
+            self.adj.append({})
+        return got
+
+    def vertex(self, label: str) -> None:
+        if label in self.index:
+            raise GraphError(f"duplicate vertex {label!r}")
+        self._intern(label)
+
+    def add_class(self, u: str, v: str, m: int) -> None:
+        if not isinstance(m, int):
+            raise GraphError(f"multiplicity of {u!r},{v!r} must be a positive integer, got {m!r}")
+        if m < 0:
+            raise GraphError(f"negative multiplicity {m} on {u!r},{v!r}")
+        if m == 0:
+            raise GraphError(f"zero multiplicity on {u!r},{v!r}; omit the pair instead")
+        iu, iv = self._intern(u), self._intern(v)
+        if iu == iv:
+            raise GraphError(f"loop at {u!r} is not allowed")
+        if iv in self.adj[iu]:
+            raise GraphError(f"duplicate pair {u!r},{v!r}")
+        self.adj[iu][iv] = self.adj[iv][iu] = m
+
+    def seal(self, g: "Multigraph") -> "Multigraph":
+        """Fill g's fields from the builder.
+
+        Each adjacency dict is put in neighbour-index order, the order in
+        which the kernels iterate it, whatever order the input came in.
+        """
+        g.labels = tuple(self.labels)
+        g._index = self.index
+        g.adj = tuple(dict(sorted(a.items())) for a in self.adj)
+        g.deg = tuple(sum(a.values()) for a in g.adj)
+        g.index_classes = tuple((i, j, m) for i, a in enumerate(g.adj) for j, m in a.items() if i < j)
+        g._hash = None
+        return g
 
 
 class Multigraph:
@@ -35,50 +90,21 @@ class Multigraph:
     declared are appended in order of first appearance. Declaring the same
     unordered pair twice is an error (summing silently would hide fixture
     typos), as are loops and non-positive multiplicities.
+
+    Index-space fields: ``labels``, ``adj`` (per vertex, neighbour index to
+    multiplicity, in index order), ``deg`` and ``index_classes``, the
+    classes as ``(i, j, m)`` with ``i < j``, sorted by dense index pair.
     """
 
-    __slots__ = ("labels", "_index", "_pairs", "adj", "deg", "_hash")
+    __slots__ = ("labels", "_index", "adj", "deg", "index_classes", "_hash")
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable[tuple[str, str, int]] = ()):
-        labels: list[str] = []
-        index: dict[str, int] = {}
-
-        def intern(label: str) -> int:
-            got = index.get(label)
-            if got is None:
-                _checked_label(label)
-                got = index[label] = len(labels)
-                labels.append(label)
-            return got
-
+        b = _Builder()
         for label in vertices:
-            if label in index:
-                raise GraphError(f"duplicate vertex {label!r}")
-            intern(label)
-
-        pairs: dict[tuple[int, int], int] = {}
+            b.vertex(label)
         for u, v, m in edges:
-            if not isinstance(m, int) or m < 1:
-                raise GraphError(f"multiplicity of {u!r},{v!r} must be a positive integer, got {m!r}")
-            iu, iv = intern(u), intern(v)
-            if iu == iv:
-                raise GraphError(f"loop at {u!r} is not allowed")
-            key = (iu, iv) if iu < iv else (iv, iu)
-            if key in pairs:
-                raise GraphError(f"duplicate parallel class {u!r},{v!r}")
-            pairs[key] = m
-
-        adj: list[dict[int, int]] = [dict() for _ in labels]
-        for (i, j), m in sorted(pairs.items()):
-            adj[i][j] = m
-            adj[j][i] = m
-
-        self.labels: tuple[str, ...] = tuple(labels)
-        self._index = index
-        self._pairs = dict(sorted(pairs.items()))
-        self.adj: tuple[dict[int, int], ...] = tuple(adj)
-        self.deg: tuple[int, ...] = tuple(sum(a.values()) for a in adj)
-        self._hash: Optional[int] = None
+            b.add_class(u, v, m)
+        b.seal(self)
 
     # -- basic queries -------------------------------------------------
 
@@ -88,7 +114,7 @@ class Multigraph:
 
     @property
     def class_count(self) -> int:
-        return len(self._pairs)
+        return len(self.index_classes)
 
     def has_vertex(self, v: str) -> bool:
         return v in self._index
@@ -115,40 +141,34 @@ class Multigraph:
         a = self.adj[self.index_of(v)]
         return max(a.values()) if a else 0
 
+    def ore_degree(self, v: str) -> int:
+        """degree(v) + vertex_mult(v): the measure of the t-core and of the Ore bound."""
+        return self.degree(v) + self.vertex_mult(v)
+
     def max_degree(self) -> int:
         return max(self.deg, default=0)
 
     def max_mult(self) -> int:
-        return max((m for _, m in self.iter_index_classes()), default=0)
+        return max((m for _, _, m in self.index_classes), default=0)
 
     def ore_bound(self) -> int:
-        """max over vertices of degree(v) + vertex_mult(v) (0 when empty)."""
-        return max(
-            (self.deg[i] + (max(a.values()) if a else 0) for i, a in enumerate(self.adj)),
-            default=0,
-        )
+        """max over vertices of ore_degree(v) (0 when empty)."""
+        return max(map(self.ore_degree, self.labels), default=0)
 
     def total_instances(self) -> int:
-        return sum(m for _, m in self.iter_index_classes())
-
-    def iter_index_classes(self) -> Iterator[tuple[tuple[int, int], int]]:
-        return iter(self._pairs.items())
-
-    @property
-    def index_classes(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple((i, j, m) for (i, j), m in self._pairs.items())
+        return sum(m for _, _, m in self.index_classes)
 
     def classes(self) -> tuple[tuple[str, str, int], ...]:
         """Parallel classes as (u, v, mult), sorted by dense index pair."""
         lab = self.labels
-        return tuple((lab[i], lab[j], m) for (i, j), m in self._pairs.items())
+        return tuple((lab[i], lab[j], m) for i, j, m in self.index_classes)
 
     def neighbours(self, v: str) -> tuple[str, ...]:
         a = self.adj[self.index_of(v)]
         return tuple(self.labels[i] for i in sorted(a))
 
     def is_simple(self) -> bool:
-        return all(m == 1 for _, m in self.iter_index_classes())
+        return all(m == 1 for _, _, m in self.index_classes)
 
     # -- derived graphs ------------------------------------------------
 
@@ -163,7 +183,7 @@ class Multigraph:
         vertices = [lab[i] for i in range(len(lab)) if i in keep]
         edges = [
             (lab[i], lab[j], m)
-            for (i, j), m in self._pairs.items()
+            for i, j, m in self.index_classes
             if i in keep and j in keep
         ]
         return Multigraph(vertices, edges)
@@ -178,7 +198,7 @@ class Multigraph:
                 i = parent[i]
             return i
 
-        for (i, j), _ in self._pairs.items():
+        for i, j, _ in self.index_classes:
             ri, rj = find(i), find(j)
             if ri == rj:
                 return False
@@ -228,35 +248,24 @@ class SubgraphSelection:
         classes: Iterable[tuple[str, str, int]] = (),
         vertices: Optional[Iterable[str]] = None,
     ):
+        if vertices is None:
+            mask = frozenset(range(len(parent.labels)))
+        else:
+            mask = frozenset(parent.index_of(v) for v in vertices)
         pairs: dict[tuple[int, int], int] = {}
         for u, v, m in classes:
             iu, iv = parent.index_of(u), parent.index_of(v)
             key = (iu, iv) if iu < iv else (iv, iu)
             if key in pairs:
                 raise GraphError(f"duplicate selected class {u!r},{v!r}")
+            if not isinstance(m, int) or m < 1:
+                raise GraphError(f"selected multiplicity must be >= 1, got {m!r}")
+            cap = parent.adj[iu].get(iv, 0)
+            if m > cap:
+                raise GraphError(f"selection exceeds parent multiplicity on {u!r},{v!r} ({m} > {cap})")
+            if iu not in mask or iv not in mask:
+                raise GraphError(f"selected class {u!r},{v!r} has an endpoint outside the vertex mask")
             pairs[key] = m
-        if vertices is None:
-            mask = frozenset(range(len(parent.labels)))
-        else:
-            mask = frozenset(parent.index_of(v) for v in vertices)
-        self._init_raw(parent, pairs, mask, validate=True)
-
-    def _init_raw(self, parent, pairs, mask, validate: bool):
-        if validate:
-            for (i, j), m in pairs.items():
-                cap = parent.adj[i].get(j, 0)
-                if not isinstance(m, int) or m < 1:
-                    raise GraphError(f"selected multiplicity must be >= 1, got {m!r}")
-                if m > cap:
-                    raise GraphError(
-                        f"selection exceeds parent multiplicity on "
-                        f"{parent.labels[i]!r},{parent.labels[j]!r} ({m} > {cap})"
-                    )
-                if i not in mask or j not in mask:
-                    raise GraphError(
-                        f"selected class {parent.labels[i]!r},{parent.labels[j]!r} "
-                        f"has an endpoint outside the vertex mask"
-                    )
         self.parent = parent
         self.pairs = dict(sorted(pairs.items()))
         self.mask = mask
@@ -264,15 +273,8 @@ class SubgraphSelection:
         self._adj: Optional[tuple[dict[int, int], ...]] = None
 
     @classmethod
-    def _raw(cls, parent: Multigraph, pairs: dict[tuple[int, int], int], mask: frozenset) -> "SubgraphSelection":
-        """Trusted constructor for enumeration loops; skips validation."""
-        sel = cls.__new__(cls)
-        sel._init_raw(parent, pairs, mask, validate=False)
-        return sel
-
-    @classmethod
     def full(cls, parent: Multigraph) -> "SubgraphSelection":
-        return cls._raw(parent, dict(parent.iter_index_classes()), frozenset(range(len(parent.labels))))
+        return cls(parent, parent.classes())
 
     # -- index-space views ----------------------------------------------
 
@@ -328,11 +330,8 @@ class SubgraphSelection:
 
     def strip_isolated(self) -> "SubgraphSelection":
         """Shrink the mask to the endpoints of selected classes."""
-        used = set()
-        for (i, j) in self.pairs:
-            used.add(i)
-            used.add(j)
-        return SubgraphSelection._raw(self.parent, dict(self.pairs), frozenset(used))
+        classes = self.classes()
+        return SubgraphSelection(self.parent, classes, [x for u, v, _ in classes for x in (u, v)])
 
     def materialize(self) -> Multigraph:
         """Realize the selection as a standalone Multigraph."""
@@ -364,12 +363,13 @@ class SubgraphSelection:
 
 
 def parse(text: str) -> Multigraph:
-    """Parse graph text; raise ParseError with a line number on bad input."""
-    vertices: list[str] = []
-    seen_vertices: set[str] = set()
-    edges: list[tuple[str, str, int]] = []
-    seen_pairs: set[frozenset[str]] = set()
+    """Parse graph text; raise ParseError with a line number on bad input.
 
+    Only the grammar is checked here. Each vertex declaration and class goes
+    through the constructor's checks in line order, and a failed check is
+    reported at its line.
+    """
+    b = _Builder()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -378,38 +378,19 @@ def parse(text: str) -> Multigraph:
         if tokens[0] == _RESERVED:
             if len(tokens) != 2:
                 raise ParseError(lineno, "vertex declaration needs exactly one label")
-            label = tokens[1]
-            if label in seen_vertices:
-                raise ParseError(lineno, f"duplicate vertex declaration {label!r}")
-            seen_vertices.add(label)
-            vertices.append(label)
+            add, item = b.vertex, tokens[1:]
         elif len(tokens) == 3:
-            u, v, raw_m = tokens
-            digits = raw_m[1:] if raw_m.startswith("-") else raw_m
+            digits = tokens[2].removeprefix("-")
             if not (digits.isascii() and digits.isdigit()):
-                raise ParseError(lineno, f"multiplicity {raw_m!r} is not an integer")
-            m = int(raw_m)
-            if m < 0:
-                raise ParseError(lineno, f"negative multiplicity {m}")
-            if m == 0:
-                raise ParseError(lineno, "zero multiplicity; omit the pair instead")
-            if u == v:
-                raise ParseError(lineno, f"loop at {u!r} is not allowed")
-            if frozenset((u, v)) in seen_pairs:
-                raise ParseError(lineno, f"duplicate pair {u!r},{v!r}")
-            seen_pairs.add(frozenset((u, v)))
-            edges.append((u, v, m))
-            for label in (u, v):
-                if label not in seen_vertices:
-                    seen_vertices.add(label)
-                    vertices.append(label)
+                raise ParseError(lineno, f"multiplicity {tokens[2]!r} is not an integer")
+            add, item = b.add_class, (tokens[0], tokens[1], int(tokens[2]))
         else:
             raise ParseError(lineno, f"malformed line: {raw.strip()!r}")
-
-    try:
-        return Multigraph(vertices, edges)
-    except GraphError as exc:
-        raise ParseError(0, str(exc)) from exc
+        try:
+            add(*item)
+        except GraphError as exc:
+            raise ParseError(lineno, str(exc)) from exc
+    return b.seal(Multigraph.__new__(Multigraph))
 
 
 def serialize(g: Multigraph) -> str:

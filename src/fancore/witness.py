@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import t_core
+from .core import check_t, t_core
 from .errors import GraphError
 from .fanmetrics import COREFAN_CLASS_CAP, cfan_degree, corefan, fan_pair_exceeds
 from .multigraph import Multigraph, SubgraphSelection
@@ -120,11 +120,7 @@ def _validate_witness_subgraph(h: Multigraph, k_sel: SubgraphSelection, t: int) 
         raise GraphError("witness subgraph does not belong to the host graph")
     if not k_sel.has_edges():
         raise GraphError("witness subgraph must contain an edge")
-    incident = set()
-    for (i, j) in k_sel.pairs:
-        incident.add(i)
-        incident.add(j)
-    if set(k_sel.mask) != incident:
+    if k_sel.strip_isolated().mask != k_sel.mask:
         raise GraphError("witness subgraph must have no isolated vertices")
     labels = h.labels
     for (i, j) in k_sel.pairs:
@@ -139,8 +135,7 @@ def _validate_witness_subgraph(h: Multigraph, k_sel: SubgraphSelection, t: int) 
 
 def choose_params(h: Multigraph, t: int, k_sel: SubgraphSelection) -> ConstructionPlan:
     """Pick minimal (r, D), the per-vertex splits, and the fresh vertex names."""
-    if not isinstance(t, int) or t < 0:
-        raise GraphError(f"t must be a nonnegative integer, got {t!r}")
+    check_t(t)
     _validate_witness_subgraph(h, k_sel, t)
 
     delta = h.max_degree()

@@ -206,6 +206,12 @@ class TestConstruct:
         assert keyvals(out)["verified"] == "false"
         assert any(line.startswith("diagnostic ") for line in out.splitlines())
 
+    def test_missing_plan_is_domain_error(self, tmp_path, capsys):
+        host = fx("double-edge.graph")
+        code, out = cli("verify-witness", host, host, tmp_path / "missing.plan", "--t", 0)
+        assert code == 1 and out == ""
+        assert "cannot read" in capsys.readouterr().err
+
 
 class TestProcessLevel:
     def test_module_entry_point(self):
