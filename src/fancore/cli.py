@@ -30,6 +30,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise GraphError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load(path: str) -> mg.Multigraph:

@@ -37,14 +37,28 @@ colexicographic order, class 0 the fastest digit, each class taking every
 multiplicity 0..m (fan_number, corefan_bruteforce) or only 0 and m
 (corefan, full_multiplicity_criterion). Within a candidate, ordered pairs
 are tried class by class as (lo, hi) then (hi, lo); the minimum is the
-first pair attaining it, and the scan stops as soon as it reaches 0. The
-maximum is the first candidate attaining it.
+first pair attaining it, and the maximum is the first candidate attaining
+it. Colex counting changes fewer than two classes per step on average, so
+the candidate's degrees and adjacency are updated in place, not rebuilt.
+
+The search is pruned against the best value so far. The worst-set sum
+does not increase with the level, so one worst-set sum decides whether a
+pair's degree exceeds a given k. A candidate is dropped at its first pair
+whose degree does not exceed the best value, as its minimum cannot then
+exceed it. That keeps the first maximiser: only a strictly larger minimum
+replaces the best, so a dropped candidate could never have been chosen,
+and the first candidate attaining the maximum still replaces whatever came
+before it. Before any candidate the best value is taken as -1, which every
+degree exceeds, so the first candidate is never dropped. A candidate that
+survives gets the exact degree of every pair, so its reported pair is
+still the first one attaining its minimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Optional, Union
 
 from .errors import GraphError, ResourceLimitError
@@ -62,29 +76,41 @@ GraphLike = Union[Multigraph, SubgraphSelection]
 # For fixed x and k, condition (ii) ranges over all admissible Z. The sum
 # is maximized by taking y together with every other neighbour whose term
 # is positive, padding with the best remaining neighbour when a minimum
-# size of 2 is required. Checking that single worst set decides (ii).
+# size of 2 is required. Checking that single worst set decides (ii). Each
+# term falls as k grows, so the worst sum does not increase with k: once
+# (ii) holds at some k it holds above it, and the level of a pair exceeds
+# k exactly when both conditions fail at k itself.
 
 
-def _worst_set(base: dict[int, int], y: int, k: int, need_two: bool) -> tuple[int, tuple[int, ...]]:
-    """Return (max sum over admissible Z, the maximizing Z) at level k.
+def _worst_sum(base: dict[int, int], y: int, k: int, need_two: bool) -> int:
+    """The largest sum over admissible Z at level k.
 
     base maps each neighbour z of x to its k-independent term, so the
     contribution of z is base[z] - k. When need_two is set and x has no
-    second neighbour there is no admissible Z at all; the sum is reported
-    as 0 with the degenerate set (y,).
+    second neighbour there is no admissible Z at all; the sum is then 0.
     """
     ty = base[y] - k
-    pos = [z for z, b in base.items() if z != y and b - k > 0]
-    if pos:
-        total = ty + sum(base[z] - k for z in pos)
-        return total, tuple(sorted([y] + pos))
-    if not need_two:
-        return ty, (y,)
-    others = [z for z in base if z != y]
-    if not others:
-        return 0, (y,)
-    zb = max(others, key=lambda z: (base[z], -z))
-    return ty + base[zb] - k, tuple(sorted((y, zb)))
+    pos = [b for b in base.values() if b > k]
+    rest = sum(pos) - k * len(pos) - (ty if ty > 0 else 0)  # all positive terms but y's
+    if rest or not need_two:
+        return ty + rest
+    others = [b for z, b in base.items() if z != y]
+    return ty + max(others) - k if others else 0
+
+
+def _worst_set(base: dict[int, int], y: int, k: int, need_two: bool) -> list[int]:
+    """The Z attaining _worst_sum, unordered; just y when none is admissible.
+
+    Only certificates need the set, so the searches read _worst_sum alone.
+    The padding neighbour is the one of largest term, the smallest index
+    winning a tie.
+    """
+    zset = [y] + [z for z, b in base.items() if b > k and z != y]
+    if need_two and len(zset) == 1:
+        others = [z for z in base if z != y]
+        if others:
+            zset.append(max(others, key=lambda z: (base[z], -z)))
+    return zset
 
 
 def _fan_terms(deg, adj, x: int, y: int) -> tuple[dict[int, int], int, bool, int]:
@@ -108,10 +134,20 @@ def _cfan_terms(hdeg, deg, adj, x: int, y: int) -> tuple[dict[int, int], int, bo
     return base, y, False, max(base.values())
 
 
+def _exceeds(base: dict[int, int], y: int, need_two: bool, cap: int, k: int) -> bool:
+    """Whether the level of the pair is above k: _level(...) > k.
+
+    Every level is at least 0, so it is above each negative k. Otherwise
+    both conditions must fail at k itself: k is below the cap and the worst
+    Z sums to at least 2.
+    """
+    return k < 0 or (k < cap and _worst_sum(base, y, k, need_two) > 1)
+
+
 def _level(base: dict[int, int], y: int, need_two: bool, cap: int) -> int:
     """Smallest k below cap at which the worst Z sums to at most 1, else cap."""
     k = 0
-    while k < cap and _worst_set(base, y, k, need_two)[0] > 1:
+    while _exceeds(base, y, need_two, cap, k):
         k += 1
     return k
 
@@ -119,7 +155,7 @@ def _level(base: dict[int, int], y: int, need_two: bool, cap: int) -> int:
 def _certified(labels, base: dict[int, int], y: int, need_two: bool, cap: int) -> tuple[int, frozenset[str]]:
     """_level plus the certifying set described in fan_degree, as labels."""
     value = _level(base, y, need_two, cap)
-    zset = _worst_set(base, y, value - 1, need_two)[1] if value else (y,)
+    zset = _worst_set(base, y, value - 1, need_two) if value else (y,)
     return value, frozenset(labels[z] for z in zset)
 
 
@@ -150,16 +186,15 @@ def fan_pair_exceeds(j: GraphLike, x: str, y: str, k: int) -> tuple[bool, Option
     must exceed k, and the worst admissible Z must sum to at least 2.
     Returns the violating Z when the answer is True. This is the per-edge
     certificate used on constructed witness graphs, where the fan degree
-    itself is astronomically large.
+    itself is astronomically large. A negative k raises GraphError.
     """
+    if k < 0:
+        raise GraphError(f"level {k} is negative")
     xi, yi = _pair_indices(j, x, y)
     base, _, need_two, cap = _fan_terms(j.deg, j.adj, xi, yi)
-    if cap <= k:
+    if not _exceeds(base, yi, need_two, cap, k):
         return False, None
-    total, zset = _worst_set(base, yi, k, need_two)
-    if total <= 1:
-        return False, None
-    return True, frozenset(j.labels[z] for z in zset)
+    return True, frozenset(j.labels[z] for z in _worst_set(base, yi, k, need_two))
 
 
 def cfan_degree(h: Multigraph, k_sel: SubgraphSelection, x: str, y: str) -> tuple[int, frozenset[str]]:
@@ -223,7 +258,8 @@ def _selections(classes, full_only: bool):
 
     Class 0 is the fastest digit. A class of multiplicity m takes every
     value 0..m, or only 0 and m when full_only is set. One list is yielded
-    throughout, updated in place.
+    throughout, updated in place, together with the highest class it
+    changed: every class below that one was reset to 0.
     """
     n = len(classes)
     vec = [0] * n
@@ -235,7 +271,7 @@ def _selections(classes, full_only: bool):
         if pos == n:
             return
         vec[pos] = classes[pos][2] if full_only else vec[pos] + 1
-        yield vec
+        yield vec, pos
 
 
 def _selection(g: Multigraph, vec) -> SubgraphSelection:
@@ -250,29 +286,42 @@ def _max_min(g: Multigraph, full_only: bool, terms):
     index space of the candidate. Returns (value, vector, (x, y)) for the
     first maximizing selection and its first minimizing pair, with x and y
     dense indices; None when g has no class.
+
+    One deg and adj follow the enumeration, updated only on the classes
+    a step changed. floor is the best value so far, -1 before the first
+    candidate: a candidate is dropped at its first pair whose level is not
+    above it, and the exact levels are computed only for a candidate none
+    of whose pairs is. Each such candidate raises floor, so at most
+    value + 1 of them occur.
     """
     classes = g.index_classes
     n = len(g.labels)
-    best = None
-    for vec in _selections(classes, full_only):
-        deg = [0] * n
-        adj: list[dict[int, int]] = [{} for _ in range(n)]
-        pairs = []
-        for (i, j, _), m in zip(classes, vec):
+    deg = [0] * n
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    pairs = [p for c, (i, j, _) in enumerate(classes) for p in ((c, i, j), (c, j, i))]
+    best, floor = None, -1
+    for vec, changed in _selections(classes, full_only):
+        for c in range(changed + 1):
+            i, j, _ = classes[c]
+            m = vec[c]
+            step = m - adj[i].get(j, 0)
+            deg[i] += step
+            deg[j] += step
             if m:
-                deg[i] += m
-                deg[j] += m
                 adj[i][j] = adj[j][i] = m
-                pairs += ((i, j), (j, i))
-        low = None
-        for x, y in pairs:
-            value = _level(*terms(deg, adj, x, y))
-            if low is None or value < low[0]:
-                low = (value, x, y)
-                if value == 0:
-                    break
-        if best is None or low[0] > best[0]:
-            best = (low[0], tuple(vec), low[1:])
+            else:
+                del adj[i][j], adj[j][i]
+        # the classes below the changed one are 0, so its pairs come first
+        for c, x, y in islice(pairs, 2 * changed, None):
+            if vec[c] and not _exceeds(*terms(deg, adj, x, y), floor):
+                break
+        else:
+            low = min(
+                ((_level(*terms(deg, adj, x, y)), x, y) for c, x, y in pairs if vec[c]),
+                key=lambda t: t[0],
+            )
+            floor = low[0]
+            best = (floor, tuple(vec), low[1:])
     return best
 
 
@@ -368,7 +417,7 @@ def full_multiplicity_criterion(
         raise GraphError("the qualifying-edge criterion needs constant multiplicity")
     _class_cap(classes, max_classes, "full_multiplicity_criterion")
     results: list[tuple[SubgraphSelection, bool]] = []
-    for vec in _selections(classes, True):
+    for vec, _ in _selections(classes, True):
         sel = _selection(h, vec)
         results.append((sel, has_qualifying_edge(h, sel)))
     return all(ok for _, ok in results), results

@@ -302,8 +302,10 @@ def verify_witness(
             if not record(f"s-degrees: {v} has degree {g.degree(v)}, expected {D - r + t}"):
                 break
 
-    j_graph = g.induced(tuple(plan.k_vertices) + plan.s_vertices)
     level = D + t
+    if level < 0:  # every fan degree is at least 0, so above the level
+        return not diags, diags
+    j_graph = g.induced(tuple(plan.k_vertices) + plan.s_vertices)
     for u, v, _ in j_graph.classes():
         for x, y in ((u, v), (v, u)):
             exceeds, _ = fan_pair_exceeds(j_graph, x, y, level)

@@ -212,6 +212,19 @@ class TestConstruct:
         assert code == 1 and out == ""
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("role", ["graph", "plan"])
+    def test_non_utf8_file_is_domain_error(self, role, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a b 1\n\xff\n")
+        host = fx("double-edge.graph")
+        if role == "graph":
+            argv = ("tcore", bad, "--t", 0)
+        else:
+            argv = ("verify-witness", host, host, bad, "--t", 0)
+        code, out = cli(*argv)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: not UTF-8 text")
+
 
 class TestProcessLevel:
     def test_module_entry_point(self):

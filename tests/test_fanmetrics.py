@@ -23,6 +23,7 @@ from fancore import (
     fan_pair_exceeds,
     full_multiplicity_criterion,
     greedy_full_bqueue,
+    parse,
     t_core,
 )
 from helpers import all_simple_graphs_up_to, fixture, random_multigraph
@@ -88,6 +89,13 @@ class TestFanDegree:
                 value, _ = fan_degree(sel, u, v)
                 for k in range(value + 2):
                     assert fan_pair_exceeds(sel, u, v, k)[0] == (value > k)
+
+    def test_exceeds_rejects_negative_level(self):
+        # every level is at least 0, so a negative one is a caller error
+        j = full(fixture("double-edge.graph"))
+        assert fan_degree(j, "x", "y")[0] == 0
+        with pytest.raises(GraphError):
+            fan_pair_exceeds(j, "x", "y", -1)
 
 
 class TestFanNumber:
@@ -249,7 +257,7 @@ def colex_vectors(mults, full_only):
             yield rev[::-1]
 
 
-def first_maximiser(g, kind):
+def first_maximiser(g, kind, full_only):
     """(value, witness classes, pair, maximisers, minimising pairs) by oracle.
 
     The witness is the first candidate in colex order whose minimum equals
@@ -260,7 +268,7 @@ def first_maximiser(g, kind):
     """
     classes = g.classes()
     rows = []
-    for vec in colex_vectors([m for _, _, m in classes], kind == "corefan"):
+    for vec in colex_vectors([m for _, _, m in classes], full_only):
         k_graph = Multigraph(g.labels, [(u, v, m) for (u, v, _), m in zip(classes, vec) if m])
         degrees = [
             ((x, y), fan_degree_oracle(k_graph, x, y) if kind == "fan"
@@ -276,6 +284,14 @@ def first_maximiser(g, kind):
     return low, witness, pairs[0], sum(row[0] == top for row in rows), len(pairs)
 
 
+# Hosts on which every candidate scores 0: the witness is then the first
+# candidate, chosen only because there is no best value yet.
+ALL_ZERO_HOSTS = {
+    "fan": ["x y 1", "a b 2\nc d 2\ne f 2", "a b 2\nb c 2", "c a 1\nc b 1\nc d 1"],
+    "corefan": ["x y 1", "a b 1\nc d 1\ne f 1", "c a 1\nc b 1\nc d 1", "fig2-h4.graph"],
+}
+
+
 class TestFirstMaximiser:
     @pytest.mark.parametrize("kind,report_of", [("fan", fan_number), ("corefan", corefan)])
     def test_random_witnesses_match_colex_reference(self, kind, report_of):
@@ -285,13 +301,30 @@ class TestFirstMaximiser:
             g = random_multigraph(rng, rng.randint(3, 5), 4, 3)
             if g.class_count == 0:
                 continue
-            value, witness, pair, maximisers, minimisers = first_maximiser(g, kind)
+            value, witness, pair, maximisers, minimisers = first_maximiser(g, kind, kind == "corefan")
             report = report_of(g)
             assert (report.value, report.witness.classes(), report.pair) == (value, witness, pair), g.classes()
             tied_subgraphs += maximisers > 1
             tied_pairs += minimisers > 1
         # both tie rules must have been exercised for the test to mean anything
         assert tied_subgraphs and tied_pairs
+
+    @pytest.mark.parametrize("kind,report_of", [("fan", fan_number), ("corefan", corefan)])
+    def test_all_zero_hosts_keep_the_first_candidate(self, kind, report_of):
+        for text in ALL_ZERO_HOSTS[kind]:
+            g = fixture(text) if text.endswith(".graph") else parse(text)
+            value, witness, pair, _, _ = first_maximiser(g, kind, kind == "corefan")
+            assert value == 0
+            report = report_of(g)
+            assert (report.value, report.witness.classes(), report.pair) == (value, witness, pair), text
+
+    def test_bruteforce_values_match_colex_reference(self):
+        rng = random.Random(83)
+        for _ in range(40):
+            g = random_multigraph(rng, rng.randint(3, 5), 4, 3)
+            if g.class_count == 0:
+                continue
+            assert corefan_bruteforce(g) == first_maximiser(g, "corefan", False)[0], g.classes()
 
 
 class TestReductions:

@@ -202,6 +202,16 @@ class TestConstructAndVerify:
         assert not ok
         assert any(d.startswith("plan") for d in diags)
 
+    def test_negative_level_plan_is_diagnosed_not_crashed(self):
+        # D + t below 0 fails the degree checks; every edge still clears it
+        h = fixture("double-edge.graph")
+        g, plan = construct_witness(h, 0)
+        text = plan_to_text(plan).replace(f"D={plan.D}", "D=-5")
+        ok, diags = verify_witness(h, 0, g, plan_from_text(text))
+        assert not ok
+        assert any(d.startswith("degree") for d in diags)
+        assert not any(d.startswith("edge-certificate") for d in diags)
+
     def test_foreign_labels_are_kept_fresh(self):
         h = Multigraph(edges=[("sr0", "sq0", 2)])  # clash with generated names
         g, plan = construct_witness(h, 0)
