@@ -19,6 +19,7 @@ from .fanmetrics import (
     degree_preserving_set,
     fan_bound,
     fan_degree,
+    fan_edge_certificates,
     fan_number,
     fan_pair_exceeds,
     full_multiplicity_criterion,
@@ -65,6 +66,7 @@ __all__ = [
     "fan_bound",
     "fan_colouring",
     "fan_degree",
+    "fan_edge_certificates",
     "fan_number",
     "fan_pair_exceeds",
     "forest_core_condition",

@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 domain error, 2 usage error, 3 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bqueue as bq
@@ -164,7 +165,13 @@ def _cmd_verify_witness(args, out) -> int:
     return _verdict(out, *wit.verify_witness(h, args.t, g, plan))
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Building it costs dozens of parses, and parse_args keeps no state
+    between calls: each returns a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="fancore",
         description="Multigraph edge-colouring analysis on text-format graphs.",

@@ -17,6 +17,14 @@ anchored at one endpoint and repairs the colouring by fan rotation
 k >= max over v of degree(v) + vertex_mult(v), a stuck fan is arithmetically
 impossible, so the engine always succeeds there; below that bound it is a
 deterministic best-effort search with a hard retry budget per instance.
+
+Palettes are bitmasks: each vertex keeps the colours on its instances as
+one int, bit c for colour c, updated on every assign and unassign. The
+colours free at a vertex, or at both ends of an instance, are then one
+and-not against the full palette, every membership test is one bit test,
+and the smallest free colour, the one the engine always takes, is the
+lowest set bit. Those are the colours a set-based palette gives, so the
+colourings, and the None results, do not depend on the representation.
 """
 
 from __future__ import annotations
@@ -140,22 +148,28 @@ def chromatic_index_exact(g: Multigraph, max_instances: int = INSTANCE_CAP) -> t
 
 
 class _State:
-    """Mutable partial colouring with per-vertex colour lookup."""
+    """Mutable partial colouring with per-vertex colour lookup.
+
+    used[v] has bit c set when colour c is on an instance at v, so the free
+    colours of v are the bits of full & ~used[v]; at[v] maps each colour at
+    v to its instance, for the Kempe walks.
+    """
 
     def __init__(self, g: Multigraph, k: int):
         self.g = g
         self.k = k
         self.ends, self.copies = _instances(g)
         self.colour = [0] * len(self.ends)
+        self.used = [0] * len(g.labels)
         self.at: list[dict[int, int]] = [dict() for _ in g.labels]  # colour -> instance
         self.incident: list[list[int]] = [[] for _ in g.labels]
         for e, (i, j) in enumerate(self.ends):
             self.incident[i].append(e)
             self.incident[j].append(e)
-        self._palette = frozenset(range(1, k + 1))
+        self.full = (1 << (k + 1)) - 2  # colours 1..k
 
-    def free(self, v: int) -> set[int]:
-        return set(self._palette - self.at[v].keys())
+    def free(self, v: int) -> int:
+        return self.full & ~self.used[v]
 
     def other(self, e: int, v: int) -> int:
         i, j = self.ends[e]
@@ -166,13 +180,24 @@ class _State:
         self.colour[e] = c
         self.at[i][c] = e
         self.at[j][c] = e
+        bit = 1 << c
+        self.used[i] |= bit
+        self.used[j] |= bit
 
     def unassign(self, e: int) -> None:
         c = self.colour[e]
         i, j = self.ends[e]
         del self.at[i][c]
         del self.at[j][c]
+        bit = 1 << c
+        self.used[i] ^= bit
+        self.used[j] ^= bit
         self.colour[e] = 0
+
+
+def _lowest(mask: int) -> int:
+    """The smallest colour in a nonzero mask: its lowest set bit."""
+    return (mask & -mask).bit_length() - 1
 
 
 def _flip_path(st: _State, start: int, c_present: int, c_missing: int, avoid) -> bool:
@@ -183,7 +208,7 @@ def _flip_path(st: _State, start: int, c_present: int, c_missing: int, avoid) ->
     and the far end of the path is that vertex, nothing is swapped and the
     call reports False (swapping would disturb the fan anchor's palette).
     """
-    if c_missing in st.at[start] or c_present not in st.at[start]:
+    if (st.used[start] >> c_missing & 1) or not (st.used[start] >> c_present & 1):
         return False
     z, cur = start, c_present
     chain: list[int] = []
@@ -214,11 +239,12 @@ def _fold(st: _State, x: int, fan: list[int], rim: list[int]) -> bool:
     first (uncoloured) edge receives a colour. Returns False, leaving a
     proper partial colouring, if the fold invariant is ever unavailable.
     """
+    used = st.used
     while True:
-        shared = st.free(x) & st.free(rim[-1])
+        shared = st.full & ~(used[x] | used[rim[-1]])
         if not shared:
             return False
-        c = min(shared)
+        c = _lowest(shared)
         last = fan[-1]
         old = st.colour[last]
         if old:
@@ -228,7 +254,7 @@ def _fold(st: _State, x: int, fan: list[int], rim: list[int]) -> bool:
             return True
         idx = None
         for i2 in range(len(fan) - 1):
-            if old in st.free(rim[i2]):
+            if not used[rim[i2]] >> old & 1:
                 idx = i2
                 break
         if idx is None:
@@ -248,12 +274,12 @@ def _reduce(st: _State, x: int, fan: list[int], rim: list[int], i: int) -> bool:
     vertices, so the fan, truncated to that vertex if need be, folds.
     """
     yi, yn = rim[i], rim[-1]
-    shared = st.free(yi) & st.free(yn)
+    shared = st.full & ~(st.used[yi] | st.used[yn])
     fx = st.free(x)
     if not shared or not fx:
         return False
-    a = min(shared)
-    b = min(fx)
+    a = _lowest(shared)
+    b = _lowest(fx)
     if _flip_path(st, yi, b, a, avoid=x):
         del fan[i + 1:]
         del rim[i + 1:]
@@ -275,14 +301,14 @@ def _fan_attempt(st: _State, e: int, x: int) -> bool:
     fan = [e]
     rim = [y0]
     in_fan = {e}
+    used, colour = st.used, st.colour
     missing_union = st.free(y0)
+    fx = st.free(x)
     while True:
         nxt = None
         for cand in st.incident[x]:
-            if cand in in_fan:
-                continue
-            c = st.colour[cand]
-            if c and c in missing_union:
+            # an uncoloured instance has colour 0, never a free colour
+            if missing_union >> colour[cand] & 1 and cand not in in_fan:
                 nxt = cand
                 break
         if nxt is None:
@@ -292,11 +318,11 @@ def _fan_attempt(st: _State, e: int, x: int) -> bool:
         ynew = st.other(nxt, x)
         rim.append(ynew)
         fy = st.free(ynew)
-        if st.free(x) & fy:
+        if fx & fy:
             return _fold(st, x, fan, rim)
         hit = None
         for idx in range(len(rim) - 1):
-            if rim[idx] != ynew and st.free(rim[idx]) & fy:
+            if rim[idx] != ynew and fy & ~used[rim[idx]]:
                 hit = idx
                 break
         if hit is not None:
@@ -317,7 +343,7 @@ def _perturb(st: _State, e: int, attempt: int) -> bool:
     present = sorted(st.at[v])
     if not fv or not present:
         return False
-    alpha = min(fv)
+    alpha = _lowest(fv)
     beta = present[(attempt // 2) % len(present)]
     return _flip_path(st, v, beta, alpha, avoid=None)
 
@@ -330,9 +356,9 @@ def _colour_edge(st: _State, e: int) -> bool:
     attempt = 0
     stagnant = 0
     while attempt < budget:
-        common = st.free(i) & st.free(j)
+        common = st.full & ~(st.used[i] | st.used[j])
         if common:
-            st.assign(e, min(common))
+            st.assign(e, _lowest(common))
             return True
         anchor = lower if attempt % 2 == 0 else higher
         if _fan_attempt(st, e, anchor):

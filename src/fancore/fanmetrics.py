@@ -52,6 +52,18 @@ before it. Before any candidate the best value is taken as -1, which every
 degree exceeds, so the first candidate is never dropped. A candidate that
 survives gets the exact degree of every pair, so its reported pair is
 still the first one attaining its minimum.
+
+Whether a pair's fan degree exceeds a fixed level k is also the per-edge
+certificate of constructed witness graphs, asked of every ordered pair.
+At a fixed anchor x and level k, the worst Z of every pair (x, y) is read
+off the same three numbers: the total of the positive contributions
+d_J(z) + mult_J(x, z) - k over N(x), and the two largest terms. The pair
+takes the total less its own positive part plus its own contribution,
+and, when Z needs a second member that no other positive term supplies,
+the largest term other than y's: the largest unless y holds it, else the
+second, which equals it on a tie. fan_edge_certificates makes one such
+pass per vertex, so a whole graph is certified in time linear in its
+classes; fan_pair_exceeds and the searches use the same pass for one pair.
 """
 
 from __future__ import annotations
@@ -59,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import GraphError, ResourceLimitError
 from .multigraph import Multigraph, SubgraphSelection
@@ -82,20 +94,38 @@ GraphLike = Union[Multigraph, SubgraphSelection]
 # k exactly when both conditions fail at k itself.
 
 
-def _worst_sum(base: dict[int, int], y: int, k: int, need_two: bool) -> int:
-    """The largest sum over admissible Z at level k.
+def _anchor(base: dict[int, int], k: int, need_two: bool) -> tuple[int, Sequence[int]]:
+    """One pass over the terms of an anchor x at level k.
 
     base maps each neighbour z of x to its k-independent term, so the
-    contribution of z is base[z] - k. When need_two is set and x has no
-    second neighbour there is no admissible Z at all; the sum is then 0.
+    contribution of z is base[z] - k. Returns the total of the positive
+    contributions and, when a pair may need padding, the one or two largest
+    terms in ascending order (a tie keeps both): whatever y is, the padding
+    neighbour's term is one of them. No pair needs padding unless Z needs
+    two members and at most one contribution is positive.
     """
-    ty = base[y] - k
     pos = [b for b in base.values() if b > k]
-    rest = sum(pos) - k * len(pos) - (ty if ty > 0 else 0)  # all positive terms but y's
+    total = sum(pos) - k * len(pos)
+    return total, sorted(base.values())[-2:] if need_two and len(pos) < 2 else ()
+
+
+def _worst_sum(anchor: tuple[int, Sequence[int]], by: int, k: int, need_two: bool) -> int:
+    """The largest sum over admissible Z at level k, for the pair (x, y).
+
+    anchor is _anchor of x at level k and by the term of y, so the answer
+    costs O(1) per pair. When need_two is set and y has no positive
+    company, Z is padded with the largest term other than y's: the largest
+    itself unless y holds it, else the second (equal on a tie). When x has
+    no second neighbour there is no admissible Z; the sum is 0.
+    """
+    total, top = anchor
+    ty = by - k
+    rest = total - (ty if ty > 0 else 0)  # all positive contributions but y's
     if rest or not need_two:
         return ty + rest
-    others = [b for z, b in base.items() if z != y]
-    return ty + max(others) - k if others else 0
+    if by < top[-1]:
+        return ty + top[-1] - k
+    return ty + top[0] - k if len(top) == 2 else 0
 
 
 def _worst_set(base: dict[int, int], y: int, k: int, need_two: bool) -> list[int]:
@@ -113,14 +143,18 @@ def _worst_set(base: dict[int, int], y: int, k: int, need_two: bool) -> list[int
     return zset
 
 
+def _fan_base(deg, adj, x: int) -> dict[int, int]:
+    """The fan terms of anchor x: d_J(z) + mult_J(x, z) for each neighbour z."""
+    return {z: deg[z] + m for z, m in adj[x].items()}
+
+
 def _fan_terms(deg, adj, x: int, y: int) -> tuple[dict[int, int], int, bool, int]:
     """The arguments of _level for the fan degree of (x, y) in index space.
 
-    The term of neighbour z is d_J(z) + mult_J(x, z), Z needs two members,
-    and condition (i) caps the value at d_J(x) + d_J(y) - mult_J(x, y).
+    Z needs two members, and condition (i) caps the value at
+    d_J(x) + d_J(y) - mult_J(x, y).
     """
-    base = {z: deg[z] + m for z, m in adj[x].items()}
-    return base, y, True, deg[x] + deg[y] - adj[x][y]
+    return _fan_base(deg, adj, x), y, True, deg[x] + deg[y] - adj[x][y]
 
 
 def _cfan_terms(hdeg, deg, adj, x: int, y: int) -> tuple[dict[int, int], int, bool, int]:
@@ -141,7 +175,7 @@ def _exceeds(base: dict[int, int], y: int, need_two: bool, cap: int, k: int) -> 
     both conditions must fail at k itself: k is below the cap and the worst
     Z sums to at least 2.
     """
-    return k < 0 or (k < cap and _worst_sum(base, y, k, need_two) > 1)
+    return k < 0 or (k < cap and _worst_sum(_anchor(base, k, need_two), base[y], k, need_two) > 1)
 
 
 def _level(base: dict[int, int], y: int, need_two: bool, cap: int) -> int:
@@ -195,6 +229,28 @@ def fan_pair_exceeds(j: GraphLike, x: str, y: str, k: int) -> tuple[bool, Option
     if not _exceeds(base, yi, need_two, cap, k):
         return False, None
     return True, frozenset(j.labels[z] for z in _worst_set(base, yi, k, need_two))
+
+
+def fan_edge_certificates(j: Multigraph, k: int) -> list[tuple[str, str, bool]]:
+    """fan_pair_exceeds(j, x, y, k)[0] for every ordered pair (x, y) on an edge of j.
+
+    The pairs come class by class as (lo, hi) then (hi, lo), in dense pair
+    order. Each vertex's terms are read once, in one _anchor pass at the
+    fixed level k, so every pair is then decided in O(1) and the whole
+    graph in time linear in its classes. A negative k raises GraphError.
+    """
+    if k < 0:
+        raise GraphError(f"level {k} is negative")
+    deg, adj, labels = j.deg, j.adj, j.labels
+    bases = [_fan_base(deg, adj, x) for x in range(len(labels))]
+    anchors = [_anchor(base, k, True) for base in bases]
+    result = []
+    for lo, hi, m in j.index_classes:
+        for x, y in ((lo, hi), (hi, lo)):
+            # _exceeds at k >= 0, with _fan_terms' cap
+            exceeds = k < deg[x] + deg[y] - m and _worst_sum(anchors[x], bases[x][y], k, True) > 1
+            result.append((labels[x], labels[y], exceeds))
+    return result
 
 
 def cfan_degree(h: Multigraph, k_sel: SubgraphSelection, x: str, y: str) -> tuple[int, frozenset[str]]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .core import check_t, t_core
 from .errors import GraphError
-from .fanmetrics import COREFAN_CLASS_CAP, cfan_degree, corefan, fan_pair_exceeds
+from .fanmetrics import COREFAN_CLASS_CAP, cfan_degree, corefan, fan_edge_certificates
 from .multigraph import Multigraph, SubgraphSelection
 
 
@@ -306,15 +306,9 @@ def verify_witness(
     if level < 0:  # every fan degree is at least 0, so above the level
         return not diags, diags
     j_graph = g.induced(tuple(plan.k_vertices) + plan.s_vertices)
-    for u, v, _ in j_graph.classes():
-        for x, y in ((u, v), (v, u)):
-            exceeds, _ = fan_pair_exceeds(j_graph, x, y, level)
-            if not exceeds:
-                if not record(f"edge-certificate: fan degree of ({x},{y}) is not above {level}"):
-                    break
-        else:
-            continue
-        break
+    for x, y, exceeds in fan_edge_certificates(j_graph, level):
+        if not exceeds and not record(f"edge-certificate: fan degree of ({x},{y}) is not above {level}"):
+            break
 
     return not diags, diags
 

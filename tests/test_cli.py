@@ -255,6 +255,29 @@ class TestProcessLevel:
         assert result.returncode == 1
         assert "loop" in result.stderr
 
+    def test_in_process_runs_match_separate_processes(self):
+        # one process builds the argument parser once and reuses it, so no
+        # run may leave anything behind for the next
+        argvs = [
+            ["tcore", fx("c3.graph")],
+            ["corefan", fx("fig1-h.graph")],
+            ["colour", fx("c5.graph"), "-k", "3"],
+        ]
+        separate = []
+        for argv in argvs:
+            result = subprocess.run([sys.executable, "-m", "fancore.cli", *argv], capture_output=True)
+            separate.append((result.returncode, result.stdout))
+        in_process = []
+        for argv in argvs:
+            out = io.StringIO()
+            try:
+                code = run(argv, out=out)
+            except SystemExit as exc:
+                code = exc.code
+            in_process.append((code, out.getvalue().encode()))
+        assert in_process == separate
+        assert [code for code, _ in separate] == [2, 0, 0]
+
 
 class TestCapArguments:
     @pytest.mark.parametrize(

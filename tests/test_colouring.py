@@ -1,5 +1,6 @@
 """Edge-colouring verification, the exact solver, and the fan engine."""
 
+import hashlib
 import random
 import tracemalloc
 
@@ -188,6 +189,54 @@ class TestFanColouring:
                     if chi is None:
                         chi, _ = chromatic_index_exact(g)
                     assert chi <= g.max_degree() + t, (g.classes(), t)
+
+
+# sha256 of fan_colouring(g, k).as_text(), None where the engine returns
+# None, for every fixture and the 2,662-instance double-edge/t0 witness at
+# both bounds. The engine is deterministic, so a changed digest means it
+# now picks other colours.
+ENGINE_DIGESTS = [
+    ("c3.graph", "ore_bound", '8453af3afcd1d4c16924a97e95d8b91a1bd986c77d5440ce0cdc725c0e4ed926'),
+    ("c3.graph", "max_degree", None),
+    ("c5.graph", "ore_bound", 'dea7e278079a3d223fa478c31ae94480f2612b5572e8f7f075e82740f1bcb59f'),
+    ("c5.graph", "max_degree", None),
+    ("cycle-pendant.graph", "ore_bound", '99e0169f073d3288ae4cd345d21a1c471bcaef8c4d2ad0e40eb13cb0597bdf1d'),
+    ("cycle-pendant.graph", "max_degree", '99e0169f073d3288ae4cd345d21a1c471bcaef8c4d2ad0e40eb13cb0597bdf1d'),
+    ("double-edge.graph", "ore_bound", 'e9695cf6b361d83dcada7af4cb162bc78fb2fb18bf2a9bde985ab9d0e782576a'),
+    ("double-edge.graph", "max_degree", 'e9695cf6b361d83dcada7af4cb162bc78fb2fb18bf2a9bde985ab9d0e782576a'),
+    ("fat-triangle-t0.graph", "ore_bound", '6a9b8f218e849752f76b094276d34ab0f563a1b5573e43da1ca277e021554993'),
+    ("fat-triangle-t0.graph", "max_degree", None),
+    ("fat-triangle-t1.graph", "ore_bound", 'c30410a5bda5ca820923a82bbf6e96c11056c77101e0565e31ecfb86c7f409b9'),
+    ("fat-triangle-t1.graph", "max_degree", None),
+    ("fat-triangle-t2.graph", "ore_bound", 'aa2513b42c23781582927d853af548dc5e35cd86e547db196e7509bc9f201444'),
+    ("fat-triangle-t2.graph", "max_degree", None),
+    ("fig1-h.graph", "ore_bound", '0bc0c3db0d636adbd01ac10dd513cd8dca20f6b4075107a9658c7dceaa9f7a51'),
+    ("fig1-h.graph", "max_degree", '0bc0c3db0d636adbd01ac10dd513cd8dca20f6b4075107a9658c7dceaa9f7a51'),
+    ("fig1-h1.graph", "ore_bound", '8c8d44b1d036c3c3aeca2146650b2ff152b77c257c4b1a3c31ac718fcaddd75a'),
+    ("fig1-h1.graph", "max_degree", '8c8d44b1d036c3c3aeca2146650b2ff152b77c257c4b1a3c31ac718fcaddd75a'),
+    ("fig2-h4.graph", "ore_bound", '53539464df3f9c3d4c9755291c8e6f8b86c58094c261ad59959a6a8f8d794718'),
+    ("fig2-h4.graph", "max_degree", '53539464df3f9c3d4c9755291c8e6f8b86c58094c261ad59959a6a8f8d794718'),
+    ("forest-path4.graph", "ore_bound", 'bf938d2c93184f4fa8b18adfae8d4ae68575946300ced3b71bcad31ccf078941'),
+    ("forest-path4.graph", "max_degree", 'bf938d2c93184f4fa8b18adfae8d4ae68575946300ced3b71bcad31ccf078941'),
+    ("forest-spider.graph", "ore_bound", 'dd3681f1fbd9ccec98a0d8f883df356900643ffabc4e0199c27f1978b808f770'),
+    ("forest-spider.graph", "max_degree", 'dd3681f1fbd9ccec98a0d8f883df356900643ffabc4e0199c27f1978b808f770'),
+    ("h5.graph", "ore_bound", '30509894cc56d8f58a35dfee64793ba9de176ed0459a0b1207ad89ff562bbb63'),
+    ("h5.graph", "max_degree", '30509894cc56d8f58a35dfee64793ba9de176ed0459a0b1207ad89ff562bbb63'),
+    ("multiforest-path.graph", "ore_bound", '8131b208f9d4137154da1044a713234b5ebf50ab9aadcc90dd0131eaa51fa5e6'),
+    ("multiforest-path.graph", "max_degree", '8131b208f9d4137154da1044a713234b5ebf50ab9aadcc90dd0131eaa51fa5e6'),
+    ("double-edge/t0", "ore_bound", '6fd6af3f3e984241415ad2cca0849fc14f67c8edd0ce878be1c326bec245eab5'),
+    ("double-edge/t0", "max_degree", 'f1173cf209d90903ae63968d94fd2b3e95caf4d5446edfddb73efea8e07902e9'),
+]
+
+
+@pytest.mark.parametrize("name,bound,digest", ENGINE_DIGESTS)
+def test_fan_engine_bytes_are_pinned(name, bound, digest):
+    if name == "double-edge/t0":
+        g, _ = construct_witness(fixture("double-edge.graph"), 0)
+    else:
+        g = fixture(name)
+    c = fan_colouring(g, getattr(g, bound)())
+    assert (None if c is None else hashlib.sha256(c.as_text().encode()).hexdigest()) == digest
 
 
 class TestColouringText:

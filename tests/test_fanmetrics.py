@@ -19,6 +19,7 @@ from fancore import (
     edges_above,
     fan_bound,
     fan_degree,
+    fan_edge_certificates,
     fan_number,
     fan_pair_exceeds,
     full_multiplicity_criterion,
@@ -92,10 +93,34 @@ class TestFanDegree:
 
     def test_exceeds_rejects_negative_level(self):
         # every level is at least 0, so a negative one is a caller error
-        j = full(fixture("double-edge.graph"))
+        g = fixture("double-edge.graph")
+        j = full(g)
         assert fan_degree(j, "x", "y")[0] == 0
         with pytest.raises(GraphError):
             fan_pair_exceeds(j, "x", "y", -1)
+        with pytest.raises(GraphError):
+            fan_edge_certificates(g, -1)
+
+    def test_edge_certificates_match_per_pair_test(self):
+        # the per-vertex pass decides each pair from its anchor's total and
+        # two largest terms; the padding cases are the ones that need both
+        rng = random.Random(75)
+        lone = tied = padded = 0
+        for _ in range(500):
+            g = random_multigraph(rng, rng.randint(2, 8), 10, 4)
+            pairs = [(x, y) for u, v, _ in g.classes() for x, y in ((u, v), (v, u))]
+            for k in range(14):
+                want = [(x, y, fan_pair_exceeds(g, x, y, k)[0]) for x, y in pairs]
+                assert fan_edge_certificates(g, k) == want
+                for x, y, exceeds in want:
+                    terms = {z: g.degree(z) + g.mult(x, z) for z in g.neighbours(x)}
+                    if any(b > k for z, b in terms.items() if z != y):
+                        continue  # y has positive company: no padding
+                    top = sorted(terms.values())[-2:]
+                    lone += len(top) == 1
+                    tied += len(top) == 2 and top[0] == top[1]
+                    padded += exceeds
+        assert lone and tied and padded
 
 
 class TestFanNumber:

@@ -212,6 +212,29 @@ class TestConstructAndVerify:
         assert any(d.startswith("degree") for d in diags)
         assert not any(d.startswith("edge-certificate") for d in diags)
 
+    @pytest.mark.parametrize("raise_d", [1, 2, 3])
+    def test_raised_d_gets_the_edge_certificate_diagnostics(self, raise_d):
+        # at D + raise_d, 40, 50 and 662 of the 762 ordered pairs of J fail
+        h = fixture("double-edge.graph")
+        g, plan = construct_witness(h, 0)
+        raised = plan_from_text(plan_to_text(plan).replace(f"D={plan.D}", f"D={plan.D + raise_d}"))
+        level = raised.D + raised.t
+        j = g.induced(tuple(plan.k_vertices) + plan.s_vertices)
+        reference = [
+            f"edge-certificate: fan degree of ({x},{y}) is not above {level}"
+            for u, v, _ in j.classes()
+            for x, y in ((u, v), (v, u))
+            if not fan_pair_exceeds(j, x, y, level)[0]
+        ]
+        assert reference
+        ok, full = verify_witness(h, 0, g, raised, max_diagnostics=10**6)
+        assert not ok
+        head = [d for d in full if not d.startswith("edge-certificate")]
+        assert head and full == head + reference
+        for cap in (40, len(head) + 1, len(head) + 7, len(full) - 1, len(full)):
+            assert verify_witness(h, 0, g, raised, max_diagnostics=cap) == (False, full[:cap])
+        assert verify_witness(h, 0, g, raised)[1] == full[:40]
+
     def test_foreign_labels_are_kept_fresh(self):
         h = Multigraph(edges=[("sr0", "sq0", 2)])  # clash with generated names
         g, plan = construct_witness(h, 0)
