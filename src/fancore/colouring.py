@@ -377,8 +377,16 @@ def _colour_edge(st: _State, e: int) -> bool:
 
 def _run_pass(g: Multigraph, k: int, order: list[int]) -> _State | None:
     st = _State(g, k)
+    ends, used, full = st.ends, st.used, st.full
     for e in order:
-        if not _colour_edge(st, e):
+        # Almost every instance has a colour free at both ends. Taking the
+        # lowest one here is _colour_edge's own first step, so the colouring
+        # is the same, but skips that call and its budget and anchor set-up.
+        i, j = ends[e]
+        common = full & ~(used[i] | used[j])
+        if common:
+            st.assign(e, _lowest(common))
+        elif not _colour_edge(st, e):
             return None
     return st
 

@@ -30,13 +30,13 @@ def t_core(g: Multigraph, t: int) -> Multigraph:
     """
     check_t(t)
     threshold = g.max_degree() + t
-    return g.induced([v for v in g.labels if g.ore_degree(v) > threshold])
+    return g._induced([i for i, d in enumerate(g._ore_degrees()) if d > threshold])
 
 
 def edges_above(h: Multigraph, t: int) -> Multigraph:
     """Keep every vertex of h but only the classes with multiplicity > t."""
     check_t(t)
-    return Multigraph(h.labels, [(u, v, m) for u, v, m in h.classes() if m > t])
+    return Multigraph._derived(h.labels, [c for c in h.index_classes if c[2] > t])
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,7 @@ def core_report(g: Multigraph, t: int) -> CoreReport:
     if core_mult > t + 1:
         b = None
     else:
-        b = Multigraph(
-            core.labels,
-            [(u, v, 1) for u, v, m in core.classes() if m == t + 1],
-        )
+        b = Multigraph._derived(core.labels, [(i, j, 1) for i, j, m in core.index_classes if m == t + 1])
     return CoreReport(t=t, core=core, core_mult=core_mult, max_mult_simple=b)
 
 

@@ -6,15 +6,24 @@ index order. Parallel edges are a multiplicity counter per unordered vertex
 pair, never individual edge objects. Multigraph and SubgraphSelection values
 are immutable after construction, so they are safe to share between threads;
 all operations here are pure functions of their inputs.
+
+Input is checked once, where it enters: at parse and at the public
+Multigraph constructor. A graph derived from one that is already valid
+(an induced subgraph, a t-core, a materialized selection, a constructed
+witness) is built directly from index-space data, which is valid by
+construction, and skips the label and class checks.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional
 
 from .errors import GraphError, ParseError
 
 _RESERVED = "vertex"
+# str.isspace's characters are exactly those \s matches in a str pattern
+_FORBIDDEN = re.compile(r"[\s#]").search
 
 
 def _check_label(label) -> None:
@@ -22,7 +31,7 @@ def _check_label(label) -> None:
         raise GraphError(f"vertex label must be a non-empty string, got {label!r}")
     if label == _RESERVED:
         raise GraphError("'vertex' is a reserved word in the text format and cannot name a vertex")
-    if "#" in label or any(ch.isspace() for ch in label):
+    if _FORBIDDEN(label):
         raise GraphError(f"vertex label {label!r} may not contain whitespace or '#'")
 
 
@@ -37,7 +46,7 @@ class _Builder:
     def __init__(self):
         self.labels: list[str] = []
         self.index: dict[str, int] = {}
-        self.adj: list[dict[int, int]] = []
+        self.pairs: dict[tuple[int, int], int] = {}
 
     def _intern(self, label: str) -> int:
         got = self.index.get(label)
@@ -45,7 +54,6 @@ class _Builder:
             _check_label(label)
             got = self.index[label] = len(self.labels)
             self.labels.append(label)
-            self.adj.append({})
         return got
 
     def vertex(self, label: str) -> None:
@@ -63,23 +71,14 @@ class _Builder:
         iu, iv = self._intern(u), self._intern(v)
         if iu == iv:
             raise GraphError(f"loop at {u!r} is not allowed")
-        if iv in self.adj[iu]:
+        key = (iu, iv) if iu < iv else (iv, iu)
+        if key in self.pairs:
             raise GraphError(f"duplicate pair {u!r},{v!r}")
-        self.adj[iu][iv] = self.adj[iv][iu] = m
+        self.pairs[key] = m
 
     def seal(self, g: "Multigraph") -> "Multigraph":
-        """Fill g's fields from the builder.
-
-        Each adjacency dict is put in neighbour-index order, the order in
-        which the kernels iterate it, whatever order the input came in.
-        """
-        g.labels = tuple(self.labels)
-        g._index = self.index
-        g.adj = tuple(dict(sorted(a.items())) for a in self.adj)
-        g.deg = tuple(sum(a.values()) for a in g.adj)
-        g.index_classes = tuple((i, j, m) for i, a in enumerate(g.adj) for j, m in a.items() if i < j)
-        g._hash = None
-        return g
+        """Fill g's fields from the builder, whatever order the input came in."""
+        return g._fill(self.labels, sorted((i, j, m) for (i, j), m in self.pairs.items()))
 
 
 class Multigraph:
@@ -105,6 +104,33 @@ class Multigraph:
         for u, v, m in edges:
             b.add_class(u, v, m)
         b.seal(self)
+
+    def _fill(self, labels: Iterable[str], classes: Iterable[tuple[int, int, int]]) -> "Multigraph":
+        """Set every field from index-space data that is already valid.
+
+        The one place the fields are filled. labels must be distinct valid
+        labels and classes (i, j, m) distinct pairs with i < j and m >= 1,
+        in pair order; nothing here checks that. Filling the adjacency dicts
+        in pair order puts each in neighbour-index order, the order in which
+        the kernels iterate it: vertex v meets its neighbours below v in the
+        classes (i, v) and those above it in the later classes (v, j).
+        """
+        self.labels = labels = tuple(labels)
+        self._index = {v: i for i, v in enumerate(labels)}
+        self.index_classes = classes = tuple(classes)
+        adj: list[dict[int, int]] = [{} for _ in labels]
+        for i, j, m in classes:
+            adj[i][j] = m
+            adj[j][i] = m
+        self.adj = tuple(adj)
+        self.deg = tuple(sum(a.values()) for a in adj)
+        self._hash = None
+        return self
+
+    @classmethod
+    def _derived(cls, labels: Iterable[str], classes: Iterable[tuple[int, int, int]]) -> "Multigraph":
+        """A graph from the index-space data of a valid one; see _fill."""
+        return cls.__new__(cls)._fill(labels, classes)
 
     # -- basic queries -------------------------------------------------
 
@@ -153,7 +179,11 @@ class Multigraph:
 
     def ore_bound(self) -> int:
         """max over vertices of ore_degree(v) (0 when empty)."""
-        return max(map(self.ore_degree, self.labels), default=0)
+        return max(self._ore_degrees(), default=0)
+
+    def _ore_degrees(self):
+        """ore_degree of every vertex, in index order."""
+        return (d + max(a.values(), default=0) for d, a in zip(self.deg, self.adj))
 
     def total_instances(self) -> int:
         return sum(m for _, _, m in self.index_classes)
@@ -174,19 +204,28 @@ class Multigraph:
 
     def underlying_simple(self) -> "Multigraph":
         """Same vertices, every stored pair flattened to multiplicity 1."""
-        return Multigraph(self.labels, [(u, v, 1) for u, v, _ in self.classes()])
+        return Multigraph._derived(self.labels, [(i, j, 1) for i, j, _ in self.index_classes])
 
     def induced(self, s: Iterable[str]) -> "Multigraph":
         """Induced sub-multigraph on s; pairs inside s keep full multiplicity."""
-        keep = {self.index_of(v) for v in s}
+        return self._induced({self.index_of(v) for v in s})
+
+    def _induced(self, keep: Iterable[int]) -> "Multigraph":
+        """Induced sub-multigraph on a set of vertex indices.
+
+        Kept vertices are renumbered in index order, which keeps the pair
+        order; each kept vertex's adjacency is already in neighbour order.
+        """
+        keep = sorted(keep)
+        new = {old: i for i, old in enumerate(keep)}
+        classes = []
+        for i in keep:
+            ni = new[i]
+            for j, m in self.adj[i].items():
+                if j > i and j in new:
+                    classes.append((ni, new[j], m))
         lab = self.labels
-        vertices = [lab[i] for i in range(len(lab)) if i in keep]
-        edges = [
-            (lab[i], lab[j], m)
-            for i, j, m in self.index_classes
-            if i in keep and j in keep
-        ]
-        return Multigraph(vertices, edges)
+        return Multigraph._derived([lab[i] for i in keep], classes)
 
     def is_multiforest(self) -> bool:
         """True iff the underlying simple graph is acyclic."""
@@ -335,7 +374,13 @@ class SubgraphSelection:
 
     def materialize(self) -> Multigraph:
         """Realize the selection as a standalone Multigraph."""
-        return Multigraph(self.vertices(), self.classes())
+        # pairs are stored in pair order and the renumbering is monotone
+        keep = sorted(self.mask)
+        new = {old: i for i, old in enumerate(keep)}
+        lab = self.parent.labels
+        return Multigraph._derived(
+            [lab[i] for i in keep], [(new[i], new[j], m) for (i, j), m in self.pairs.items()]
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubgraphSelection):

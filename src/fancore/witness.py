@@ -191,44 +191,50 @@ def choose_params(h: Multigraph, t: int, k_sel: SubgraphSelection) -> Constructi
 
 
 def _build(h: Multigraph, plan: ConstructionPlan) -> Multigraph:
+    """The witness graph of a plan made by choose_params, built in index space.
+
+    Vertices are h's, then S (S_r before S_{r-1}), then the pendants of
+    stage 3 in the order they are made; every class is emitted as an index
+    pair and the list is sorted once. The plan comes from choose_params, so
+    its labels are fresh and the build needs no checks.
+    """
     D, r = plan.D, plan.r
-    vertices = list(h.labels) + list(plan.s_vertices)
-    edges: list[tuple[str, str, int]] = list(h.classes())
+    n = len(h.labels)
+    s_order = plan.s_vertices
+    classes: list[tuple[int, int, int]] = list(h.index_classes)
 
     # Stage 1: pendant classes from K vertices into S_r and S_{r-1}.
-    off_r = 0
-    off_q = 0
-    for idx, x in enumerate(plan.k_vertices):
-        for _ in range(plan.a_r[idx]):
-            edges.append((x, plan.s_r_vertices[off_r], r))
-            off_r += 1
-        for _ in range(plan.a_rm1[idx]):
-            edges.append((x, plan.s_rm1_vertices[off_q], r - 1))
-            off_q += 1
+    off_r = n
+    off_q = n + plan.s_r
+    for x, a_r, a_rm1 in zip(plan.k_vertices, plan.a_r, plan.a_rm1):
+        xi = h.index_of(x)
+        classes.extend((xi, y, r) for y in range(off_r, off_r + a_r))
+        classes.extend((xi, y, r - 1) for y in range(off_q, off_q + a_rm1))
+        off_r += a_r
+        off_q += a_rm1
 
     # Stage 2: regular circulant on S, matching edges thinned to r-3.
-    s_order = plan.s_vertices
-    matched = {frozenset(p) for p in plan.matching}
+    at = {v: p for p, v in enumerate(s_order)}
+    matched = {(at[u], at[v]) for u, v in plan.matching}  # each pair is (s_r[2i], s_r[2i+1])
     for i, j in _circulant_pairs(len(s_order), plan.reg_k):
-        u, v = s_order[i], s_order[j]
-        m = r - 3 if frozenset((u, v)) in matched else r - 1
-        edges.append((u, v, m))
+        classes.append((n + i, n + j, r - 3 if (i, j) in matched else r - 1))
 
-    # Stage 3: top up the remaining h vertices with fresh pendants.
-    counter = 0
-    prefix = _fresh_prefix(h.labels)
+    # Stage 3: top up the remaining h vertices with fresh pendants, named
+    # with the prefix choose_params found fresh for the S labels ('<prefix>sq0').
+    prefix = plan.s_rm1_vertices[0][: -len("sq0")]
+    labels = list(h.labels) + list(s_order)
+    px0 = len(labels)
     in_k = set(plan.k_vertices)
-    for v in h.labels:
+    for vi, v in enumerate(h.labels):
         if v in in_k:
             continue
-        need = D - h.degree(v)
-        edges.append((v, f"{prefix}px{counter}", r - 1))
-        counter += 1
-        for _ in range(need - (r - 1)):
-            edges.append((v, f"{prefix}px{counter}", 1))
-            counter += 1
+        need = D - h.deg[vi]
+        for mult in [r - 1] + [1] * (need - (r - 1)):
+            classes.append((vi, len(labels), mult))
+            labels.append(f"{prefix}px{len(labels) - px0}")
 
-    return Multigraph(vertices, edges)
+    classes.sort()
+    return Multigraph._derived(labels, classes)
 
 
 def construct_witness(
@@ -274,7 +280,7 @@ def verify_witness(
     if g.max_degree() != D:
         record(f"degree: max degree is {g.max_degree()}, expected D={D}")
     want_top = set(h.labels)
-    got_top = {v for v in g.labels if g.degree(v) == D}
+    got_top = {v for v, d in zip(g.labels, g.deg) if d == D}
     if got_top != want_top:
         extra = sorted(got_top - want_top)[:3]
         missing = sorted(want_top - got_top)[:3]
@@ -337,6 +343,7 @@ def plan_to_text(plan: ConstructionPlan) -> str:
 
 
 def plan_from_text(text: str) -> ConstructionPlan:
+    """Read a plan sidecar; every key exactly once, each split one entry per K vertex."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -345,7 +352,12 @@ def plan_from_text(text: str) -> ConstructionPlan:
         if "=" not in line:
             raise GraphError(f"plan line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _INT_KEYS + _LIST_KEYS:
+            raise GraphError(f"plan line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise GraphError(f"plan line {lineno}: duplicate key {key!r}")
+        values[key] = value.strip()
     missing = [k for k in _INT_KEYS + _LIST_KEYS if k not in values]
     if missing:
         raise GraphError(f"plan is missing keys: {', '.join(missing)}")
@@ -358,6 +370,10 @@ def plan_from_text(text: str) -> ConstructionPlan:
         a_rm1 = tuple(int(x) for x in values["a_rm1"].split())
     except ValueError as exc:
         raise GraphError(f"plan has a non-integer split: {exc}") from None
+    k_vertices = tuple(values["k_vertices"].split())
+    for key, split in (("a_r", a_r), ("a_rm1", a_rm1)):
+        if len(split) != len(k_vertices):
+            raise GraphError(f"plan {key} has {len(split)} entries for {len(k_vertices)} k_vertices")
     flat = values["matching"].split()
     if len(flat) % 2:
         raise GraphError("plan matching must list an even number of labels")
@@ -366,7 +382,7 @@ def plan_from_text(text: str) -> ConstructionPlan:
         D=ints["D"],
         r=ints["r"],
         reg_k=ints["reg_k"],
-        k_vertices=tuple(values["k_vertices"].split()),
+        k_vertices=k_vertices,
         a_r=a_r,
         a_rm1=a_rm1,
         s_r_vertices=tuple(values["s_r"].split()),

@@ -212,6 +212,23 @@ class TestConstruct:
         assert code == 1 and out == ""
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,message", [
+        ("D=1\n", "duplicate key 'D'"),
+        ("depth=1\n", "unknown key 'depth'"),
+        ("", "a_r has 3 entries for 2 k_vertices"),
+    ], ids=["duplicate-key", "unknown-key", "split-length"])
+    def test_bad_plan_is_domain_error(self, extra, message, tmp_path, capsys):
+        out_path = tmp_path / "w.graph"
+        plan_path = tmp_path / "w.graph.plan"
+        assert cli("construct", fx("double-edge.graph"), "--t", 0, "-o", out_path)[0] == 0
+        text = plan_path.read_text() + extra
+        if not extra:
+            text = "\n".join("a_r=5 5 5" if ln.startswith("a_r=") else ln for ln in text.splitlines())
+        plan_path.write_text(text)
+        code, out = cli("verify-witness", fx("double-edge.graph"), out_path, plan_path, "--t", 0)
+        assert code == 1 and out == ""
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("role", ["graph", "plan"])
     def test_non_utf8_file_is_domain_error(self, role, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

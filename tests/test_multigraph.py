@@ -1,5 +1,6 @@
 """Multigraph and SubgraphSelection model tests, plus text format round trips."""
 
+import itertools
 import random
 
 import pytest
@@ -9,8 +10,12 @@ from fancore import (
     Multigraph,
     ParseError,
     SubgraphSelection,
+    constant_multiplicity_lift,
+    core_report,
+    edges_above,
     parse,
     serialize,
+    t_core,
 )
 from helpers import all_small_multigraphs, fixture, random_multigraph
 
@@ -118,6 +123,16 @@ class TestConstruction:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(GraphError, match="duplicate vertex"):
             Multigraph(vertices=["a", "a"])
+
+    @pytest.mark.parametrize("ch", [" ", "\t", "\n", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000", "#"])
+    def test_whitespace_and_hash_rejected_in_labels(self, ch):
+        with pytest.raises(GraphError, match="may not contain whitespace"):
+            Multigraph(vertices=[f"a{ch}b"])
+
+    def test_non_whitespace_format_characters_are_labels(self):
+        # str.isspace decides: zero-width space and word joiner are not whitespace
+        g = Multigraph(edges=[("a\u200bb", "c\u2060d", 1)])
+        assert parse(serialize(g)) == g
 
     def test_insertion_order_is_kept(self):
         g = Multigraph(vertices=["z"], edges=[("b", "a", 1)])
@@ -248,3 +263,77 @@ class TestSubgraphSelection:
         sub = sel.materialize()
         assert sub.mult("b", "c") == 1
         assert set(sub.labels) == {"a", "b", "c"}
+
+
+class TestDerivedGraphFields:
+    """Graphs derived from a valid graph skip the checks; they must still equal,
+    field by field, what the checking constructor builds from the same labels
+    and classes. adj is compared with its iteration order, which the kernels
+    depend on."""
+
+    @staticmethod
+    def fields(g):
+        return (
+            g.labels,
+            list(g._index.items()),
+            g.index_classes,
+            g.deg,
+            [list(a.items()) for a in g.adj],
+        )
+
+    def assert_built_as(self, derived, labels, classes):
+        assert self.fields(derived) == self.fields(Multigraph(labels, classes))
+
+    @staticmethod
+    def random_graph(rng):
+        """Labels declared out of order, some isolated; classes in any order and orientation."""
+        names = [f"{rng.choice('zyxba')}{k}" for k in rng.sample(range(100), rng.randint(0, 9))]
+        pairs = [p for p in itertools.combinations(names, 2) if rng.random() < 0.4]
+        rng.shuffle(pairs)
+        classes = [(u, v, rng.randint(1, 4)) if rng.random() < 0.5 else (v, u, rng.randint(1, 4))
+                   for u, v in pairs]
+        declared = [v for v in names if rng.random() < 0.6]
+        return Multigraph(declared, classes)
+
+    def test_derived_graphs_match_the_checking_constructor(self):
+        rng = random.Random(707)
+        seen_isolated = seen_core_mult = 0
+        for _ in range(500):
+            g = self.random_graph(rng)
+            lab, classes = g.labels, g.classes()
+            seen_isolated += 0 in g.deg
+
+            keep = {v for v in lab if rng.random() < 0.6}
+            self.assert_built_as(
+                g.induced(rng.sample(sorted(keep), len(keep))),
+                [v for v in lab if v in keep],
+                [(u, v, m) for u, v, m in classes if u in keep and v in keep],
+            )
+            self.assert_built_as(g.underlying_simple(), lab, [(u, v, 1) for u, v, _ in classes])
+
+            selected = [(u, v, rng.randint(1, m)) for u, v, m in classes if rng.random() < 0.6]
+            mask = {x for u, v, _ in selected for x in (u, v)} | {v for v in lab if rng.random() < 0.3}
+            sel = SubgraphSelection(g, selected, mask)
+            self.assert_built_as(sel.materialize(), sel.vertices(), sel.classes())
+
+            for t in range(4):
+                threshold = g.max_degree() + t
+                core_labels = {v for v in lab if g.ore_degree(v) > threshold}
+                core = t_core(g, t)
+                self.assert_built_as(
+                    core,
+                    [v for v in lab if v in core_labels],
+                    [(u, v, m) for u, v, m in classes if u in core_labels and v in core_labels],
+                )
+                self.assert_built_as(edges_above(g, t), lab, [(u, v, m) for u, v, m in classes if m > t])
+                simple = core_report(g, t).max_mult_simple
+                if simple is not None:
+                    seen_core_mult += any(m == t + 1 for _, _, m in core.index_classes)
+                    self.assert_built_as(
+                        simple, core.labels, [(u, v, 1) for u, v, m in core.classes() if m == t + 1]
+                    )
+        assert seen_isolated > 50 and seen_core_mult > 50
+
+    def test_lift_still_checks_its_multiplicity(self):
+        with pytest.raises(GraphError, match="positive integer"):
+            constant_multiplicity_lift(Multigraph(edges=[("a", "b", 1)]), 2.0)

@@ -1,5 +1,7 @@
 """Witness construction: circulants, parameter choice, build, verification."""
 
+import hashlib
+
 import pytest
 
 from fancore import (
@@ -14,10 +16,11 @@ from fancore import (
     fan_pair_exceeds,
     plan_from_text,
     plan_to_text,
+    serialize,
     t_core,
     verify_witness,
 )
-from helpers import fixture
+from helpers import FIXTURES, fixture
 
 
 def hosts():
@@ -243,6 +246,41 @@ class TestConstructAndVerify:
         assert set(plan.s_vertices).isdisjoint(h.labels)
 
 
+# sha256 of serialize(g) and of plan_to_text(plan) for every fixture host and
+# every t below its corefan, recorded before construction moved to index space
+CONSTRUCT_PINS = [
+    ("c3.graph", 0, "a6580683fb831743788be28ae6e7f00617b89d574fdff3294c4259d8996a3d57", "052a48e5af4bedbbece294a656cf35c84cb2cd2cd27d6a07373e28b5b8b2aa39"),
+    ("c5.graph", 0, "ecc50fccd28f1da2af77b9f38c2bab65b5cd8ed238b2e252471ecf65f351d282", "3aa6c832779c20e8b0b6dd75a7737d2a4600734d9886f8f7c985f844cf6f085f"),
+    ("double-edge.graph", 0, "184581944bf70783b09e5951c31bf5975840407b22205b5154637ca5a160ace3", "f763088de9474a2898fa9c6be7005d95210c7139f43b4674129371cad203ea1b"),
+    ("fat-triangle-t0.graph", 0, "96fe918191e330b8990d716493ff3f5c246f3afeb318b9c10397135e67e247a0", "c8fd1f831002ec6daa842c9404f4a23ca707cdfa745aa6ff43e153ef8e1724a4"),
+    ("fat-triangle-t1.graph", 0, "59b28ad7d00f317a940bc1df1c845dc3e3ccb7186b1824d06424ec778cf8fba3", "463bd7d18aaef94df66bf61fc735d54f6fab446acf04e0d66d270d3e91ad42b1"),
+    ("fat-triangle-t1.graph", 1, "dfbea465e120253fab686fd01e83554fb9c45fa41f2ddf4fc171a7d2f227c2ae", "cb294e4eee24d3158c50a80fbd66408f9eade87ec9ed3ac0b6b9ad0d665766cc"),
+    ("fat-triangle-t2.graph", 0, "28be27f77b1d015b7b3c925f27ffca3f7f44a4dd54f7053e26b3171083a483db", "32bb4d1802cbe5d1b647b02a2d319953202a1671c6c2f8cd1845271fab515e7a"),
+    ("fat-triangle-t2.graph", 1, "bf4e6f0bb0df760eaa5004d07b38d6fcca07fe8a3c97f98affb2b7a8813839a0", "eade6b3131f41e850d24398e017b71689bdb41b3a9831863c94bb46ddeb1b6f1"),
+    ("fat-triangle-t2.graph", 2, "3cf616f6e82b54d73eb6e7cb57a02c08ffad3e54bea8118cc63918b04b9f6b05", "c520fea555fb27ada66c1ca0669de7c331d1091b0351c58ecb37d84546199917"),
+    ("fig1-h.graph", 0, "305d9e8b371391d6235ee0d3f9bf49cd687f4b80c85bee01037cb63261f79784", "e6f0eb7f1da4187f1b4b488275da8296246f184236994151044ffbb2a6625986"),
+    ("fig1-h1.graph", 0, "2e0e55610a8136e2b3a5a198332107006f004851f11718655e3d203a40547bd6", "53c261a84fd7854b07328bbc05e466e1ee975ec2ee4f68dfe06459be2dbc3fc5"),
+    ("multiforest-path.graph", 0, "a4a8e3c7d2820bbf4e37260e28fe9d906b013986f8d839416fabc9cca74ddff5", "0ef709556e61515eaf2a986e5bede574a6870bff4d0aabd5e02fa585fed0d31d"),
+    ("multiforest-path.graph", 1, "b024a2562a1a4b78208902cc7386422bfd509943242d002602da2f4d22260135", "c0d3f0b1f33d8d618ee6f059dfbd6d7c210477c3dad5a420ed2ba92d91cf2bf3"),
+    ("multiforest-path.graph", 2, "9fd35d4b56fe65af92fb14c75aec47cd4d8a42b6a9dcfe8957a11ff93983c891", "ed684ffca9989ffc667411bbfe1b42461ff2d111c3889100b61d8cb9a8a0a259"),
+    ("multiforest-path.graph", 3, "e8b140d3e3b7804d16739345b5aba22624e5ac8454e2637d339701a631b67afc", "f02a729d212006578fb83d5bc643b5bb94d8b8911aaa029d8b1345b08cbb381b"),
+    ("multiforest-path.graph", 4, "e0643f2186fb8663406a0577df9ea52343f1ffb73ae9a671abfff0b5521cb39c", "8322a004393d3d09628ca4daf0c72dbbbf6e03410e608aeae538f237a765e773"),
+]
+
+
+def test_construct_pins_cover_every_fixture_host():
+    hosts = {p.name: corefan(fixture(p.name)).value for p in FIXTURES.glob("*.graph")}
+    want = sorted((name, t) for name, value in hosts.items() for t in range(value))
+    assert sorted((name, t) for name, t, _, _ in CONSTRUCT_PINS) == want
+
+
+@pytest.mark.parametrize("name,t,graph_digest,plan_digest", CONSTRUCT_PINS)
+def test_construct_bytes_are_pinned(name, t, graph_digest, plan_digest):
+    g, plan = construct_witness(fixture(name), t)
+    assert hashlib.sha256(serialize(g).encode()).hexdigest() == graph_digest
+    assert hashlib.sha256(plan_to_text(plan).encode()).hexdigest() == plan_digest
+
+
 class TestPlanText:
     def test_round_trip(self):
         for h, t in hosts():
@@ -259,3 +297,24 @@ class TestPlanText:
         text = plan_to_text(plan).replace("D=140", "D=x")
         with pytest.raises(GraphError):
             plan_from_text(text)
+
+    def test_duplicate_key_rejected(self):
+        _, plan = construct_witness(fixture("double-edge.graph"), 0)
+        with pytest.raises(GraphError, match="plan line 11: duplicate key 'D'"):
+            plan_from_text(plan_to_text(plan) + "D=1\n")
+
+    def test_unknown_key_rejected(self):
+        _, plan = construct_witness(fixture("double-edge.graph"), 0)
+        text = plan_to_text(plan).replace("reg_k=", "# a comment\nregk=1\nreg_k=")
+        with pytest.raises(GraphError, match="plan line 5: unknown key 'regk'"):
+            plan_from_text(text)
+
+    @pytest.mark.parametrize("key", ["a_r", "a_rm1"])
+    def test_split_per_k_vertex_required(self, key):
+        _, plan = construct_witness(fixture("double-edge.graph"), 0)
+        lines = [
+            f"{key}=5 5 5" if line.startswith(f"{key}=") else line
+            for line in plan_to_text(plan).splitlines()
+        ]
+        with pytest.raises(GraphError, match=f"plan {key} has 3 entries for 2 k_vertices"):
+            plan_from_text("\n".join(lines))
