@@ -35,6 +35,15 @@ def _read(path: str) -> str:
         raise GraphError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; an unwritable path is a domain error, like an unreadable one."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GraphError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _load(path: str) -> mg.Multigraph:
     return mg.parse(_read(path))
 
@@ -144,10 +153,8 @@ def _cmd_construct(args, out) -> int:
     h = _load(args.file)
     g, plan = wit.construct_witness(h, args.t)
     plan_path = args.output + ".plan"
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(mg.serialize(g))
-    with open(plan_path, "w", encoding="utf-8") as fh:
-        fh.write(wit.plan_to_text(plan))
+    _write(args.output, mg.serialize(g))
+    _write(plan_path, wit.plan_to_text(plan))
     ok, diags = wit.verify_witness(h, args.t, g, plan)
     out.write(f"written {args.output}\n")
     out.write(f"plan {plan_path}\n")

@@ -260,8 +260,7 @@ def cfan_degree(h: Multigraph, k_sel: SubgraphSelection, x: str, y: str) -> tupl
     minimum size), sum over Z of (d_K(z) - d_H(z) + mult_K(x, z) - l) <= 1.
     The certifying set follows the same convention as fan_degree.
     """
-    if k_sel.parent is not h and k_sel.parent != h:
-        raise GraphError("subgraph selection does not belong to the given host graph")
+    k_sel._check_host(h)
     xi, yi = _pair_indices(k_sel, x, y)
     return _certified(h.labels, *_cfan_terms(h.deg, k_sel.deg, k_sel.adj, xi, yi))
 
@@ -332,7 +331,7 @@ def _selections(classes, full_only: bool):
 
 def _selection(g: Multigraph, vec) -> SubgraphSelection:
     """The subgraph of g keeping multiplicity vec[c] of its class c."""
-    return SubgraphSelection(g, [(u, v, m) for (u, v, _), m in zip(g.classes(), vec) if m])
+    return SubgraphSelection._derived(g, [(i, j, m) for (i, j, _), m in zip(g.index_classes, vec) if m])
 
 
 def _max_min(g: Multigraph, full_only: bool, terms):
@@ -448,9 +447,10 @@ def has_qualifying_edge(h: Multigraph, sel: SubgraphSelection) -> bool:
     |(N_H(x) & Z) - {y}| <= d_H(y) - d_K(y); both orientations of every
     selected class are tried.
     """
-    preserved = {h.index_of(v) for v in degree_preserving_set(sel)}
+    sel._check_host(h)
     hadj, hdeg, kdeg = h.adj, h.deg, sel.deg
-    for (i, j) in sel.pairs:
+    preserved = {i for i in sel.mask if kdeg[i] == hdeg[i]}
+    for i, j, _ in sel.index_classes:
         for x, y in ((i, j), (j, i)):
             lhs = sum(1 for z in hadj[x] if z in preserved and z != y)
             if lhs <= hdeg[y] - kdeg[y]:

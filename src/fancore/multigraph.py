@@ -12,6 +12,13 @@ Multigraph constructor. A graph derived from one that is already valid
 (an induced subgraph, a t-core, a materialized selection, a constructed
 witness) is built directly from index-space data, which is valid by
 construction, and skips the label and class checks.
+
+There is one graph model. A SubgraphSelection is a vertex mask over a
+Multigraph on its parent's own labels, so the subgraph shares the parent's
+index space. Its public constructor checks the selected classes through
+the Multigraph constructor and then only what is particular to a
+selection; selections made inside the library, from index data, are not
+checked again.
 """
 
 from __future__ import annotations
@@ -271,15 +278,17 @@ def _norm_class(c: tuple[str, str, int]) -> tuple[str, str, int]:
 
 
 class SubgraphSelection:
-    """A sub-multiplicity assignment relative to a parent Multigraph.
+    """A subgraph of a parent Multigraph: selected classes and a vertex mask.
 
-    Stores, per parent pair, a multiplicity between 1 and the parent's (pairs
-    at 0 are simply absent), together with a vertex mask. Degrees and
-    adjacency are exposed in the parent's dense index space so that metrics
-    can mix parent and subgraph quantities without relabelling.
+    graph is a Multigraph on the parent's own labels, so it shares the
+    parent's dense index space, and holds each selected class at a
+    multiplicity between 1 and the parent's; mask is the set of selected
+    vertex indices and holds every endpoint of a selected class. Degrees,
+    adjacency and classes are graph's, so metrics can mix parent and
+    subgraph quantities without relabelling.
     """
 
-    __slots__ = ("parent", "pairs", "mask", "_deg", "_adj")
+    __slots__ = ("parent", "mask", "graph")
 
     def __init__(
         self,
@@ -291,29 +300,46 @@ class SubgraphSelection:
             mask = frozenset(range(len(parent.labels)))
         else:
             mask = frozenset(parent.index_of(v) for v in vertices)
-        pairs: dict[tuple[int, int], int] = {}
-        for u, v, m in classes:
-            iu, iv = parent.index_of(u), parent.index_of(v)
-            key = (iu, iv) if iu < iv else (iv, iu)
-            if key in pairs:
-                raise GraphError(f"duplicate selected class {u!r},{v!r}")
-            if not isinstance(m, int) or m < 1:
-                raise GraphError(f"selected multiplicity must be >= 1, got {m!r}")
-            cap = parent.adj[iu].get(iv, 0)
+        graph = Multigraph(parent.labels, classes)
+        lab = graph.labels
+        if len(lab) > len(parent.labels):
+            raise GraphError(f"unknown vertex {lab[len(parent.labels)]!r}")
+        for i, j, m in graph.index_classes:
+            cap = parent.adj[i].get(j, 0)
             if m > cap:
-                raise GraphError(f"selection exceeds parent multiplicity on {u!r},{v!r} ({m} > {cap})")
-            if iu not in mask or iv not in mask:
-                raise GraphError(f"selected class {u!r},{v!r} has an endpoint outside the vertex mask")
-            pairs[key] = m
-        self.parent = parent
-        self.pairs = dict(sorted(pairs.items()))
-        self.mask = mask
-        self._deg: Optional[tuple[int, ...]] = None
-        self._adj: Optional[tuple[dict[int, int], ...]] = None
+                raise GraphError(f"selection exceeds parent multiplicity on {lab[i]!r},{lab[j]!r} ({m} > {cap})")
+            if i not in mask or j not in mask:
+                raise GraphError(f"selected class {lab[i]!r},{lab[j]!r} has an endpoint outside the vertex mask")
+        self.parent, self.mask, self.graph = parent, mask, graph
+
+    @classmethod
+    def _derived(cls, parent: Multigraph, classes, mask: Optional[frozenset[int]] = None) -> "SubgraphSelection":
+        """A selection from index-space data that is already valid; nothing is checked.
+
+        classes are (i, j, m) of parent in pair order, each m between 1 and
+        the parent's, and mask (every vertex by default) holds their
+        endpoints; see Multigraph._fill.
+        """
+        sel = cls.__new__(cls)
+        sel.parent = parent
+        sel.mask = frozenset(range(len(parent.labels))) if mask is None else mask
+        sel.graph = Multigraph._derived(parent.labels, classes)
+        return sel
 
     @classmethod
     def full(cls, parent: Multigraph) -> "SubgraphSelection":
-        return cls(parent, parent.classes())
+        return cls._derived(parent, parent.index_classes)
+
+    def _check_host(self, h: Multigraph) -> None:
+        """Raise GraphError unless h has the parent's index space.
+
+        That is the same labels in the same order and the same classes. A
+        graph equal to the parent may number its vertices differently, and
+        metrics that mix host and selection indices would then mix vertices.
+        """
+        p = self.parent
+        if p is not h and (p.labels != h.labels or p.index_classes != h.index_classes):
+            raise GraphError("subgraph selection does not belong to the host graph")
 
     # -- index-space views ----------------------------------------------
 
@@ -329,73 +355,59 @@ class SubgraphSelection:
 
     @property
     def deg(self) -> tuple[int, ...]:
-        if self._deg is None:
-            d = [0] * len(self.parent.labels)
-            for (i, j), m in self.pairs.items():
-                d[i] += m
-                d[j] += m
-            self._deg = tuple(d)
-        return self._deg
+        return self.graph.deg
 
     @property
     def adj(self) -> tuple[dict[int, int], ...]:
-        if self._adj is None:
-            a: list[dict[int, int]] = [dict() for _ in self.parent.labels]
-            for (i, j), m in self.pairs.items():
-                a[i][j] = m
-                a[j][i] = m
-            self._adj = tuple(a)
-        return self._adj
+        return self.graph.adj
+
+    @property
+    def index_classes(self) -> tuple[tuple[int, int, int], ...]:
+        return self.graph.index_classes
 
     # -- label-space API -------------------------------------------------
 
     def mult(self, u: str, v: str) -> int:
-        iu, iv = self.parent.index_of(u), self.parent.index_of(v)
-        return self.pairs.get((iu, iv) if iu < iv else (iv, iu), 0)
+        return self.graph.mult(u, v)
 
     def degree(self, v: str) -> int:
-        return self.deg[self.parent.index_of(v)]
+        return self.graph.degree(v)
 
     def classes(self) -> tuple[tuple[str, str, int], ...]:
-        lab = self.parent.labels
-        return tuple((lab[i], lab[j], m) for (i, j), m in self.pairs.items())
+        return self.graph.classes()
 
     def vertices(self) -> tuple[str, ...]:
         lab = self.parent.labels
         return tuple(lab[i] for i in range(len(lab)) if i in self.mask)
 
     def has_edges(self) -> bool:
-        return bool(self.pairs)
+        return bool(self.graph.index_classes)
 
     def strip_isolated(self) -> "SubgraphSelection":
         """Shrink the mask to the endpoints of selected classes."""
-        classes = self.classes()
-        return SubgraphSelection(self.parent, classes, [x for u, v, _ in classes for x in (u, v)])
+        classes = self.graph.index_classes
+        mask = frozenset(x for i, j, _ in classes for x in (i, j))
+        return SubgraphSelection._derived(self.parent, classes, mask)
 
     def materialize(self) -> Multigraph:
-        """Realize the selection as a standalone Multigraph."""
-        # pairs are stored in pair order and the renumbering is monotone
-        keep = sorted(self.mask)
-        new = {old: i for i, old in enumerate(keep)}
-        lab = self.parent.labels
-        return Multigraph._derived(
-            [lab[i] for i in keep], [(new[i], new[j], m) for (i, j), m in self.pairs.items()]
-        )
+        """Realize the selection as a standalone Multigraph on the masked vertices."""
+        return self.graph._induced(self.mask)
 
     def __eq__(self, other) -> bool:
+        """Label-preserving, like Multigraph's: equal parents, classes and mask labels."""
         if not isinstance(other, SubgraphSelection):
             return NotImplemented
         return (
             self.parent == other.parent
-            and self.pairs == other.pairs
-            and self.mask == other.mask
+            and self.graph == other.graph
+            and set(self.vertices()) == set(other.vertices())
         )
 
     def __hash__(self) -> int:
-        return hash((self.parent, tuple(self.pairs.items()), self.mask))
+        return hash((self.parent, self.graph, frozenset(self.vertices())))
 
     def __repr__(self) -> str:
-        return f"SubgraphSelection({len(self.mask)} vertices, {len(self.pairs)} classes)"
+        return f"SubgraphSelection({len(self.mask)} vertices, {self.graph.class_count} classes)"
 
 
 # -- text format -------------------------------------------------------

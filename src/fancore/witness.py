@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .core import check_t, t_core
 from .errors import GraphError
-from .fanmetrics import COREFAN_CLASS_CAP, cfan_degree, corefan, fan_edge_certificates
+from .fanmetrics import COREFAN_CLASS_CAP, _cfan_terms, _level, corefan, fan_edge_certificates
 from .multigraph import Multigraph, SubgraphSelection
 
 
@@ -116,16 +116,16 @@ def _fresh_prefix(labels) -> str:
 
 
 def _validate_witness_subgraph(h: Multigraph, k_sel: SubgraphSelection, t: int) -> None:
-    if k_sel.parent is not h and k_sel.parent != h:
-        raise GraphError("witness subgraph does not belong to the host graph")
-    if not k_sel.has_edges():
+    k_sel._check_host(h)
+    classes = k_sel.index_classes
+    if not classes:
         raise GraphError("witness subgraph must contain an edge")
-    if k_sel.strip_isolated().mask != k_sel.mask:
+    if k_sel.mask != {x for i, j, _ in classes for x in (i, j)}:
         raise GraphError("witness subgraph must have no isolated vertices")
     labels = h.labels
-    for (i, j) in k_sel.pairs:
+    for i, j, _ in classes:
         for x, y in ((i, j), (j, i)):
-            value, _ = cfan_degree(h, k_sel, labels[x], labels[y])
+            value = _level(*_cfan_terms(h.deg, k_sel.deg, k_sel.adj, x, y))
             if value <= t:
                 raise GraphError(
                     f"witness subgraph has cfan degree {value} <= t on "
@@ -150,12 +150,11 @@ def choose_params(h: Multigraph, t: int, k_sel: SubgraphSelection) -> Constructi
         m += 1
     D = m * (r - 1) - t
 
-    k_vertices = tuple(h.labels[i] for i in sorted(k_sel.mask))
+    k_indices = sorted(k_sel.mask)
     a_r: list[int] = []
     a_rm1: list[int] = []
-    for x in k_vertices:
-        d_i = D - h.degree(x)
-        alpha, beta = divmod(d_i, r - 1)
+    for i in k_indices:
+        alpha, beta = divmod(D - h.deg[i], r - 1)
         a_r.append(beta)
         a_rm1.append(alpha - beta)
     if any(v < r for v in a_rm1):
@@ -181,7 +180,7 @@ def choose_params(h: Multigraph, t: int, k_sel: SubgraphSelection) -> Constructi
         D=D,
         r=r,
         reg_k=reg_k,
-        k_vertices=k_vertices,
+        k_vertices=tuple(h.labels[i] for i in k_indices),
         a_r=tuple(a_r),
         a_rm1=tuple(a_rm1),
         s_r_vertices=s_r_vertices,

@@ -229,6 +229,19 @@ class TestConstruct:
         assert code == 1 and out == ""
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing-directory", "directory", "plan-directory"])
+    def test_unwritable_output_is_domain_error(self, target, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "w.graph" if target == "missing-directory" else tmp_path / "w.graph"
+        bad = out_path
+        if target == "directory":
+            out_path.mkdir()
+        elif target == "plan-directory":
+            bad = tmp_path / "w.graph.plan"
+            bad.mkdir()
+        code, out = cli("construct", fx("double-edge.graph"), "--t", 0, "-o", out_path)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+
     @pytest.mark.parametrize("role", ["graph", "plan"])
     def test_non_utf8_file_is_domain_error(self, role, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

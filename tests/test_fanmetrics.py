@@ -197,6 +197,14 @@ class TestCfanDegree:
         other = fixture("c3.graph")
         with pytest.raises(GraphError):
             cfan_degree(other, full(h), "x", "y")
+        # an equal host that numbers its vertices otherwise is another index space
+        h = Multigraph(edges=[("a", "b", 2), ("b", "c", 1)])
+        k = SubgraphSelection(h, [("a", "b", 2)])
+        assert cfan_degree(Multigraph(h.labels, h.classes()), k, "b", "a")[0] == 1
+        reordered = Multigraph(reversed(h.labels), h.classes())
+        assert reordered == h
+        with pytest.raises(GraphError, match="does not belong to the host"):
+            cfan_degree(reordered, k, "b", "a")
 
 
 class TestCorefan:

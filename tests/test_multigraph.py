@@ -17,6 +17,7 @@ from fancore import (
     serialize,
     t_core,
 )
+from fancore.fanmetrics import _selection
 from helpers import all_small_multigraphs, fixture, random_multigraph
 
 
@@ -264,6 +265,19 @@ class TestSubgraphSelection:
         assert sub.mult("b", "c") == 1
         assert set(sub.labels) == {"a", "b", "c"}
 
+    def test_equality_keeps_labels_over_a_reordered_parent(self):
+        h = Multigraph(["a", "b", "c", "d"], [("a", "b", 2), ("c", "d", 2)])
+        h2 = Multigraph(["c", "d", "a", "b"], h.classes())
+        assert h == h2
+        ab = SubgraphSelection(h, [("a", "b", 2)])
+        # same index pair (0, 1) and full mask, but other vertices
+        assert ab != SubgraphSelection(h2, [("c", "d", 2)])
+        assert ab == SubgraphSelection(h2, [("b", "a", 2)])
+        assert hash(ab) == hash(SubgraphSelection(h2, [("b", "a", 2)]))
+        on_ab = SubgraphSelection(h, [("a", "b", 2)], ["a", "b"])
+        assert on_ab == SubgraphSelection(h2, [("a", "b", 2)], ["b", "a"])
+        assert on_ab != SubgraphSelection(h2, [("a", "b", 2)], ["a", "b", "c"])
+
 
 class TestDerivedGraphFields:
     """Graphs derived from a valid graph skip the checks; they must still equal,
@@ -283,6 +297,21 @@ class TestDerivedGraphFields:
 
     def assert_built_as(self, derived, labels, classes):
         assert self.fields(derived) == self.fields(Multigraph(labels, classes))
+
+    def assert_selected_as(self, derived, classes, vertices=None):
+        """derived equals the checking constructor's selection on its parent."""
+        checked = SubgraphSelection(derived.parent, classes, vertices)
+        for sel in (derived, checked):
+            assert sel.graph.labels == sel.parent.labels
+        assert (
+            derived.deg, [list(a.items()) for a in derived.adj], derived.index_classes, derived.mask,
+            serialize(derived.materialize()),
+        ) == (
+            checked.deg, [list(a.items()) for a in checked.adj], checked.index_classes, checked.mask,
+            serialize(checked.materialize()),
+        )
+        assert self.fields(derived.graph) == self.fields(checked.graph)
+        assert derived == checked and hash(derived) == hash(checked)
 
     @staticmethod
     def random_graph(rng):
@@ -315,6 +344,11 @@ class TestDerivedGraphFields:
             mask = {x for u, v, _ in selected for x in (u, v)} | {v for v in lab if rng.random() < 0.3}
             sel = SubgraphSelection(g, selected, mask)
             self.assert_built_as(sel.materialize(), sel.vertices(), sel.classes())
+
+            self.assert_selected_as(SubgraphSelection.full(g), classes)
+            vec = [rng.randint(0, m) for _, _, m in classes]
+            self.assert_selected_as(_selection(g, vec), [(u, v, m) for (u, v, _), m in zip(classes, vec) if m])
+            self.assert_selected_as(sel.strip_isolated(), selected, [x for u, v, _ in selected for x in (u, v)])
 
             for t in range(4):
                 threshold = g.max_degree() + t

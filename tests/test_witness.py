@@ -89,6 +89,14 @@ class TestChooseParams:
         with pytest.raises(GraphError):
             choose_params(h, 0, SubgraphSelection(h, [], vertices=[]))
 
+    def test_rejects_witness_of_a_reordered_host(self):
+        h = Multigraph(edges=[("a", "b", 2), ("b", "c", 1)])
+        k_sel = corefan(h).witness.strip_isolated()
+        reordered = Multigraph(reversed(h.labels), h.classes())
+        assert reordered == h
+        with pytest.raises(GraphError, match="selection does not belong to the host"):
+            choose_params(reordered, 0, k_sel)
+
     def test_rejects_weak_witness(self):
         # a witness whose cfan degree is not above t certifies nothing
         h = fixture("fig1-h.graph")
