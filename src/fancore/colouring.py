@@ -25,6 +25,12 @@ and-not against the full palette, every membership test is one bit test,
 and the smallest free colour, the one the engine always takes, is the
 lowest set bit. Those are the colours a set-based palette gives, so the
 colourings, and the None results, do not depend on the representation.
+
+The engine's soundness guard works in index space and trusts none of that
+bookkeeping: it recomputes every vertex's colours from scratch from the
+instance endpoints and colours alone, and raises RuntimeError unless every
+colour is in 1..k and none repeats at a vertex. verify_colouring maps a
+label-keyed assignment onto the instances and runs the same check.
 """
 
 from __future__ import annotations
@@ -58,22 +64,31 @@ class EdgeColouring:
 
 
 def verify_colouring(c: EdgeColouring) -> bool:
-    """True iff the assignment is total and proper for c.graph with c.k colours."""
-    g = c.graph
-    expected = {
-        (u, v, copy) for u, v, m in g.classes() for copy in range(m)
-    }
-    if set(c.assignment) != expected:
+    """True iff the assignment is total and proper for c.graph with c.k colours.
+
+    A colour is an int in 1..k; any other value, a bool included, fails.
+    """
+    g, a = c.graph, c.assignment
+    ends, copies = _instances(g)
+    lab = g.labels
+    colour = [a.get((lab[i], lab[j], copy)) for (i, j), copy in zip(ends, copies)]
+    ints = all(isinstance(col, int) and not isinstance(col, bool) for col in colour)
+    return ints and len(a) == len(ends) and _proper(c.k, ends, colour)
+
+
+def _proper(k: int, ends, colour) -> bool:
+    """Whether every colour[e] is in 1..k and no colour repeats at a vertex.
+
+    The palettes are recomputed from ends and colour alone: instance e puts
+    the key v * (k + 1) + colour[e] at each end v, so a colour repeated at a
+    vertex is a repeated key. An uncoloured instance has colour 0 and fails.
+    """
+    if colour and not (1 <= min(colour) and max(colour) <= k):
         return False
-    if any(not 1 <= col <= c.k for col in c.assignment.values()):
-        return False
-    seen: dict[str, set[int]] = {v: set() for v in g.labels}
-    for (u, v, _), col in c.assignment.items():
-        if col in seen[u] or col in seen[v]:
-            return False
-        seen[u].add(col)
-        seen[v].add(col)
-    return True
+    s = k + 1
+    keys = [i * s + c for (i, _), c in zip(ends, colour)]
+    keys += [j * s + c for (_, j), c in zip(ends, colour)]
+    return len(set(keys)) == len(keys)
 
 
 def _instances(g: Multigraph):
@@ -81,9 +96,8 @@ def _instances(g: Multigraph):
     ends: list[tuple[int, int]] = []
     copies: list[int] = []
     for i, j, m in g.index_classes:
-        for copy in range(m):
-            ends.append((i, j))
-            copies.append(copy)
+        ends += [(i, j)] * m
+        copies += range(m)
     return ends, copies
 
 
@@ -163,9 +177,11 @@ class _State:
         self.used = [0] * len(g.labels)
         self.at: list[dict[int, int]] = [dict() for _ in g.labels]  # colour -> instance
         self.incident: list[list[int]] = [[] for _ in g.labels]
-        for e, (i, j) in enumerate(self.ends):
-            self.incident[i].append(e)
-            self.incident[j].append(e)
+        e = 0
+        for i, j, m in g.index_classes:
+            self.incident[i] += range(e, e + m)
+            self.incident[j] += range(e, e + m)
+            e += m
         self.full = (1 << (k + 1)) - 2  # colours 1..k
 
     def free(self, v: int) -> int:
@@ -377,15 +393,20 @@ def _colour_edge(st: _State, e: int) -> bool:
 
 def _run_pass(g: Multigraph, k: int, order: list[int]) -> _State | None:
     st = _State(g, k)
-    ends, used, full = st.ends, st.used, st.full
+    ends, used, full, colour, at = st.ends, st.used, st.full, st.colour, st.at
     for e in order:
         # Almost every instance has a colour free at both ends. Taking the
         # lowest one here is _colour_edge's own first step, so the colouring
         # is the same, but skips that call and its budget and anchor set-up.
+        # The assignment is st.assign's, inline.
         i, j = ends[e]
         common = full & ~(used[i] | used[j])
         if common:
-            st.assign(e, _lowest(common))
+            bit = common & -common
+            colour[e] = c = bit.bit_length() - 1
+            at[i][c] = at[j][c] = e
+            used[i] |= bit
+            used[j] |= bit
         elif not _colour_edge(st, e):
             return None
     return st
@@ -419,7 +440,7 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
     every pass fails. Deterministic throughout: identical inputs give
     identical colourings.
     """
-    if not isinstance(k, int) or k < 0:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise GraphError(f"colour count must be a nonnegative integer, got {k!r}")
     if k < g.max_degree():
         raise GraphError(f"{k} colours is below the maximum degree {g.max_degree()}")
@@ -430,7 +451,6 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
             break
     if st is None:
         return None
-    result = _as_colouring(g, k, st.ends, st.copies, st.colour)
-    if not verify_colouring(result):  # internal soundness guard
+    if not _proper(k, st.ends, st.colour):  # internal soundness guard
         raise RuntimeError("fan engine produced an improper colouring")
-    return result
+    return _as_colouring(g, k, st.ends, st.copies, st.colour)

@@ -61,9 +61,20 @@ d_J(z) + mult_J(x, z) - k over N(x), and the two largest terms. The pair
 takes the total less its own positive part plus its own contribution,
 and, when Z needs a second member that no other positive term supplies,
 the largest term other than y's: the largest unless y holds it, else the
-second, which equals it on a tie. fan_edge_certificates makes one such
-pass per vertex, so a whole graph is certified in time linear in its
-classes; fan_pair_exceeds and the searches use the same pass for one pair.
+second, which equals it on a tie. fan_pair_exceeds and the searches make
+that pass for one pair.
+
+The certificate kernel behind fan_edge_certificates and verify_witness
+decides a whole anchor at once. Condition (i) fails for every y exactly
+when the least d_J(y) - mult_J(x, y) is above k - d_J(x). When x has two
+or more neighbours, every pair's worst sum is total + min(0, b_y - k),
+b_y being y's term: y has positive company unless its contribution is
+the only positive one, and then it is padded with the largest other term,
+which is not below the smallest. So (ii) fails for every y exactly when
+total + min(0, min b - k) > 1. Only an anchor this does not clear (one
+neighbour, or some pair failing) is decided pair by pair, and the failing
+pairs are sorted into class order. A whole graph, or a subgraph read in
+place on its host, is certified in time linear in its classes.
 """
 
 from __future__ import annotations
@@ -71,6 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from operator import add, sub
 from typing import Optional, Sequence, Union
 
 from .errors import GraphError, ResourceLimitError
@@ -231,26 +243,51 @@ def fan_pair_exceeds(j: GraphLike, x: str, y: str, k: int) -> tuple[bool, Option
     return True, frozenset(j.labels[z] for z in _worst_set(base, yi, k, need_two))
 
 
+def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
+    """The ordered pairs on edges of J = g[members] whose fan degree is not above k >= 0.
+
+    members are distinct vertex indices of g. J is read on g in place: a
+    member with a neighbour outside J gets a filtered copy of its adjacency
+    and the degree that copy sums to, every other member keeps g's. Each
+    anchor is decided in bulk, pair by pair only where that does not clear
+    it (see the module docstring). The pairs, indices of g, come class by
+    class as (lo, hi) then (hi, lo) in index pair order, which is J's.
+    """
+    deg, adj, inside = list(g.deg), list(g.adj), set(members)
+    for x in inside:
+        if not all(map(inside.__contains__, adj[x])):
+            adj[x] = a = {z: m for z, m in adj[x].items() if z in inside}
+            deg[x] = sum(a.values())
+    bad = []
+    for x in inside:
+        ax = adj[x]
+        ds = list(map(deg.__getitem__, ax))
+        bs = list(map(add, ds, ax.values()))
+        total = sum([b - k for b in bs if b > k])
+        if len(bs) > 1 and total + min(0, min(bs) - k) > 1 and min(map(sub, ds, ax.values())) > k - deg[x]:
+            continue
+        base = dict(zip(ax, bs))
+        anchor = _anchor(base, k, True)
+        # _exceeds at k >= 0, with _fan_terms' cap
+        bad += [(x, y) for y, m in ax.items()
+                if not (k < deg[x] + deg[y] - m and _worst_sum(anchor, base[y], k, True) > 1)]
+    bad.sort(key=lambda p: (min(p), max(p), p[0] > p[1]))
+    return bad
+
+
 def fan_edge_certificates(j: Multigraph, k: int) -> list[tuple[str, str, bool]]:
     """fan_pair_exceeds(j, x, y, k)[0] for every ordered pair (x, y) on an edge of j.
 
     The pairs come class by class as (lo, hi) then (hi, lo), in dense pair
-    order. Each vertex's terms are read once, in one _anchor pass at the
-    fixed level k, so every pair is then decided in O(1) and the whole
-    graph in time linear in its classes. A negative k raises GraphError.
+    order; the answers are _failing_pairs', so the whole graph is certified
+    in time linear in its classes. A negative k raises GraphError.
     """
     if k < 0:
         raise GraphError(f"level {k} is negative")
-    deg, adj, labels = j.deg, j.adj, j.labels
-    bases = [_fan_base(deg, adj, x) for x in range(len(labels))]
-    anchors = [_anchor(base, k, True) for base in bases]
-    result = []
-    for lo, hi, m in j.index_classes:
-        for x, y in ((lo, hi), (hi, lo)):
-            # _exceeds at k >= 0, with _fan_terms' cap
-            exceeds = k < deg[x] + deg[y] - m and _worst_sum(anchors[x], bases[x][y], k, True) > 1
-            result.append((labels[x], labels[y], exceeds))
-    return result
+    labels = j.labels
+    bad = set(_failing_pairs(j, range(len(labels)), k))
+    return [(labels[x], labels[y], (x, y) not in bad)
+            for lo, hi, _ in j.index_classes for x, y in ((lo, hi), (hi, lo))]
 
 
 def cfan_degree(h: Multigraph, k_sel: SubgraphSelection, x: str, y: str) -> tuple[int, frozenset[str]]:

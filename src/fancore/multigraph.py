@@ -69,13 +69,15 @@ class _Builder:
         self._intern(label)
 
     def add_class(self, u: str, v: str, m: int) -> None:
-        if not isinstance(m, int):
-            raise GraphError(f"multiplicity of {u!r},{v!r} must be a positive integer, got {m!r}")
-        if m < 0:
-            raise GraphError(f"negative multiplicity {m} on {u!r},{v!r}")
-        if m == 0:
+        if not (isinstance(m, int) and m > 0):
+            if not isinstance(m, int):
+                raise GraphError(f"multiplicity of {u!r},{v!r} must be a positive integer, got {m!r}")
+            if m < 0:
+                raise GraphError(f"negative multiplicity {m} on {u!r},{v!r}")
             raise GraphError(f"zero multiplicity on {u!r},{v!r}; omit the pair instead")
-        iu, iv = self._intern(u), self._intern(v)
+        index = self.index
+        iu = index[u] if u in index else self._intern(u)
+        iv = index[v] if v in index else self._intern(v)
         if iu == iv:
             raise GraphError(f"loop at {u!r} is not allowed")
         key = (iu, iv) if iu < iv else (iv, iu)
@@ -123,14 +125,14 @@ class Multigraph:
         classes (i, v) and those above it in the later classes (v, j).
         """
         self.labels = labels = tuple(labels)
-        self._index = {v: i for i, v in enumerate(labels)}
+        self._index = dict(zip(labels, range(len(labels))))
         self.index_classes = classes = tuple(classes)
         adj: list[dict[int, int]] = [{} for _ in labels]
         for i, j, m in classes:
             adj[i][j] = m
             adj[j][i] = m
         self.adj = tuple(adj)
-        self.deg = tuple(sum(a.values()) for a in adj)
+        self.deg = tuple(map(sum, map(dict.values, adj)))
         self._hash = None
         return self
 
@@ -427,24 +429,23 @@ def parse(text: str) -> Multigraph:
     reported at its line.
     """
     b = _Builder()
+    vertex, add_class = b.vertex, b.add_class
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
         if tokens[0] == _RESERVED:
             if len(tokens) != 2:
                 raise ParseError(lineno, "vertex declaration needs exactly one label")
-            add, item = b.vertex, tokens[1:]
-        elif len(tokens) == 3:
-            digits = tokens[2].removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
-                raise ParseError(lineno, f"multiplicity {tokens[2]!r} is not an integer")
-            add, item = b.add_class, (tokens[0], tokens[1], int(tokens[2]))
-        else:
+        elif len(tokens) != 3:
             raise ParseError(lineno, f"malformed line: {raw.strip()!r}")
+        elif not (tokens[2].isascii() and tokens[2].removeprefix("-").isdigit()):
+            raise ParseError(lineno, f"multiplicity {tokens[2]!r} is not an integer")
         try:
-            add(*item)
+            if len(tokens) == 2:
+                vertex(tokens[1])
+            else:
+                add_class(tokens[0], tokens[1], int(tokens[2]))
         except GraphError as exc:
             raise ParseError(lineno, str(exc)) from exc
     return b.seal(Multigraph.__new__(Multigraph))

@@ -19,6 +19,7 @@ from fancore import (
     forest_core_condition,
     verify_colouring,
 )
+from fancore import colouring
 from helpers import all_small_multigraphs, fixture, path_graph, random_multigraph
 
 
@@ -47,6 +48,12 @@ class TestVerify:
     def test_colour_out_of_range_fails(self):
         c = EdgeColouring(p3(), 1, {("a", "b", 0): 1, ("b", "c", 0): 2})
         assert not verify_colouring(c)
+
+    @pytest.mark.parametrize("bad", ["1", None, True, 1.0])
+    def test_colour_that_is_not_an_int_fails(self, bad):
+        # neither a str or None (unordered against ints) nor True or 1.0 (equal to 1) is a colour
+        c = EdgeColouring(p3(), 2, {("a", "b", 0): bad, ("b", "c", 0): 2})
+        assert verify_colouring(c) is False
 
 
 class TestExactChromaticIndex:
@@ -91,6 +98,28 @@ class TestFanColouring:
     def test_below_max_degree_rejected(self):
         with pytest.raises(GraphError):
             fan_colouring(fixture("fat-triangle-t0.graph"), 2)
+
+    @pytest.mark.parametrize("k", [True, False, 1.0, "2", -1])
+    def test_colour_count_must_be_a_nonnegative_int(self, k):
+        with pytest.raises(GraphError, match="colour count must be a nonnegative integer"):
+            fan_colouring(path_graph(["a", "b"]), k)
+
+    @pytest.mark.parametrize("corrupt", ["repeat", "uncoloured", "above-k"])
+    def test_soundness_guard_fires(self, monkeypatch, corrupt):
+        # the guard recomputes palettes from the instance colours alone, so
+        # a colour changed behind the engine's palette tables is caught
+        real = colouring._run_pass
+
+        def corrupted(g, k, order):
+            st = real(g, k, order)
+            e = next(e for e in range(1, len(st.ends)) if st.ends[e] == st.ends[e - 1])
+            st.colour[e] = {"repeat": st.colour[e - 1], "uncoloured": 0, "above-k": k + 1}[corrupt]
+            return st
+
+        monkeypatch.setattr(colouring, "_run_pass", corrupted)
+        g = fixture("fat-triangle-t1.graph")
+        with pytest.raises(RuntimeError, match="improper colouring"):
+            fan_colouring(g, g.ore_bound())
 
     def test_edgeless_zero_colours(self):
         c = fan_colouring(Multigraph(vertices=["a", "b"]), 0)
@@ -192,9 +221,11 @@ class TestFanColouring:
 
 
 # sha256 of fan_colouring(g, k).as_text(), None where the engine returns
-# None, for every fixture and the 2,662-instance double-edge/t0 witness at
-# both bounds. The engine is deterministic, so a changed digest means it
-# now picks other colours.
+# None, for every fixture, the 2,662-instance double-edge/t0 and the
+# 10,049-instance fig1-h/t0 witnesses at both bounds, and the 27,536-instance
+# multiforest-path/t4 witness at the Ore bound (at the maximum degree it
+# takes over a second). The engine is deterministic, so a changed digest
+# means it now picks other colours.
 ENGINE_DIGESTS = [
     ("c3.graph", "ore_bound", '8453af3afcd1d4c16924a97e95d8b91a1bd986c77d5440ce0cdc725c0e4ed926'),
     ("c3.graph", "max_degree", None),
@@ -226,13 +257,17 @@ ENGINE_DIGESTS = [
     ("multiforest-path.graph", "max_degree", '8131b208f9d4137154da1044a713234b5ebf50ab9aadcc90dd0131eaa51fa5e6'),
     ("double-edge/t0", "ore_bound", '6fd6af3f3e984241415ad2cca0849fc14f67c8edd0ce878be1c326bec245eab5'),
     ("double-edge/t0", "max_degree", 'f1173cf209d90903ae63968d94fd2b3e95caf4d5446edfddb73efea8e07902e9'),
+    ("fig1-h/t0", "ore_bound", 'ea0f3316a839d484359ddcd58239b831bafe15311fee6d0164bc2bc19f10eeb7'),
+    ("fig1-h/t0", "max_degree", '3b42e2c69383efaadb46cbaaf76bd0ae8cdbd46e23c338d31a83e1dc9af3c20d'),
+    ("multiforest-path/t4", "ore_bound", '5d91893eaafdf2a3d4b59d0579b19b4df55463cc4770798b48bea61550266499'),
 ]
 
 
 @pytest.mark.parametrize("name,bound,digest", ENGINE_DIGESTS)
 def test_fan_engine_bytes_are_pinned(name, bound, digest):
-    if name == "double-edge/t0":
-        g, _ = construct_witness(fixture("double-edge.graph"), 0)
+    if "/t" in name:
+        host, t = name.split("/t")
+        g, _ = construct_witness(fixture(host + ".graph"), int(t))
     else:
         g = fixture(name)
     c = fan_colouring(g, getattr(g, bound)())

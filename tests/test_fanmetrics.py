@@ -13,6 +13,7 @@ from fancore import (
     bqueue_core_condition,
     cfan_degree,
     constant_multiplicity_lift,
+    construct_witness,
     corefan,
     corefan_bruteforce,
     degree_preserving_set,
@@ -27,6 +28,7 @@ from fancore import (
     parse,
     t_core,
 )
+from fancore.fanmetrics import _failing_pairs
 from helpers import all_simple_graphs_up_to, fixture, random_multigraph
 from oracles import (
     cfan_degree_oracle,
@@ -122,6 +124,65 @@ class TestFanDegree:
                     padded += exceeds
         assert lone and tied and padded
 
+
+
+def _per_pair_failures(g, members, k):
+    """The failing pairs of J = g[members] by the definition: J built, each pair tested."""
+    j = g.induced([g.labels[x] for x in members])
+    return [(x, y) for u, v, _ in j.classes() for x, y in ((u, v), (v, u)) if not fan_pair_exceeds(j, x, y, k)[0]]
+
+
+class TestCertificateKernel:
+    """_failing_pairs, which reads J on its host in place and decides anchors in bulk."""
+
+    @staticmethod
+    def check(g, members, levels):
+        labels = g.labels
+        for k in levels:
+            got = [(labels[x], labels[y]) for x, y in _failing_pairs(g, members, k)]
+            assert got == _per_pair_failures(g, members, k), (g.classes(), members, k)
+
+    @staticmethod
+    def levels(g, members):
+        """0 up to two above the largest cap d_J(x) + d_J(y) - mult_J(x, y)."""
+        j = g._induced(members)
+        return range(max((j.deg[x] + j.deg[y] - m for x, y, m in j.index_classes), default=0) + 3)
+
+    def test_random_masks_match_the_per_pair_definition(self):
+        rng = random.Random(76)
+        for _ in range(300):
+            g = random_multigraph(rng, rng.randint(2, 9), 14, 4)
+            members = {x for x in range(len(g.labels)) if rng.random() < 0.75}
+            self.check(g, members, self.levels(g, members))
+            everyone = range(len(g.labels))
+            pairs = [(x, y) for u, v, _ in g.classes() for x, y in ((u, v), (v, u))]
+            for k in self.levels(g, everyone):
+                assert fan_edge_certificates(g, k) == [(x, y, fan_pair_exceeds(g, x, y, k)[0]) for x, y in pairs]
+
+    def test_constructed_cases(self):
+        # in J = g - {out, q}: x has one neighbour outside J and, at levels 2
+        # to 8, exactly one positive contribution (a's); b (its neighbour q
+        # is outside J) and p are anchors of degree 1, with no padding
+        # neighbour for their one pair
+        g = Multigraph(edges=[("x", "a", 2), ("x", "b", 1), ("x", "out", 2), ("a", "c1", 1), ("a", "c2", 1),
+                              ("a", "c3", 1), ("a", "c4", 1), ("a", "p", 1), ("b", "q", 3)])
+        members = {g.index_of(v) for v in g.labels if v not in ("out", "q")}
+        j = g.induced([g.labels[x] for x in members])
+        assert g.degree("x") > j.degree("x") and g.degree("b") > j.degree("b") == 1 == j.degree("p")
+        one_positive = [k for k in range(12) if sum(j.degree(z) + j.mult("x", z) > k for z in j.neighbours("x")) == 1]
+        assert one_positive == list(range(2, 9))
+        exceed_at_x = [k for k in one_positive if all(fan_pair_exceeds(j, "x", y, k)[0] for y in j.neighbours("x"))]
+        assert exceed_at_x == [2]  # cleared in bulk; at 3 and 4 only some pairs fail
+        assert ("p", "a") in [(g.labels[x], g.labels[y]) for x, y in _failing_pairs(g, members, 2)]
+        self.check(g, members, self.levels(g, members))
+
+    @pytest.mark.parametrize("host,t", [("double-edge", 0), ("fig1-h", 0), ("multiforest-path", 4)])
+    def test_witness_hosts_with_d_raised_and_lowered(self, host, t):
+        g, plan = construct_witness(fixture(host + ".graph"), t)
+        members = {g.index_of(v) for v in plan.k_vertices + plan.s_vertices}
+        level = plan.D + t
+        self.check(g, members, range(level - 3, level + 4))
+        assert _failing_pairs(g, members, level) == []
 
 class TestFanNumber:
     def test_edgeless(self):

@@ -246,6 +246,25 @@ class TestConstructAndVerify:
             assert verify_witness(h, 0, g, raised, max_diagnostics=cap) == (False, full[:cap])
         assert verify_witness(h, 0, g, raised)[1] == full[:40]
 
+    @pytest.mark.parametrize("host,t", [("double-edge", 0), ("fig1-h", 0), ("multiforest-path", 4)])
+    @pytest.mark.parametrize("shift", [-2, -1, 1, 2])
+    def test_shifted_d_certificate_diagnostics_follow_the_definition(self, host, t, shift):
+        h = fixture(host + ".graph")
+        g, plan = construct_witness(h, t)
+        shifted = plan_from_text(plan_to_text(plan).replace(f"D={plan.D}", f"D={plan.D + shift}"))
+        level = shifted.D + t
+        j = g.induced(tuple(plan.k_vertices) + plan.s_vertices)
+        reference = [
+            f"edge-certificate: fan degree of ({x},{y}) is not above {level}"
+            for u, v, _ in j.classes()
+            for x, y in ((u, v), (v, u))
+            if not fan_pair_exceeds(j, x, y, level)[0]
+        ]
+        assert bool(reference) == (shift > 0)
+        ok, full = verify_witness(h, t, g, shifted, max_diagnostics=10**6)
+        assert not ok
+        assert full == [d for d in full if not d.startswith("edge-certificate")] + reference
+
     def test_foreign_labels_are_kept_fresh(self):
         h = Multigraph(edges=[("sr0", "sq0", 2)])  # clash with generated names
         g, plan = construct_witness(h, 0)
