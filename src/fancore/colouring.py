@@ -31,10 +31,18 @@ bookkeeping: it recomputes every vertex's colours from scratch from the
 instance endpoints and colours alone, and raises RuntimeError unless every
 colour is in 1..k and none repeats at a vertex. verify_colouring maps a
 label-keyed assignment onto the instances and runs the same check.
+
+Colouring text has one formatter, _colouring_text, which writes a line per
+instance from the instance's colour. A colouring the library makes keeps
+its per-instance colours, and its assignment is a read-only mapping over
+them whose (u, v, copy) dict is built only when it is first read, so
+as_text never looks a key up and can never disagree with the assignment.
+A colouring built from a caller's mapping reads that mapping's values.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import GraphError, ResourceLimitError
@@ -48,19 +56,74 @@ class EdgeColouring:
     """Total assignment of colours in {1..k} to edge instances.
 
     Keys are (u, v, copy) with u before v in dense index order and copy in
-    range(mult(u, v)).
+    range(mult(u, v)). A colouring the library makes holds a read-only
+    assignment over its per-instance colours, so its text needs no key
+    lookups; one built from a caller's dict reads that dict.
     """
 
     graph: Multigraph
     k: int
-    assignment: dict[tuple[str, str, int], int]
+    assignment: Mapping[tuple[str, str, int], int]
 
     def as_text(self) -> str:
-        lines = []
-        for u, v, m in self.graph.classes():
-            for copy in range(m):
-                lines.append(f"{u} {v} {copy} {self.assignment[(u, v, copy)]}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One line '<u> <v> <copy> <colour>' per instance, in instance order."""
+        g, a = self.graph, self.assignment
+        if isinstance(a, _InstanceColours) and a.graph is g:
+            names = [f"{c}\n" for c in range(a.k + 1)]
+            return _colouring_text(g, map(names.__getitem__, a.colour))
+        return _colouring_text(g, [f"{a[key]}\n" for key in _keys(g)])
+
+
+class _InstanceColours(Mapping):
+    """The assignment of a colouring the library made: read-only, over instance colours.
+
+    colour[e] is the colour, in 1..k, of instance e in the order of
+    _instances(graph). The (u, v, copy) dict is built on first access.
+    """
+
+    __slots__ = ("graph", "k", "colour", "_table")
+
+    def __init__(self, graph: Multigraph, k: int, colour: list[int]):
+        self.graph, self.k, self.colour, self._table = graph, k, colour, None
+
+    def _dict(self) -> dict[tuple[str, str, int], int]:
+        if self._table is None:
+            self._table = dict(zip(_keys(self.graph), self.colour))
+        return self._table
+
+    def __getitem__(self, key):
+        return self._dict()[key]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self.colour)
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+
+def _colouring_text(g: Multigraph, colour_lines) -> str:
+    """'<u> <v> <copy> <colour>' lines from each instance's colour and newline.
+
+    colour_lines follows the instance order of _instances(g). The text is
+    joined from three interleaved columns of shared strings, the pair, the
+    copy and the colour, so an instance costs three list slots rather than
+    a formatted line of its own.
+    """
+    lab = g.labels
+    copy = [f"{c} " for c in range(g.max_mult())]
+    heads: list[str] = []
+    copies: list[str] = []
+    for i, j, m in g.index_classes:
+        heads += [f"{lab[i]} {lab[j]} "] * m
+        copies += copy[:m]
+    pieces = [""] * (3 * len(heads))
+    pieces[0::3] = heads
+    pieces[1::3] = copies
+    pieces[2::3] = colour_lines
+    return "".join(pieces)
 
 
 def verify_colouring(c: EdgeColouring) -> bool:
@@ -69,9 +132,8 @@ def verify_colouring(c: EdgeColouring) -> bool:
     A colour is an int in 1..k; any other value, a bool included, fails.
     """
     g, a = c.graph, c.assignment
-    ends, copies = _instances(g)
-    lab = g.labels
-    colour = [a.get((lab[i], lab[j], copy)) for (i, j), copy in zip(ends, copies)]
+    ends = _instances(g)
+    colour = list(map(a.get, _keys(g)))
     ints = all(isinstance(col, int) and not isinstance(col, bool) for col in colour)
     return ints and len(a) == len(ends) and _proper(c.k, ends, colour)
 
@@ -91,23 +153,22 @@ def _proper(k: int, ends, colour) -> bool:
     return len(set(keys)) == len(keys)
 
 
-def _instances(g: Multigraph):
-    """Expand classes (in dense pair order) into instance endpoint lists."""
+def _instances(g: Multigraph) -> list[tuple[int, int]]:
+    """Expand classes (in dense pair order) into instance endpoint pairs."""
     ends: list[tuple[int, int]] = []
-    copies: list[int] = []
     for i, j, m in g.index_classes:
         ends += [(i, j)] * m
-        copies += range(m)
-    return ends, copies
+    return ends
 
 
-def _as_colouring(g: Multigraph, k: int, ends, copies, colour) -> EdgeColouring:
-    labels = g.labels
-    assignment = {
-        (labels[i], labels[j], copies[e]): colour[e]
-        for e, (i, j) in enumerate(ends)
-    }
-    return EdgeColouring(graph=g, k=k, assignment=assignment)
+def _keys(g: Multigraph) -> list[tuple[str, str, int]]:
+    """The (u, v, copy) assignment key of every instance, in instance order."""
+    lab = g.labels
+    return [(lab[i], lab[j], c) for i, j, m in g.index_classes for c in range(m)]
+
+
+def _as_colouring(g: Multigraph, k: int, colour: list[int]) -> EdgeColouring:
+    return EdgeColouring(g, k, _InstanceColours(g, k, colour))
 
 
 def chromatic_index_exact(g: Multigraph, max_instances: int = INSTANCE_CAP) -> tuple[int, EdgeColouring]:
@@ -118,9 +179,9 @@ def chromatic_index_exact(g: Multigraph, max_instances: int = INSTANCE_CAP) -> t
             f"chromatic_index_exact capped at {max_instances} edge instances, got {total}"
         )
     if total == 0:
-        return 0, EdgeColouring(graph=g, k=0, assignment={})
+        return 0, _as_colouring(g, 0, [])
 
-    ends, copies = _instances(g)
+    ends = _instances(g)
     n = len(g.labels)
 
     def solve(k: int):
@@ -154,7 +215,7 @@ def chromatic_index_exact(g: Multigraph, max_instances: int = INSTANCE_CAP) -> t
     for k in range(max(1, g.max_degree()), total + 1):
         colour = solve(k)
         if colour is not None:
-            return k, _as_colouring(g, k, ends, copies, colour)
+            return k, _as_colouring(g, k, colour)
     raise RuntimeError("unreachable: k = instance count always admits a colouring")
 
 
@@ -172,7 +233,7 @@ class _State:
     def __init__(self, g: Multigraph, k: int):
         self.g = g
         self.k = k
-        self.ends, self.copies = _instances(g)
+        self.ends = _instances(g)
         self.colour = [0] * len(self.ends)
         self.used = [0] * len(g.labels)
         self.at: list[dict[int, int]] = [dict() for _ in g.labels]  # colour -> instance
@@ -453,4 +514,4 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
         return None
     if not _proper(k, st.ends, st.colour):  # internal soundness guard
         raise RuntimeError("fan engine produced an improper colouring")
-    return _as_colouring(g, k, st.ends, st.copies, st.colour)
+    return _as_colouring(g, k, st.colour)

@@ -18,7 +18,7 @@ from .multigraph import Multigraph
 
 
 def check_t(t: int) -> None:
-    if not isinstance(t, int) or t < 0:
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise GraphError(f"t must be a nonnegative integer, got {t!r}")
 
 

@@ -13,6 +13,15 @@ Multigraph constructor. A graph derived from one that is already valid
 witness) is built directly from index-space data, which is valid by
 construction, and skips the label and class checks.
 
+Text is read on one of two paths, selected by the input alone. Canonical
+text, exactly what serialize writes (every vertex declared, then the
+classes in strictly ascending pair order, single spaces, every line ended
+by a newline), is matched whole by one regular expression and built from
+whole-text passes. Any other text, and canonical-looking text that breaks
+a rule, is read line by line through the constructor's checks. Only that
+reader raises, so the graph, the message and the line number of an error
+do not depend on the path.
+
 There is one graph model. A SubgraphSelection is a vertex mask over a
 Multigraph on its parent's own labels, so the subgraph shares the parent's
 index space. Its public constructor checks the selected classes through
@@ -24,6 +33,7 @@ checked again.
 from __future__ import annotations
 
 import re
+from operator import lt
 from typing import Iterable, Optional
 
 from .errors import GraphError, ParseError
@@ -69,8 +79,8 @@ class _Builder:
         self._intern(label)
 
     def add_class(self, u: str, v: str, m: int) -> None:
-        if not (isinstance(m, int) and m > 0):
-            if not isinstance(m, int):
+        if not (isinstance(m, int) and m > 0) or m is True:
+            if not isinstance(m, int) or isinstance(m, bool):
                 raise GraphError(f"multiplicity of {u!r},{v!r} must be a positive integer, got {m!r}")
             if m < 0:
                 raise GraphError(f"negative multiplicity {m} on {u!r},{v!r}")
@@ -424,6 +434,55 @@ class SubgraphSelection:
 def parse(text: str) -> Multigraph:
     """Parse graph text; raise ParseError with a line number on bad input.
 
+    Canonical text, as serialize writes it, is read in whole-text passes
+    (_parse_canonical). Any other text, and canonical-looking text that
+    breaks a rule, is read line by line (_parse_lines), the one place a
+    parse error is raised; both give the same graph for the same text.
+    """
+    g = _parse_canonical(text)
+    return _parse_lines(text) if g is None else g
+
+
+# Canonical text: every 'vertex <label>' line, then every '<u> <v> <m>' line,
+# single spaces, each line ended by '\n', m in ASCII digits without a
+# leading zero. A token cannot hold whitespace, so no line break either,
+# and the lines split apart without backtracking across them.
+_CANONICAL = re.compile(r"((?:vertex [^\s#]+\n)*)((?:[^\s#]+ [^\s#]+ [1-9][0-9]*\n)*)").fullmatch
+
+
+def _parse_canonical(text: str) -> Optional[Multigraph]:
+    """The graph of canonical text; None if the text is not canonical.
+
+    Beyond the grammar, canonical text declares distinct, unreserved labels
+    and every endpoint, with u before v in declaration order and the
+    classes in strictly ascending pair order, which are exactly the
+    classes the constructor's checks accept in pair order.
+    """
+    match = _CANONICAL(text)
+    if match is None:
+        return None
+    labels = match[1].split()[1::2]
+    n = len(labels)
+    index = dict(zip(labels, range(n)))
+    if len(index) != n or _RESERVED in index:
+        return None
+    tokens = match[2].split()
+    mults = tokens[2::3]
+    try:
+        iu = list(map(index.__getitem__, tokens[0::3]))
+        iv = list(map(index.__getitem__, tokens[1::3]))
+        as_int = {m: int(m) for m in set(mults)}
+    except (KeyError, ValueError):  # an undeclared endpoint, or too many digits for int
+        return None
+    pairs = list(zip(iu, iv))
+    if not (all(map(lt, iu, iv)) and all(map(lt, pairs, pairs[1:]))):
+        return None
+    return Multigraph._derived(labels, zip(iu, iv, map(as_int.__getitem__, mults)))
+
+
+def _parse_lines(text: str) -> Multigraph:
+    """Read any graph text line by line.
+
     Only the grammar is checked here. Each vertex declaration and class goes
     through the constructor's checks in line order, and a failed check is
     reported at its line.
@@ -448,6 +507,8 @@ def parse(text: str) -> Multigraph:
                 add_class(tokens[0], tokens[1], int(tokens[2]))
         except GraphError as exc:
             raise ParseError(lineno, str(exc)) from exc
+        except ValueError:  # int refuses more digits than sys.get_int_max_str_digits()
+            raise ParseError(lineno, f"multiplicity of {len(tokens[2].removeprefix('-'))} digits is too long") from None
     return b.seal(Multigraph.__new__(Multigraph))
 
 
@@ -456,9 +517,10 @@ def serialize(g: Multigraph) -> str:
 
     serialize(parse(serialize(g))) == serialize(g) for every graph.
     """
-    lines = [f"vertex {label}" for label in g.labels]
-    lines.extend(f"{u} {v} {m}" for u, v, m in g.classes())
-    return "\n".join(lines) + ("\n" if lines else "")
+    lab = g.labels
+    lines = [f"vertex {label}\n" for label in lab]
+    lines += [f"{lab[i]} {lab[j]} {m}\n" for i, j, m in g.index_classes]
+    return "".join(lines)
 
 
 def load(path) -> Multigraph:

@@ -44,13 +44,19 @@ from .multigraph import Multigraph, SubgraphSelection
 
 
 def _circulant_pairs(n: int, k: int) -> list[tuple[int, int]]:
-    """Index pairs of the distance-set circulant: i adjacent to i +- 1..k/2."""
-    pairs = set()
-    for d in range(1, k // 2 + 1):
-        for i in range(n):
-            j = (i + d) % n
-            pairs.add((i, j) if i < j else (j, i))
-    return sorted(pairs)
+    """Index pairs of the distance-set circulant, ascending: i adjacent to i +- 1..k/2.
+
+    Needs k < n, so no pair is at two distances and each comes once. The
+    neighbours above i are i+1..i+k/2 (below n), then, wrapping round,
+    n+i-k/2..n-1, all above the first run.
+    """
+    h = k // 2
+    return [
+        (i, j)
+        for i in range(n)
+        for run in (range(i + 1, min(i + h + 1, n)), range(n + i - h, n))
+        for j in run
+    ]
 
 
 def circulant_with_matching(n: int, k: int, r: int) -> tuple[Multigraph, tuple[str, ...]]:
@@ -244,6 +250,7 @@ def construct_witness(
     Raises GraphError (carrying the corefan value) when corefan(h) <= t; no
     such graph exists then, so the precondition is sharp.
     """
+    check_t(t)
     report = corefan(h, max_classes=max_classes)
     if report.value <= t:
         raise GraphError(

@@ -1,5 +1,6 @@
 """CLI behaviour: payload shape, re-verifiable blocks, exit codes, determinism."""
 
+import hashlib
 import io
 import subprocess
 import sys
@@ -170,6 +171,53 @@ class TestColour:
             u, v, copy, colour = line.split()
             assignment[(u, v, int(copy))] = int(colour)
         assert verify_colouring(EdgeColouring(g, 3, assignment))
+
+
+# sha256 of `fancore colour` stdout on constructed witnesses at both bounds,
+# and of `fancore chi` stdout on every fixture, all with exit code 0. The
+# engine-level pins in test_colouring.py see the colouring text only through
+# as_text(); these pin the bytes the command prints, headers and block
+# markers included.
+COLOUR_STDOUT_DIGESTS = [
+    ("double-edge", 0, "ore_bound", "966d7663b7802f304ce81dbe984f2ac64462bb16e4a1b6b230b57cb9475f33c7"),
+    ("double-edge", 0, "max_degree", "fe38ad09f1aa381be160c5bcc218001f64291491f24d0300f5cdc526191ca569"),
+    ("fig1-h", 0, "ore_bound", "464248382c0529c828dfd3780fd97371d74184600269fcecf7b286615742c733"),
+    ("fig1-h", 0, "max_degree", "0eeddec7dd65d3e1b27771394f99b72e6f08597176b20e22523991ccbc70384d"),
+]
+CHI_STDOUT_DIGESTS = {
+    "c3.graph": "70d00c65588e09c6a2bda115d6e03ca2a385fb00d528c09648217870d1fce8fa",
+    "c5.graph": "c34685c367b772e707cc96f7d130ae01b94eb9775e7e185357fe07f61cccfb27",
+    "cycle-pendant.graph": "237418806f7bd74de5e58f4118ba64a7158c0ce995d3ed21ba69699c7acd3643",
+    "double-edge.graph": "2490e6141515899c0046d70c7315afeed549e80a41791941faa92c8be0fb5348",
+    "fat-triangle-t0.graph": "3bb882973e267af963153944a520f5fc4f72fcdd543debc25b6bee1e2957dc46",
+    "fat-triangle-t1.graph": "8b3c8d57e7acafaa7a33cf12b9963be65e6e1b613b5e991c0ff86611e11eaf41",
+    "fat-triangle-t2.graph": "632b49fa6f01deb3fa2ac69ad5fb331cd0129f1cbf13801416875bd3aece9ca3",
+    "fig1-h.graph": "75e927028d9b3cbb24387b30f769f39621ad42a6bf2bd6a4a5a06e2803050ac8",
+    "fig1-h1.graph": "1a1b793e5ff8e5f1ccd69db69fc299a93a4295ae14ba78721fa49cf4f0b60452",
+    "fig2-h4.graph": "0cdc1a99b8dedbe3afa1317c0d4e2d7f826f1725e01febe623df31b68ce8a860",
+    "forest-path4.graph": "30570ca8b201184228c91fdab8238744c5987581570aaabbd85bc3d7aed0a2a3",
+    "forest-spider.graph": "2cb9518031e9f80c17fc89b184bc6b223d0ce1a24ab92d7983826af1be0df50e",
+    "h5.graph": "5482ce541d69ad3c47df9c6445849810eaeab160bcb8f79a5767641f601a5a6c",
+    "multiforest-path.graph": "9ae9e6549cc5faaaec358362aa8c7e777577960a8821c2310b5eae980d4e78ef",
+}
+
+
+class TestStdoutBytes:
+    @pytest.mark.parametrize("host,t,bound,digest", COLOUR_STDOUT_DIGESTS)
+    def test_colour_stdout_is_pinned(self, tmp_path, host, t, bound, digest):
+        witness = tmp_path / "witness.graph"
+        assert cli("construct", fx(host + ".graph"), "--t", t, "-o", witness)[0] == 0
+        k = getattr(parse(witness.read_text()), bound)()
+        code, out = cli("colour", witness, "-k", k)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_chi_stdout_is_pinned(self):
+        assert sorted(CHI_STDOUT_DIGESTS) == sorted(p.name for p in FIXTURES.glob("*.graph"))
+        for name, digest in CHI_STDOUT_DIGESTS.items():
+            code, out = cli("chi", fx(name))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
 class TestConstruct:

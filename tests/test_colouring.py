@@ -17,10 +17,12 @@ from fancore import (
     fan_bound,
     fan_colouring,
     forest_core_condition,
+    parse,
+    serialize,
     verify_colouring,
 )
 from fancore import colouring
-from helpers import all_small_multigraphs, fixture, path_graph, random_multigraph
+from helpers import FIXTURES, all_small_multigraphs, fixture, path_graph, random_multigraph
 
 
 def p3():
@@ -280,3 +282,63 @@ class TestColouringText:
         _, colouring = chromatic_index_exact(g)
         lines = colouring.as_text().splitlines()
         assert lines == ["x y 0 1", "x y 1 2"]
+
+    @staticmethod
+    def library_colourings():
+        """Colourings the library makes: the engine's at both bounds and the exact solver's."""
+        rng = random.Random(44)
+        graphs = [fixture(p.name) for p in sorted(FIXTURES.glob("*.graph"))]
+        graphs += [random_multigraph(rng, rng.randint(0, 7), 10, 4) for _ in range(150)]
+        graphs.append(construct_witness(fixture("double-edge.graph"), 0)[0])
+        for g in graphs:
+            for k in {g.ore_bound(), g.max_degree()}:
+                c = fan_colouring(g, k)
+                if c is not None:
+                    yield c
+            if g.total_instances() <= 12:
+                yield chromatic_index_exact(g)[1]
+
+    def test_text_is_the_assignment_formatted(self):
+        # the text the library prints from instance colours is the text of
+        # the same colouring built from a plain dict of its assignment
+        seen = 0
+        for c in self.library_colourings():
+            g, a = c.graph, c.assignment
+            plain = EdgeColouring(g, c.k, dict(a))
+            assert len(a) == g.total_instances() == len(dict(a))
+            assert c.as_text() == plain.as_text()
+            assert c == plain and verify_colouring(c) and verify_colouring(plain)
+            expected = [f"{u} {v} {copy} {a[(u, v, copy)]}" for u, v, m in g.classes() for copy in range(m)]
+            assert c.as_text().splitlines() == expected
+            seen += 1
+        assert seen > 300
+
+    def test_library_assignment_is_read_only(self):
+        c = fan_colouring(fixture("fat-triangle-t0.graph"), 4)
+        key = ("a", "b", 0)
+        with pytest.raises(TypeError):
+            c.assignment[key] = 2
+        assert repr(c.assignment) == repr(dict(c.assignment))
+        assert c.assignment == dict(c.assignment) and 1 <= c.assignment[key] <= 4
+
+    def test_assignment_over_another_graph_reads_its_keys(self):
+        # a library assignment reused with another graph is read by key, like
+        # any caller's mapping: keys follow the graph's own vertex order
+        g = Multigraph(["a", "b", "c"], [("a", "b", 2), ("b", "c", 1)])
+        c = fan_colouring(g, g.ore_bound())
+        copy = EdgeColouring(parse(serialize(g)), c.k, c.assignment)
+        assert copy.graph is not g and copy.as_text() == c.as_text()
+        reordered = Multigraph(["c", "b", "a"], [("c", "b", 1), ("b", "a", 2)])
+        with pytest.raises(KeyError):
+            EdgeColouring(reordered, c.k, c.assignment).as_text()
+        assert not verify_colouring(EdgeColouring(reordered, c.k, c.assignment))
+
+    def test_caller_dict_is_read_at_formatting_time(self):
+        g = path_graph(["a", "b", "c"])
+        a = {("a", "b", 0): 1, ("b", "c", 0): 2}
+        c = EdgeColouring(g, 2, a)
+        a[("b", "c", 0)] = 1
+        assert c.as_text() == "a b 0 1\nb c 0 1\n"
+        assert not verify_colouring(c)
+        with pytest.raises(KeyError):
+            EdgeColouring(g, 2, {("a", "b", 0): 1}).as_text()

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from fancore import (
+    GraphError,
     Multigraph,
     bqueue_core_condition,
+    construct_witness,
     core_report,
     edges_above,
     forest_core_condition,
@@ -33,6 +35,13 @@ def cycle_with_pendants_host():
 
 
 class TestTCore:
+    @pytest.mark.parametrize("t", [True, False, -1, 1.0, "1"])
+    @pytest.mark.parametrize("call", [t_core, edges_above, core_report, forest_core_condition, construct_witness])
+    def test_t_must_be_a_nonnegative_int(self, call, t):
+        # a bool is an int to isinstance, but True must not read as t = 1
+        with pytest.raises(GraphError, match="t must be a nonnegative integer"):
+            call(fixture("fat-triangle-t1.graph"), t)
+
     @pytest.mark.parametrize("t", [0, 1, 2])
     def test_fat_triangle_core_is_heavy_class(self, t):
         g = fixture(f"fat-triangle-t{t}.graph")

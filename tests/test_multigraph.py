@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import time
 
 import pytest
 
@@ -18,6 +20,7 @@ from fancore import (
     t_core,
 )
 from fancore.fanmetrics import _selection
+from fancore.multigraph import _parse_canonical
 from helpers import all_small_multigraphs, fixture, random_multigraph
 
 
@@ -116,6 +119,18 @@ class TestConstruction:
             Multigraph(edges=[("a", "b", 0)])
         with pytest.raises(GraphError, match="negative"):
             Multigraph(edges=[("a", "b", -2)])
+
+    def test_bool_multiplicity_rejected(self):
+        # a bool is an int to isinstance, but serialize would write 'True'
+        b = Multigraph(edges=[("a", "b", 1)])
+        for build in (
+            lambda: Multigraph(["a", "b"], [("a", "b", True)]),
+            lambda: Multigraph(edges=[("a", "b", False)]),
+            lambda: SubgraphSelection(b, [("a", "b", True)]),
+            lambda: constant_multiplicity_lift(b, True),
+        ):
+            with pytest.raises(GraphError, match="must be a positive integer"):
+                build()
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(GraphError, match="duplicate pair"):
@@ -371,3 +386,161 @@ class TestDerivedGraphFields:
     def test_lift_still_checks_its_multiplicity(self):
         with pytest.raises(GraphError, match="positive integer"):
             constant_multiplicity_lift(Multigraph(edges=[("a", "b", 1)]), 2.0)
+
+
+class TestCanonicalText:
+    """Canonical text, as serialize writes it, is read in whole-text passes.
+
+    Everything else, and canonical-looking text that breaks a rule, is read
+    line by line. A trailing comment line sends any text to the line reader
+    without changing its graph or the line of any error, so the two paths
+    can be compared on the same content.
+    """
+
+    LINE_BY_LINE = "\n# read line by line\n"
+    LABELS = ["a", "b", "z9", "10", "0", "α", "β\u200bγ", "verte", "vertexx", "Vertex", "é", "-", "_"]
+
+    @staticmethod
+    def fields(g):
+        return TestDerivedGraphFields.fields(g)
+
+    def outcome(self, text):
+        try:
+            return self.fields(parse(text))
+        except ParseError as exc:
+            return (exc.line, str(exc))
+
+    def random_graph(self, rng):
+        names = rng.sample(self.LABELS + [f"v{k}" for k in range(40)], rng.randint(0, 12))
+        pairs = [p for p in itertools.combinations(names, 2) if rng.random() < 0.35]
+        rng.shuffle(pairs)
+        mults = (1, 1, 2, 3, 9, 10, 11, 99, 100, 12345)
+        declared = [v for v in names if rng.random() < 0.7]
+        return Multigraph(declared, [(u, v, rng.choice(mults)) for u, v in pairs])
+
+    def test_canonical_text_matches_the_line_reader(self):
+        rng = random.Random(1010)
+        for _ in range(600):
+            g = self.random_graph(rng)
+            text = serialize(g)
+            assert _parse_canonical(text) is not None
+            assert _parse_canonical(text + self.LINE_BY_LINE) is None
+            bulk, lines = parse(text), parse(text + self.LINE_BY_LINE)
+            assert self.fields(bulk) == self.fields(lines) == self.fields(g)
+            assert serialize(bulk) == text
+
+    @staticmethod
+    def mutate(rng, kind, vlines, clines):
+        """Text with one seeded change of the given kind, or None where it cannot apply."""
+        V, C = list(vlines), list(clines)
+        end = "\n"
+        if kind in ("vertex vertex", "duplicate vertex", "vertex after classes") and not V:
+            return None
+        if kind not in ("vertex vertex", "duplicate vertex", "vertex after classes", "crlf",
+                        "no final newline", "tab", "double space") and not C:
+            return None
+        i = rng.randrange(len(V)) if V else 0
+        c = rng.randrange(len(C)) if C else 0
+        u, v, m = C[c].split() if C else ("", "", "")
+        if kind == "duplicate vertex":
+            V.insert(i + 1, V[i])
+        elif kind == "vertex vertex":
+            V[i] = "vertex vertex"
+        elif kind == "class line starting with vertex":
+            C[c] = f"vertex {v} {m}"
+        elif kind == "undeclared endpoint":
+            V.remove(f"vertex {rng.choice((u, v))}")
+        elif kind == "v u m":
+            C[c] = f"{v} {u} {m}"
+        elif kind == "out of order":
+            if len(C) < 2:
+                return None
+            d = rng.randrange(len(C) - 1)
+            C[d], C[d + 1] = C[d + 1], C[d]
+        elif kind == "duplicate pair":
+            C.insert(rng.randint(0, len(C)), rng.choice((f"{u} {v} {m}", f"{v} {u} 1")))
+        elif kind.startswith("multiplicity "):
+            C[c] = f"{u} {v} {kind.split()[1]}"
+        elif kind == "loop":
+            C.insert(rng.randint(0, len(C)), f"{u} {u} 1")
+        elif kind == "vertex after classes":
+            C.append(V.pop(i))
+        all_lines = V + C
+        if not all_lines:
+            return None
+        if kind in ("tab", "double space"):
+            r = rng.randrange(len(all_lines))
+            all_lines[r] = all_lines[r].replace(" ", "\t" if kind == "tab" else "  ", 1)
+        if kind == "crlf":
+            end = "\r\n"
+        text = end.join(all_lines) + end
+        return text[:-1] if kind == "no final newline" else text
+
+    KINDS = [
+        "duplicate vertex", "vertex vertex", "class line starting with vertex", "undeclared endpoint",
+        "v u m", "out of order", "duplicate pair", "loop", "tab", "double space", "crlf",
+        "no final newline", "vertex after classes",
+        *(f"multiplicity {tok}" for tok in ("0", "00", "01", "-1", "1_0", "\u0663")),
+    ]
+
+    def test_mutated_text_reads_as_on_the_line_reader(self):
+        rng = random.Random(2020)
+        applied = dict.fromkeys(self.KINDS, 0)
+        errors = dict.fromkeys(self.KINDS, 0)
+        for _ in range(150):
+            text = serialize(self.random_graph(rng))
+            lines = text.splitlines()
+            vlines = [x for x in lines if x.startswith("vertex ")]
+            clines = lines[len(vlines):]
+            for kind in self.KINDS:
+                mutated = self.mutate(rng, kind, vlines, clines)
+                if mutated is None:
+                    continue
+                applied[kind] += 1
+                got = self.outcome(mutated)
+                assert got == self.outcome(mutated + self.LINE_BY_LINE), (kind, mutated)
+                if isinstance(got[0], int):  # a ParseError: the bulk reader must have declined
+                    errors[kind] += 1
+                    assert _parse_canonical(mutated) is None, (kind, mutated)
+        assert min(applied.values()) >= 50, applied
+        for kind in ("duplicate vertex", "vertex vertex", "class line starting with vertex", "duplicate pair",
+                     "loop", "multiplicity 0", "multiplicity 00", "multiplicity -1", "multiplicity 1_0",
+                     "multiplicity \u0663"):
+            assert errors[kind] == applied[kind], kind
+        for kind in ("undeclared endpoint", "v u m", "out of order", "tab", "double space", "crlf",
+                     "no final newline", "multiplicity 01"):
+            assert errors[kind] == 0, kind
+
+    TOKEN = "a" * 10**5
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            TOKEN,
+            TOKEN + "\n",
+            "vertex " + TOKEN + "\n",
+            "vertex " + TOKEN + " " + TOKEN + "\n",
+            TOKEN + " b 1\n",
+            "vertex b\n" + TOKEN + " b 1\n",
+            "a b " + "1" * 10**5 + "\n",
+            "vertex a\nvertex b\na b " + "1" * 10**5,
+            "a " * 10**5,
+            "x y 1\n" * 10**4 + TOKEN,
+        ],
+        ids=["alone", "line", "vertex", "two-labels", "class", "declared-class", "multiplicity",
+             "canonical-multiplicity", "many-tokens", "last-line"],
+    )
+    def test_a_long_token_is_read_in_bounded_time(self, text):
+        start = time.perf_counter()
+        got = self.outcome(text)
+        assert time.perf_counter() - start < 2.0
+        assert got == self.outcome(text + self.LINE_BY_LINE)
+
+    def test_multiplicity_beyond_the_int_digit_limit_is_a_parse_error(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts digit strings of any length")
+        for text in ("vertex a\nvertex b\na b " + "7" * (limit + 1) + "\n", "a b -" + "7" * (limit + 1)):
+            with pytest.raises(ParseError, match=f"multiplicity of {limit + 1} digits is too long") as err:
+                parse(text)
+            assert err.value.line == len(text.splitlines())
