@@ -37,29 +37,25 @@ def _require_simple(b: Multigraph) -> None:
 
 
 def validate_bqueue(q: BQueue) -> bool:
-    """Check the defining conditions; True iff q is a valid B-queue."""
-    _require_simple(q.graph)
+    """Check the defining conditions; True iff q is a valid B-queue.
+
+    The order is replayed through _legal_new, the step rule the searches
+    use, and each S_i must be the label set of the replayed reach.
+    """
     g = q.graph
-    if len(q.sets) != len(q.order) + 1:
+    _require_simple(g)
+    if len(q.sets) != len(q.order) + 1 or q.sets[0] != frozenset() or len(set(q.order)) != len(q.order):
         return False
-    if q.sets[0] != frozenset():
-        return False
-    if len(set(q.order)) != len(q.order):
-        return False
-    prev = q.sets[0]
+    reach: set[int] = set()
     for u, cur in zip(q.order, q.sets[1:]):
         if not g.has_vertex(u):
             raise GraphError(f"unknown vertex {u!r} in B-queue")
-        closed = set(g.neighbours(u))
-        closed.add(u)
-        if cur != frozenset(closed | prev):
+        new = _legal_new(g, g.index_of(u), reach)
+        if new is None:
             return False
-        new = cur - prev
-        if not 1 <= len(new) <= 2:
+        reach |= new
+        if cur != {g.labels[i] for i in reach}:
             return False
-        if len(new - {u}) > 1:
-            return False
-        prev = cur
     return True
 
 

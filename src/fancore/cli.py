@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 domain error, 2 usage error, 3 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -53,6 +54,14 @@ def _verdict(out, ok: bool, diags: list[str]) -> int:
     for diag in diags:
         out.write(f"diagnostic {diag}\n")
     return 0 if ok else 1
+
+
+def _integer(text: str) -> int:
+    """argparse type of -k and --t: an integer as graph text writes one, ASCII digits with an optional '-'."""
+    if mg._is_int(text):
+        with contextlib.suppress(ValueError):  # more digits than int converts
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _nonnegative_int(text: str) -> int:
@@ -187,12 +196,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tcore", help="emit the t-core of a graph")
     p.add_argument("file")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_integer, required=True)
     p.set_defaults(func=_cmd_tcore)
 
     p = sub.add_parser("hypothesis", help="check a sufficient colourability condition on the t-core")
     p.add_argument("file")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_integer, required=True)
     p.add_argument("--check", choices=("forest", "bqueue"), default="forest")
     p.set_defaults(func=_cmd_hypothesis)
 
@@ -221,12 +230,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("colour", help="k-edge-colouring via the fan engine")
     p.add_argument("file")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_integer, required=True)
     p.set_defaults(func=_cmd_colour)
 
     p = sub.add_parser("construct", help="build and verify a witness graph around a host t-core")
     p.add_argument("file")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_integer, required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_construct)
 
@@ -234,7 +243,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("host")
     p.add_argument("graph")
     p.add_argument("plan")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_integer, required=True)
     p.set_defaults(func=_cmd_verify_witness)
 
     return parser

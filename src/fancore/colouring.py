@@ -17,6 +17,9 @@ anchored at one endpoint and repairs the colouring by fan rotation
 k >= max over v of degree(v) + vertex_mult(v), a stuck fan is arithmetically
 impossible, so the engine always succeeds there; below that bound it is a
 deterministic best-effort search with a hard retry budget per instance.
+The palette is bounded by 2 * max_degree: with that many colours no
+instance is ever stuck, so a larger k gives the same colouring, and the
+engine runs with min(k, 2 * Delta) colours whatever k is asked for.
 
 Palettes are bitmasks: each vertex keeps the colours on its instances as
 one int, bit c for colour c, updated on every assign and unassign. The
@@ -69,7 +72,7 @@ class EdgeColouring:
         """One line '<u> <v> <copy> <colour>' per instance, in instance order."""
         g, a = self.graph, self.assignment
         if isinstance(a, _InstanceColours) and a.graph is g:
-            names = [f"{c}\n" for c in range(a.k + 1)]
+            names = [f"{c}\n" for c in range(a.top + 1)]
             return _colouring_text(g, map(names.__getitem__, a.colour))
         return _colouring_text(g, [f"{a[key]}\n" for key in _keys(g)])
 
@@ -77,14 +80,16 @@ class EdgeColouring:
 class _InstanceColours(Mapping):
     """The assignment of a colouring the library made: read-only, over instance colours.
 
-    colour[e] is the colour, in 1..k, of instance e in the order of
-    _instances(graph). The (u, v, copy) dict is built on first access.
+    colour[e] is the colour, in 1..top, of instance e in the order of
+    _instances(graph); top sizes the text table, so it is the largest colour
+    that can occur, not the colouring's k. The (u, v, copy) dict is built on
+    first access.
     """
 
-    __slots__ = ("graph", "k", "colour", "_table")
+    __slots__ = ("graph", "top", "colour", "_table")
 
-    def __init__(self, graph: Multigraph, k: int, colour: list[int]):
-        self.graph, self.k, self.colour, self._table = graph, k, colour, None
+    def __init__(self, graph: Multigraph, top: int, colour: list[int]):
+        self.graph, self.top, self.colour, self._table = graph, top, colour, None
 
     def _dict(self) -> dict[tuple[str, str, int], int]:
         if self._table is None:
@@ -167,8 +172,8 @@ def _keys(g: Multigraph) -> list[tuple[str, str, int]]:
     return [(lab[i], lab[j], c) for i, j, m in g.index_classes for c in range(m)]
 
 
-def _as_colouring(g: Multigraph, k: int, colour: list[int]) -> EdgeColouring:
-    return EdgeColouring(g, k, _InstanceColours(g, k, colour))
+def _as_colouring(g: Multigraph, k: int, colour: list[int], top: int) -> EdgeColouring:
+    return EdgeColouring(g, k, _InstanceColours(g, top, colour))
 
 
 def chromatic_index_exact(g: Multigraph, max_instances: int = INSTANCE_CAP) -> tuple[int, EdgeColouring]:
@@ -178,9 +183,6 @@ def chromatic_index_exact(g: Multigraph, max_instances: int = INSTANCE_CAP) -> t
         raise ResourceLimitError(
             f"chromatic_index_exact capped at {max_instances} edge instances, got {total}"
         )
-    if total == 0:
-        return 0, _as_colouring(g, 0, [])
-
     ends = _instances(g)
     n = len(g.labels)
 
@@ -211,11 +213,12 @@ def chromatic_index_exact(g: Multigraph, max_instances: int = INSTANCE_CAP) -> t
         return colour if bt(0, 0) else None
 
     # k = total always succeeds (give every instance its own colour), so the
-    # loop terminates without appealing to any colourability bound.
-    for k in range(max(1, g.max_degree()), total + 1):
+    # loop terminates without appealing to any colourability bound; with no
+    # instances, k = 0 does.
+    for k in range(g.max_degree(), total + 1):
         colour = solve(k)
         if colour is not None:
-            return k, _as_colouring(g, k, colour)
+            return k, _as_colouring(g, k, colour, k)
     raise RuntimeError("unreachable: k = instance count always admits a colouring")
 
 
@@ -407,7 +410,7 @@ def _fan_attempt(st: _State, e: int, x: int) -> bool:
         missing_union |= fy
 
 
-def _perturb(st: _State, e: int, attempt: int) -> bool:
+def _perturb(st: _State, e: int, attempt: int) -> None:
     """Deterministic Kempe flip near the stuck edge to change the landscape.
 
     Flips the path from one endpoint between its smallest free colour and a
@@ -418,11 +421,8 @@ def _perturb(st: _State, e: int, attempt: int) -> bool:
     v = st.ends[e][attempt % 2]
     fv = st.free(v)
     present = sorted(st.at[v])
-    if not fv or not present:
-        return False
-    alpha = _lowest(fv)
-    beta = present[(attempt // 2) % len(present)]
-    return _flip_path(st, v, beta, alpha, avoid=None)
+    if fv and present:
+        _flip_path(st, v, present[(attempt // 2) % len(present)], _lowest(fv), avoid=None)
 
 
 def _colour_edge(st: _State, e: int) -> bool:
@@ -430,25 +430,14 @@ def _colour_edge(st: _State, e: int) -> bool:
     budget = max(1, len(st.g.labels) * max(st.k, 1))
     lower = i if (st.g.deg[i], i) <= (st.g.deg[j], j) else j
     higher = j if lower == i else i
-    attempt = 0
-    stagnant = 0
-    while attempt < budget:
+    for attempt in range(budget):
         common = st.full & ~(st.used[i] | st.used[j])
         if common:
             st.assign(e, _lowest(common))
             return True
-        anchor = lower if attempt % 2 == 0 else higher
-        if _fan_attempt(st, e, anchor):
+        if _fan_attempt(st, e, lower if attempt % 2 == 0 else higher):
             return True
-        attempt += 1
-        if attempt >= budget:
-            break
-        if _perturb(st, e, attempt):
-            stagnant = 0
-        else:
-            stagnant += 1
-            if stagnant >= 2:
-                break  # nothing changes any more; retrying is pointless
+        _perturb(st, e, attempt + 1)
     return False
 
 
@@ -500,18 +489,26 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
     rotated (forward and reversed starts). None is returned only after
     every pass fails. Deterministic throughout: identical inputs give
     identical colourings.
+
+    The engine's palette is min(k, 2 * max_degree(g)). From 2 * Delta - 1
+    colours on, the two ends of an instance block at most 2 * Delta - 2 of
+    them, so every instance takes the lowest colour free at both ends and
+    no colour above 2 * Delta - 1 is used: the colouring is the same for
+    every such k, and a call costs the same time and memory at any k above
+    2 * Delta. The returned colouring's k is the k asked for.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise GraphError(f"colour count must be a nonnegative integer, got {k!r}")
     if k < g.max_degree():
         raise GraphError(f"{k} colours is below the maximum degree {g.max_degree()}")
+    palette = min(k, 2 * g.max_degree())
     st = None
     for order in _pass_orders(g.total_instances()):
-        st = _run_pass(g, k, order)
+        st = _run_pass(g, palette, order)
         if st is not None:
             break
     if st is None:
         return None
-    if not _proper(k, st.ends, st.colour):  # internal soundness guard
+    if not _proper(palette, st.ends, st.colour):  # internal soundness guard
         raise RuntimeError("fan engine produced an improper colouring")
-    return _as_colouring(g, k, st.colour)
+    return _as_colouring(g, k, st.colour, palette)

@@ -171,11 +171,8 @@ class Multigraph:
             raise GraphError(f"unknown vertex {v!r}") from None
 
     def mult(self, u: str, v: str) -> int:
-        """Multiplicity of the unordered pair, 0 when no class is present."""
-        iu, iv = self.index_of(u), self.index_of(v)
-        if iu == iv:
-            return 0
-        return self.adj[iu].get(iv, 0)
+        """Multiplicity of the unordered pair, 0 when no class is present (and for u == v)."""
+        return self.adj[self.index_of(u)].get(self.index_of(v), 0)
 
     def degree(self, v: str) -> int:
         """Sum of incident multiplicities; each parallel copy counts once."""
@@ -379,21 +376,12 @@ class SubgraphSelection:
 
     # -- label-space API -------------------------------------------------
 
-    def mult(self, u: str, v: str) -> int:
-        return self.graph.mult(u, v)
-
-    def degree(self, v: str) -> int:
-        return self.graph.degree(v)
-
     def classes(self) -> tuple[tuple[str, str, int], ...]:
         return self.graph.classes()
 
     def vertices(self) -> tuple[str, ...]:
         lab = self.parent.labels
         return tuple(lab[i] for i in range(len(lab)) if i in self.mask)
-
-    def has_edges(self) -> bool:
-        return bool(self.graph.index_classes)
 
     def strip_isolated(self) -> "SubgraphSelection":
         """Shrink the mask to the endpoints of selected classes."""
@@ -429,6 +417,14 @@ class SubgraphSelection:
 # declares a parallel class with a positive multiplicity, written in ASCII
 # digits only. Tokens are whitespace-separated, so labels cannot contain
 # whitespace.
+
+
+def _is_int(token: str) -> bool:
+    """The format's integer grammar: ASCII digits with an optional leading '-'.
+
+    The plan sidecar and the CLI's -k and --t read integers by it too.
+    """
+    return token.isascii() and token.removeprefix("-").isdigit()
 
 
 def parse(text: str) -> Multigraph:
@@ -498,7 +494,7 @@ def _parse_lines(text: str) -> Multigraph:
                 raise ParseError(lineno, "vertex declaration needs exactly one label")
         elif len(tokens) != 3:
             raise ParseError(lineno, f"malformed line: {raw.strip()!r}")
-        elif not (tokens[2].isascii() and tokens[2].removeprefix("-").isdigit()):
+        elif not _is_int(tokens[2]):
             raise ParseError(lineno, f"multiplicity {tokens[2]!r} is not an integer")
         try:
             if len(tokens) == 2:

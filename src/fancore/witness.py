@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 from .core import check_t, t_core
 from .errors import GraphError
-from .fanmetrics import COREFAN_CLASS_CAP, _cfan_terms, _failing_pairs, _level, corefan
-from .multigraph import Multigraph, SubgraphSelection
+from .fanmetrics import _cfan_terms, _failing_pairs, _level, corefan
+from .multigraph import Multigraph, SubgraphSelection, _is_int
 
 
 def _circulant_pairs(n: int, k: int) -> list[tuple[int, int]]:
@@ -70,10 +70,8 @@ def circulant_with_matching(n: int, k: int, r: int) -> tuple[Multigraph, tuple[s
     for name, val in (("n", n), ("k", k), ("r", r)):
         if not isinstance(val, int) or val < 1:
             raise GraphError(f"{name} must be a positive integer, got {val!r}")
-    if k % 2 or r % 2:
+    if k % 2 or r % 2:  # so both are at least 2
         raise GraphError(f"k and r must be even, got k={k}, r={r}")
-    if k < 2 or r < 2:
-        raise GraphError("k and r must be at least 2")
     if r > n:
         raise GraphError(f"r={r} exceeds the vertex count n={n}")
     if k >= n:
@@ -149,9 +147,7 @@ def choose_params(h: Multigraph, t: int, k_sel: SubgraphSelection) -> Constructi
     if r % 2:
         r += 1
     d_min = max(3 * r + t, delta + 2 * r * r)
-    m = -(-(d_min + t) // (r - 1))  # ceil division
-    if m < 4:
-        m = 4
+    m = -(-(d_min + t) // (r - 1))  # ceil division; d_min >= 2r^2 makes m > 2r >= 12
     if m % 2:
         m += 1
     D = m * (r - 1) - t
@@ -242,16 +238,14 @@ def _build(h: Multigraph, plan: ConstructionPlan) -> Multigraph:
     return Multigraph._derived(labels, classes)
 
 
-def construct_witness(
-    h: Multigraph, t: int, max_classes: int = COREFAN_CLASS_CAP
-) -> tuple[Multigraph, ConstructionPlan]:
+def construct_witness(h: Multigraph, t: int) -> tuple[Multigraph, ConstructionPlan]:
     """Build a graph with t-core h and certified fan(G) > max_degree(G) + t.
 
     Raises GraphError (carrying the corefan value) when corefan(h) <= t; no
     such graph exists then, so the precondition is sharp.
     """
     check_t(t)
-    report = corefan(h, max_classes=max_classes)
+    report = corefan(h)
     if report.value <= t:
         raise GraphError(
             f"corefan of the host graph is {report.value}, not above t={t}; "
@@ -325,29 +319,46 @@ def verify_witness(
 
 # -- plan sidecar text ----------------------------------------------------
 
-_INT_KEYS = ("t", "D", "r", "reg_k")
-_LIST_KEYS = ("k_vertices", "a_r", "a_rm1", "s_r", "s_rm1", "matching")
+
+def _int(token: str) -> int:
+    """int(token) for a token of the graph format's integer grammar, else int's ValueError."""
+    if not _is_int(token):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r:.200}")
+    return int(token)
+
+
+# One 'key=value' line per field, in this order: the sidecar key, the
+# ConstructionPlan field it holds and the field's kind.
+_PLAN_FIELDS = (
+    ("t", "t", "scalar"),
+    ("D", "D", "scalar"),
+    ("r", "r", "scalar"),
+    ("reg_k", "reg_k", "scalar"),
+    ("k_vertices", "k_vertices", "labels"),
+    ("a_r", "a_r", "split"),
+    ("a_rm1", "a_rm1", "split"),
+    ("s_r", "s_r_vertices", "labels"),
+    ("s_rm1", "s_rm1_vertices", "labels"),
+    ("matching", "matching", "pairs"),
+)
+
+# How each kind of field is written and read back: one integer, integers,
+# labels, or label pairs flattened; lists are space-separated.
+_KINDS = {
+    "scalar": (str, _int),
+    "split": (lambda v: " ".join(map(str, v)), lambda text: tuple(map(_int, text.split()))),
+    "labels": (" ".join, lambda text: tuple(text.split())),
+    "pairs": (lambda v: " ".join(x for pair in v for x in pair), lambda text: tuple(zip(*[iter(text.split())] * 2))),
+}
 
 
 def plan_to_text(plan: ConstructionPlan) -> str:
-    flat_matching = " ".join(f"{u} {v}" for u, v in plan.matching)
-    lines = [
-        f"t={plan.t}",
-        f"D={plan.D}",
-        f"r={plan.r}",
-        f"reg_k={plan.reg_k}",
-        f"k_vertices={' '.join(plan.k_vertices)}",
-        f"a_r={' '.join(map(str, plan.a_r))}",
-        f"a_rm1={' '.join(map(str, plan.a_rm1))}",
-        f"s_r={' '.join(plan.s_r_vertices)}",
-        f"s_rm1={' '.join(plan.s_rm1_vertices)}",
-        f"matching={flat_matching}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={_KINDS[kind][0](getattr(plan, field))}\n" for key, field, kind in _PLAN_FIELDS)
 
 
 def plan_from_text(text: str) -> ConstructionPlan:
     """Read a plan sidecar; every key exactly once, each split one entry per K vertex."""
+    keys = [key for key, _, _ in _PLAN_FIELDS]
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -357,39 +368,24 @@ def plan_from_text(text: str) -> ConstructionPlan:
             raise GraphError(f"plan line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _INT_KEYS + _LIST_KEYS:
+        if key not in keys:
             raise GraphError(f"plan line {lineno}: unknown key {key!r}")
         if key in values:
             raise GraphError(f"plan line {lineno}: duplicate key {key!r}")
         values[key] = value.strip()
-    missing = [k for k in _INT_KEYS + _LIST_KEYS if k not in values]
+    missing = [k for k in keys if k not in values]
     if missing:
         raise GraphError(f"plan is missing keys: {', '.join(missing)}")
-    try:
-        ints = {k: int(values[k]) for k in _INT_KEYS}
-    except ValueError as exc:
-        raise GraphError(f"plan has a non-integer scalar: {exc}") from None
-    try:
-        a_r = tuple(int(x) for x in values["a_r"].split())
-        a_rm1 = tuple(int(x) for x in values["a_rm1"].split())
-    except ValueError as exc:
-        raise GraphError(f"plan has a non-integer split: {exc}") from None
-    k_vertices = tuple(values["k_vertices"].split())
-    for key, split in (("a_r", a_r), ("a_rm1", a_rm1)):
-        if len(split) != len(k_vertices):
-            raise GraphError(f"plan {key} has {len(split)} entries for {len(k_vertices)} k_vertices")
-    flat = values["matching"].split()
-    if len(flat) % 2:
+    fields = {}
+    for key, field, kind in _PLAN_FIELDS:
+        try:
+            fields[field] = _KINDS[kind][1](values[key])
+        except ValueError as exc:  # only the integer kinds raise it
+            raise GraphError(f"plan has a non-integer {kind}: {exc}") from None
+    n = len(fields["k_vertices"])
+    for key in ("a_r", "a_rm1"):
+        if len(fields[key]) != n:
+            raise GraphError(f"plan {key} has {len(fields[key])} entries for {n} k_vertices")
+    if len(values["matching"].split()) % 2:
         raise GraphError("plan matching must list an even number of labels")
-    return ConstructionPlan(
-        t=ints["t"],
-        D=ints["D"],
-        r=ints["r"],
-        reg_k=ints["reg_k"],
-        k_vertices=k_vertices,
-        a_r=a_r,
-        a_rm1=a_rm1,
-        s_r_vertices=tuple(values["s_r"].split()),
-        s_rm1_vertices=tuple(values["s_rm1"].split()),
-        matching=tuple((flat[i], flat[i + 1]) for i in range(0, len(flat), 2)),
-    )
+    return ConstructionPlan(**fields)

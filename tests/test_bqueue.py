@@ -51,6 +51,33 @@ class TestValidate:
         with pytest.raises(GraphError):
             validate_bqueue(q)
 
+    def test_wrong_set_count_rejected(self):
+        g = Multigraph(edges=[("u", "v", 1)])
+        full = frozenset(g.labels)
+        for sets in ((frozenset(),), (frozenset(), full, full)):
+            assert not validate_bqueue(BQueue(graph=g, order=("u",), sets=sets))
+
+    def test_nonempty_first_set_rejected(self):
+        g = Multigraph(edges=[("u", "v", 1)])
+        q = BQueue(graph=g, order=("u",), sets=(frozenset({"u"}), frozenset(g.labels)))
+        assert not validate_bqueue(q)
+
+    def test_unknown_vertex_raises_at_its_step(self):
+        g = path_graph(["a", "b", "c"])
+        full = frozenset(g.labels)
+        q = BQueue(graph=g, order=("a", "zz"), sets=(frozenset(), frozenset({"a", "b"}), full))
+        with pytest.raises(GraphError, match="^unknown vertex 'zz' in B-queue$"):
+            validate_bqueue(q)
+        # an earlier illegal step decides first: b would add three vertices
+        assert not validate_bqueue(BQueue(graph=g, order=("b", "zz"), sets=(frozenset(), full, full)))
+
+    def test_step_adding_two_vertices_besides_u_rejected(self):
+        # after x, the centre c is reached, and choosing it would add both y and z
+        g = Multigraph(edges=[("c", "x", 1), ("c", "y", 1), ("c", "z", 1)])
+        sets = (frozenset(), frozenset({"x", "c"}), frozenset(g.labels))
+        assert validate_bqueue(BQueue(graph=g, order=("x",), sets=sets[:2]))
+        assert not validate_bqueue(BQueue(graph=g, order=("x", "c"), sets=sets))
+
 
 class TestGreedy:
     @pytest.mark.parametrize(

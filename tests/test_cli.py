@@ -375,6 +375,32 @@ class TestCapArguments:
         assert "nonnegative integer" in capsys.readouterr().err
 
 
+class TestIntegerArguments:
+    # -k and --t take integers as graph text writes them: ASCII digits with
+    # an optional leading '-'; any other spelling int() reads is a usage error
+    @pytest.mark.parametrize("value", ["\u0665", "1_0", "+5", " 5", "5.0"])
+    @pytest.mark.parametrize("command", ["colour", "tcore", "hypothesis", "construct", "verify-witness"])
+    def test_other_spellings_are_usage_errors(self, command, value, tmp_path, capsys):
+        host = fx("fat-triangle-t1.graph")
+        argv = {
+            "colour": ("colour", host, "-k", value),
+            "tcore": ("tcore", host, "--t", value),
+            "hypothesis": ("hypothesis", host, "--t", value),
+            "construct": ("construct", host, "-o", tmp_path / "w.graph", "--t", value),
+            "verify-witness": ("verify-witness", host, host, host, "--t", value),
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            cli(*argv)
+        assert exc.value.code == 2
+        assert f"invalid int value: {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "w.graph").exists()
+
+    def test_ascii_digits_and_a_minus_sign_are_read(self, capsys):
+        assert cli("colour", fx("fat-triangle-t1.graph"), "-k", "05") == cli("colour", fx("fat-triangle-t1.graph"), "-k", 5)
+        assert cli("tcore", fx("c3.graph"), "--t", "-1")[0] == 1
+        assert "nonnegative" in capsys.readouterr().err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -194,6 +194,32 @@ class TestFanColouring:
         assert c is not None and verify_colouring(c)
         assert peak < 16 * 2**20
 
+    def test_cost_does_not_grow_with_k_above_twice_max_degree(self):
+        # from 2 * Delta - 1 colours on no instance is ever stuck, so the
+        # engine runs with min(k, 2 * Delta); at k = 10^6 on this witness the
+        # palette masks and text table used to be 10^6 colours wide (about
+        # 60 MB traced), and the colouring was the same
+        g, _ = construct_witness(fixture("double-edge.graph"), 0)
+        at_2delta = fan_colouring(g, 2 * g.max_degree()).as_text()
+        tracemalloc.start()
+        try:
+            c = fan_colouring(g, 10**6)
+            text = c.as_text()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.k == 10**6 and verify_colouring(c)
+        assert text == at_2delta
+        assert peak < 4 * 2**20
+
+    def test_same_colouring_at_every_k_from_twice_max_degree_less_one(self):
+        rng = random.Random(38)
+        for _ in range(100):
+            g = random_multigraph(rng, rng.randint(2, 6), 8, 4)
+            d = g.max_degree()
+            texts = {fan_colouring(g, k).as_text() for k in range(max(d, 2 * d - 1), 2 * d + 4)}
+            assert len(texts) == 1
+
     def test_core_conditions_imply_colourability(self):
         # a passing core condition at t certifies max_degree + t colours
         rng = random.Random(37)

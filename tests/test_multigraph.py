@@ -55,6 +55,11 @@ class TestDegrees:
         with pytest.raises(GraphError):
             g.mult("a", "zz")
 
+    def test_mult_of_a_vertex_with_itself_is_zero(self):
+        g = fat_triangle_t0()
+        assert [g.mult(v, v) for v in g.labels] == [0, 0, 0]
+        assert Multigraph(vertices=["x"]).mult("x", "x") == 0
+
     def test_max_degree(self):
         assert fat_triangle_t0().max_degree() == 3
         assert fixture("fat-triangle-t1.graph").max_degree() == 5
@@ -139,6 +144,13 @@ class TestConstruction:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(GraphError, match="duplicate vertex"):
             Multigraph(vertices=["a", "a"])
+
+    @pytest.mark.parametrize("label", [5, None, b"a", ""])
+    def test_label_must_be_a_nonempty_string(self, label):
+        for build in (lambda: Multigraph(vertices=[label]), lambda: Multigraph(edges=[("a", label, 1)])):
+            with pytest.raises(GraphError) as exc:
+                build()
+            assert str(exc.value) == f"vertex label must be a non-empty string, got {label!r}"
 
     @pytest.mark.parametrize("ch", [" ", "\t", "\n", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000", "#"])
     def test_whitespace_and_hash_rejected_in_labels(self, ch):
@@ -252,6 +264,22 @@ class TestSubgraphSelection:
             SubgraphSelection(g, [("b", "c", 3)])  # above parent multiplicity
         with pytest.raises(GraphError):
             SubgraphSelection(g, [("a", "b", 1)], vertices=["a"])  # endpoint outside mask
+
+    def test_unknown_vertex_rejected(self):
+        g = fat_triangle_t0()
+        with pytest.raises(GraphError, match="^unknown vertex 'zz'$"):
+            SubgraphSelection(g, [("a", "zz", 1)])
+        with pytest.raises(GraphError, match="^unknown vertex 'zz'$"):
+            SubgraphSelection(g, [], vertices=["a", "zz"])
+
+    def test_index_of_is_limited_to_the_mask(self):
+        g = fat_triangle_t0()
+        sel = SubgraphSelection(g, [("b", "c", 1)], vertices=["b", "c"])
+        assert sel.index_of("c") == g.index_of("c")
+        with pytest.raises(GraphError, match="^vertex 'a' is outside the selection$"):
+            sel.index_of("a")
+        with pytest.raises(GraphError, match="^unknown vertex 'zz'$"):
+            sel.index_of("zz")
 
     def test_materialize_degrees_bounded(self):
         rng = random.Random(5)
@@ -386,6 +414,12 @@ class TestDerivedGraphFields:
     def test_lift_still_checks_its_multiplicity(self):
         with pytest.raises(GraphError, match="positive integer"):
             constant_multiplicity_lift(Multigraph(edges=[("a", "b", 1)]), 2.0)
+
+    def test_lift_refuses_a_multigraph_and_a_multiplicity_below_one(self):
+        with pytest.raises(GraphError, match="^lift expects a simple graph$"):
+            constant_multiplicity_lift(Multigraph(edges=[("a", "b", 2)]), 1)
+        with pytest.raises(GraphError, match="^lift multiplicity must be at least 1$"):
+            constant_multiplicity_lift(Multigraph(edges=[("a", "b", 1)]), 0)
 
 
 class TestCanonicalText:

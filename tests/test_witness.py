@@ -55,6 +55,19 @@ class TestCirculant:
         with pytest.raises(GraphError):
             circulant_with_matching(n, k, r)
 
+    @pytest.mark.parametrize("n,k,r,message", [
+        (5.0, 2, 4, "n must be a positive integer, got 5.0"),
+        (5, "2", 4, "k must be a positive integer, got '2'"),
+        (5, 0, 4, "k must be a positive integer, got 0"),
+        (5, 2, 0, "r must be a positive integer, got 0"),
+        (5, 1, 4, "k and r must be even, got k=1, r=4"),
+        (5, 2, 1, "k and r must be even, got k=2, r=1"),
+    ])
+    def test_bad_parameter_messages(self, n, k, r, message):
+        with pytest.raises(GraphError) as exc:
+            circulant_with_matching(n, k, r)
+        assert str(exc.value) == message
+
 
 class TestChooseParams:
     def test_double_edge_minimal_parameters(self):
@@ -88,6 +101,11 @@ class TestChooseParams:
         h = fixture("double-edge.graph")
         with pytest.raises(GraphError):
             choose_params(h, 0, SubgraphSelection(h, [], vertices=[]))
+
+    def test_rejects_witness_with_an_isolated_vertex(self):
+        h = Multigraph(vertices=["iso"], edges=[("x", "y", 2)])
+        with pytest.raises(GraphError, match="^witness subgraph must have no isolated vertices$"):
+            choose_params(h, 0, SubgraphSelection(h, [("x", "y", 2)]))
 
     def test_rejects_witness_of_a_reordered_host(self):
         h = Multigraph(edges=[("a", "b", 2), ("b", "c", 1)])
@@ -345,3 +363,41 @@ class TestPlanText:
         ]
         with pytest.raises(GraphError, match=f"plan {key} has 3 entries for 2 k_vertices"):
             plan_from_text("\n".join(lines))
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("r=8\n", "r 8\n", "plan line 3: expected key=value, got 'r 8'"),
+        ("a_r=5 5\n", "a_r=5 x\n", "plan has a non-integer split: invalid literal for int() with base 10: 'x'"),
+        ("matching=sr0", "matching=sq0 sr0", "plan matching must list an even number of labels"),
+    ])
+    def test_malformed_sidecar_message(self, old, new, message):
+        _, plan = construct_witness(fixture("double-edge.graph"), 0)
+        text = plan_to_text(plan)
+        assert text.count(old) == 1
+        with pytest.raises(GraphError) as exc:
+            plan_from_text(text.replace(old, new))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("key,value", [("D", "x"), ("D", "x" * 300), ("D", "1 2"), ("t", ""), ("r", "--8")])
+    def test_non_integer_message_is_ints(self, key, value):
+        _, plan = construct_witness(fixture("double-edge.graph"), 0)
+        old = f"{key}={getattr(plan, key)}\n"
+        with pytest.raises(ValueError) as ref:
+            int(value)
+        with pytest.raises(GraphError) as exc:
+            plan_from_text(plan_to_text(plan).replace(old, f"{key}={value}\n"))
+        assert str(exc.value) == f"plan has a non-integer scalar: {ref.value}"
+
+    @pytest.mark.parametrize("old,new,kind,token", [
+        ("D=140\n", "D=\u0661\u0664\u0660\n", "scalar", "\u0661\u0664\u0660"),
+        ("t=0\n", "t=+0\n", "scalar", "+0"),
+        ("r=8\n", "r=0_8\n", "scalar", "0_8"),
+        ("a_r=5 5\n", "a_r=5 \u0665\n", "split", "\u0665"),
+        ("a_rm1=14 14\n", "a_rm1=+14 14\n", "split", "+14"),
+    ])
+    def test_integers_follow_the_graph_format_grammar(self, old, new, kind, token):
+        # ASCII digits with an optional leading '-', like a multiplicity;
+        # int() alone would read each of these
+        _, plan = construct_witness(fixture("double-edge.graph"), 0)
+        with pytest.raises(GraphError) as exc:
+            plan_from_text(plan_to_text(plan).replace(old, new))
+        assert str(exc.value) == f"plan has a non-integer {kind}: invalid literal for int() with base 10: {token!r}"
