@@ -6,7 +6,7 @@ colourings, B-queue orders) sit between 'begin <name>' and 'end <name>'
 markers so harnesses can cut them out and re-verify them with the library.
 Output is deterministic byte for byte for identical inputs.
 
-Exit codes: 0 ok, 1 domain error, 2 usage error, 3 enumeration cap exceeded.
+Exit codes: 0 ok, 1 domain error, 2 usage error, 3 a size cap exceeded.
 """
 
 from __future__ import annotations
@@ -65,10 +65,11 @@ def _integer(text: str) -> int:
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type of the --max-* caps: ASCII digits, so a negative cap is a usage error."""
-    if not (text.isascii() and text.isdigit()):
+    """argparse type of the --max-* caps: an _integer, and a negative cap is a usage error."""
+    value = _integer(text)
+    if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return int(text)
+    return value
 
 
 def _block(out, name: str, body: str) -> None:

@@ -5,35 +5,39 @@ Parallel copies are coloured individually, so an assignment maps
 when they share an endpoint; properness forbids equal colours on adjacent
 instances.
 
-chromatic_index_exact is a plain backtracking solver over edge instances
-with two symmetry prunings (a fresh instance may only open one new colour,
-and copies of the same class take ascending colours). It is the oracle the
-rest of the package is checked against, guarded by an instance cap.
+Both solvers colour on one palette state, _State, whose palettes are
+bitmasks: each vertex keeps the colours on its instances as one int, bit c
+for colour c, updated on every assign and unassign. The colours free at a
+vertex, or at both ends of an instance, are then one and-not against the
+full palette, every membership test is one bit test, and the smallest
+free colour is the lowest set bit.
+
+chromatic_index_exact is a plain backtracking search on that state over
+the edge instances in order, with two symmetry prunings: a fresh instance
+may only open one new colour, and copies of the same class take ascending
+colours. An instance's candidates are one mask, the colours free at both
+ends cut to that range, tried lowest bit first. It is the oracle the rest
+of the package is checked against, guarded by an instance cap.
 
 fan_colouring is the constructive engine. It colours instances one at a
-time; when an instance has no colour free at both endpoints it builds a fan
-anchored at one endpoint and repairs the colouring by fan rotation
-("folding") and two-colour alternating-path swaps (Kempe chains). With
-k >= max over v of degree(v) + vertex_mult(v), a stuck fan is arithmetically
-impossible, so the engine always succeeds there; below that bound it is a
-deterministic best-effort search with a hard retry budget per instance.
-The palette is bounded by 2 * max_degree: with that many colours no
-instance is ever stuck, so a larger k gives the same colouring, and the
-engine runs with min(k, 2 * Delta) colours whatever k is asked for.
+time, each with the lowest colour free at both ends; when an instance has
+none it builds a fan anchored at one endpoint and repairs the colouring by
+fan rotation ("folding") and two-colour alternating-path swaps (Kempe
+chains). With k >= max over v of degree(v) + vertex_mult(v), a stuck fan
+is arithmetically impossible, so the engine always succeeds there; below
+that bound it is a deterministic best-effort search with a hard retry
+budget per instance. The palette is bounded by 2 * max_degree: with that
+many colours no instance is ever stuck, so a larger k gives the same
+colouring, and the engine runs with min(k, 2 * Delta) colours whatever k
+is asked for.
 
-Palettes are bitmasks: each vertex keeps the colours on its instances as
-one int, bit c for colour c, updated on every assign and unassign. The
-colours free at a vertex, or at both ends of an instance, are then one
-and-not against the full palette, every membership test is one bit test,
-and the smallest free colour, the one the engine always takes, is the
-lowest set bit. Those are the colours a set-based palette gives, so the
-colourings, and the None results, do not depend on the representation.
-
-The engine's soundness guard works in index space and trusts none of that
-bookkeeping: it recomputes every vertex's colours from scratch from the
-instance endpoints and colours alone, and raises RuntimeError unless every
-colour is in 1..k and none repeats at a vertex. verify_colouring maps a
-label-keyed assignment onto the instances and runs the same check.
+The check of a colouring shares no code with that state. _proper
+recomputes every vertex's colours from scratch from the instance
+endpoints and colours alone, and fails unless every colour is in 1..k and
+none repeats at a vertex. It is the engine's soundness guard, which
+raises RuntimeError on an improper colouring, and verify_colouring, which
+checks the exact solver's colourings in the tests, maps a label-keyed
+assignment onto the instances and runs the same check.
 
 Colouring text has one formatter, _colouring_text, which writes a line per
 instance from the instance's colour. A colouring the library makes keeps
@@ -172,57 +176,7 @@ def _keys(g: Multigraph) -> list[tuple[str, str, int]]:
     return [(lab[i], lab[j], c) for i, j, m in g.index_classes for c in range(m)]
 
 
-def _as_colouring(g: Multigraph, k: int, colour: list[int], top: int) -> EdgeColouring:
-    return EdgeColouring(g, k, _InstanceColours(g, top, colour))
-
-
-def chromatic_index_exact(g: Multigraph, max_instances: int = INSTANCE_CAP) -> tuple[int, EdgeColouring]:
-    """Exact chromatic index plus an optimal colouring, by backtracking."""
-    total = g.total_instances()
-    if total > max_instances:
-        raise ResourceLimitError(
-            f"chromatic_index_exact capped at {max_instances} edge instances, got {total}"
-        )
-    ends = _instances(g)
-    n = len(g.labels)
-
-    def solve(k: int):
-        colour = [0] * total
-        used_at: list[set[int]] = [set() for _ in range(n)]
-
-        def bt(idx: int, maxused: int) -> bool:
-            if idx == total:
-                return True
-            i, j = ends[idx]
-            # ascending colours along copies of one class
-            lo = colour[idx - 1] + 1 if idx > 0 and ends[idx - 1] == (i, j) else 1
-            hi = min(k, maxused + 1)
-            for c in range(lo, hi + 1):
-                if c in used_at[i] or c in used_at[j]:
-                    continue
-                colour[idx] = c
-                used_at[i].add(c)
-                used_at[j].add(c)
-                if bt(idx + 1, max(maxused, c)):
-                    return True
-                used_at[i].discard(c)
-                used_at[j].discard(c)
-            colour[idx] = 0
-            return False
-
-        return colour if bt(0, 0) else None
-
-    # k = total always succeeds (give every instance its own colour), so the
-    # loop terminates without appealing to any colourability bound; with no
-    # instances, k = 0 does.
-    for k in range(g.max_degree(), total + 1):
-        colour = solve(k)
-        if colour is not None:
-            return k, _as_colouring(g, k, colour, k)
-    raise RuntimeError("unreachable: k = instance count always admits a colouring")
-
-
-# -- the fan engine -------------------------------------------------------
+# -- the palette state both solvers share ---------------------------------
 
 
 class _State:
@@ -278,6 +232,50 @@ class _State:
 def _lowest(mask: int) -> int:
     """The smallest colour in a nonzero mask: its lowest set bit."""
     return (mask & -mask).bit_length() - 1
+
+
+def chromatic_index_exact(g: Multigraph, max_instances: int = INSTANCE_CAP) -> tuple[int, EdgeColouring]:
+    """Exact chromatic index plus an optimal colouring, by backtracking."""
+    total = g.total_instances()
+    if total > max_instances:
+        raise ResourceLimitError(
+            f"chromatic_index_exact capped at {max_instances} edge instances, got {total}"
+        )
+    # k = total always succeeds (give every instance its own colour), so the
+    # loop terminates without appealing to any colourability bound; with no
+    # instances, k = 0 does.
+    for k in range(g.max_degree(), total + 1):
+        st = _State(g, k)
+        if _extend(st, 0, 0):
+            return k, EdgeColouring(g, k, _InstanceColours(g, k, st.colour))
+    raise RuntimeError("unreachable: k = instance count always admits a colouring")
+
+
+def _extend(st: _State, e: int, top: int) -> bool:
+    """Whether st's colouring of the instances before e extends to them all.
+
+    top is the largest colour used so far. Instance e tries, lowest first,
+    the colours free at both its ends from lo to top + 1: a fresh instance
+    opens at most one new colour, and a copy of the class before it starts
+    one above that copy's colour (lo), so no colouring is tried twice up to
+    a renaming of colours or of parallel copies. On False st is as it was.
+    """
+    if e == len(st.ends):
+        return True
+    i, j = st.ends[e]
+    lo = st.colour[e - 1] + 1 if e and st.ends[e - 1] == (i, j) else 1
+    cand = st.full & ~(st.used[i] | st.used[j]) & ((1 << top + 2) - (1 << lo))
+    while cand:
+        c = _lowest(cand)
+        st.assign(e, c)
+        if _extend(st, e + 1, max(top, c)):
+            return True
+        st.unassign(e)
+        cand &= cand - 1
+    return False
+
+
+# -- the fan engine -------------------------------------------------------
 
 
 def _flip_path(st: _State, start: int, c_present: int, c_missing: int, avoid) -> bool:
@@ -511,4 +509,4 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
         return None
     if not _proper(palette, st.ends, st.colour):  # internal soundness guard
         raise RuntimeError("fan engine produced an improper colouring")
-    return _as_colouring(g, k, st.colour, palette)
+    return EdgeColouring(g, k, _InstanceColours(g, palette, st.colour))

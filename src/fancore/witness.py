@@ -38,9 +38,14 @@ import re
 from dataclasses import dataclass
 
 from .core import check_t, t_core
-from .errors import GraphError
+from .errors import GraphError, ResourceLimitError
 from .fanmetrics import _cfan_terms, _failing_pairs, _level, corefan
 from .multigraph import Multigraph, SubgraphSelection, _is_int
+
+# The most classes construct_witness builds: some 220 MB of graph at the
+# 206 bytes a class that building 'x y 120' at t = 40 adds to peak RSS.
+# The largest fixture witness, multiforest-path at t = 4, has 2,856.
+WITNESS_CLASS_CAP = 1 << 20
 
 
 def _circulant_pairs(n: int, k: int) -> list[tuple[int, int]]:
@@ -138,7 +143,11 @@ def _validate_witness_subgraph(h: Multigraph, k_sel: SubgraphSelection, t: int) 
 
 
 def choose_params(h: Multigraph, t: int, k_sel: SubgraphSelection) -> ConstructionPlan:
-    """Pick minimal (r, D), the per-vertex splits, and the fresh vertex names."""
+    """Pick minimal (r, D), the per-vertex splits, and the fresh vertex names.
+
+    Raises ResourceLimitError, before any label is made, when the graph the
+    plan builds would have more than WITNESS_CLASS_CAP classes.
+    """
     check_t(t)
     _validate_witness_subgraph(h, k_sel, t)
 
@@ -165,17 +174,26 @@ def choose_params(h: Multigraph, t: int, k_sel: SubgraphSelection) -> Constructi
         a_r[0] += r - 1
         a_rm1[0] -= r
 
+    reg_k = (D + t) // (r - 1) - 2
+    s = sum(a_r) + sum(a_rm1)
+    if reg_k % 2 or reg_k < 2 or s <= reg_k:
+        raise RuntimeError("parameter choice broke the circulant preconditions")
+    # _build's classes: h's, the stage-1 pendants, the circulant on S, and
+    # per vertex outside K one class of multiplicity r - 1 plus single copies
+    classes = h.class_count + s + s * reg_k // 2 + sum(
+        1 + D - h.deg[v] - (r - 1) for v in range(h.vertex_count) if v not in k_sel.mask
+    )
+    if classes > WITNESS_CLASS_CAP:
+        raise ResourceLimitError(
+            f"construct_witness capped at {WITNESS_CLASS_CAP} classes, the plan for t={t} makes {classes}"
+        )
+
     prefix = _fresh_prefix(h.labels)
     s_r_vertices = tuple(f"{prefix}sr{i}" for i in range(sum(a_r)))
     s_rm1_vertices = tuple(f"{prefix}sq{i}" for i in range(sum(a_rm1)))
     matching = tuple(
         (s_r_vertices[2 * j], s_r_vertices[2 * j + 1]) for j in range(len(s_r_vertices) // 2)
     )
-
-    reg_k = (D + t) // (r - 1) - 2
-    s = len(s_r_vertices) + len(s_rm1_vertices)
-    if reg_k % 2 or reg_k < 2 or s <= reg_k:
-        raise RuntimeError("parameter choice broke the circulant preconditions")
 
     return ConstructionPlan(
         t=t,

@@ -23,12 +23,14 @@ the brute-force oracle; and (c) that the hand-checked counterexample is
 among those disagreements.
 """
 
+import math
 import random
 import time
 
 from fancore import (
     Multigraph,
     SubgraphSelection,
+    bqueue_core_condition,
     cfan_degree,
     chromatic_index_exact,
     constant_multiplicity_lift,
@@ -295,3 +297,41 @@ def test_criterion_10_reports_self_certify():
     elapsed = time.perf_counter() - start
     assert mismatches == 0
     announce(10, elapsed, f"{checked} randomized reports re-evaluate to their stated values")
+
+
+def test_criterion_11_core_conditions_bound_fan():
+    # The theorem in its Fan form: when the t-core passes the forest or
+    # B-queue condition, or has corefan <= t, then Fan(G) <= max_degree + t.
+    # Every Fan(G) is also a colour count the fan engine meets.
+    def family():
+        yield from all_small_multigraphs(4, 4, 3)
+        rng = random.Random(2310)
+        count = 0
+        while count < 400:
+            g = random_multigraph(rng, rng.randint(5, 7), 10, 3)
+            if math.prod(m + 1 for _, _, m in g.index_classes) <= 1 << 14:
+                count += 1
+                yield g
+
+    start = time.perf_counter()
+    graphs = cases = 0
+    for g in family():
+        graphs += 1
+        bound = fan_bound(g)
+        colouring = fan_colouring(g, bound)
+        assert colouring is not None and verify_colouring(colouring), g.classes()
+        for t in range(4):
+            core = t_core(g, t)
+            if not core.class_count:
+                continue
+            if (
+                forest_core_condition(g, t)[0]
+                or bqueue_core_condition(g, t)[0]
+                or corefan(core).value <= t
+            ):
+                cases += 1
+                assert bound <= g.max_degree() + t, (g.classes(), t)
+    elapsed = time.perf_counter() - start
+    assert (graphs, cases) == (2309, 708)
+    assert elapsed < 60.0
+    announce(11, elapsed, f"Fan <= max_degree + t in {cases} condition cases on {graphs} multigraphs")

@@ -4,6 +4,7 @@ import hashlib
 import io
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -243,6 +244,21 @@ class TestConstruct:
         code, _ = cli("construct", fx("fig2-h4.graph"), "--t", 0, "-o", tmp_path / "x.graph")
         assert code == 1
 
+    def test_oversized_witness_is_refused_before_it_is_built(self, tmp_path, capsys):
+        # corefan of 'x y 2000' is 1999, so t = 1000 is accepted, and the
+        # plan is a 6,014-regular circulant on 12,030 S vertices
+        host = tmp_path / "host.graph"
+        host.write_text("x y 2000\n")
+        start = time.perf_counter()
+        code, out = cli("construct", host, "--t", 1000, "-o", tmp_path / "w.graph")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == (
+            "resource error: construct_witness capped at 1048576 classes, "
+            "the plan for t=1000 makes 36186241\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["host.graph"]
+
     def test_failed_verification_reports_diagnostics(self, tmp_path):
         out_path = tmp_path / "w.graph"
         assert cli("construct", fx("double-edge.graph"), "--t", 0, "-o", out_path)[0] == 0
@@ -357,22 +373,33 @@ class TestProcessLevel:
         assert [code for code, _ in separate] == [2, 0, 0]
 
 
+CAP_ARGUMENTS = [
+    ("corefan", "--max-classes"),
+    ("corefan", "--brute", "--max-subgraphs"),
+    ("fan", "--max-subgraphs"),
+    ("chi", "--max-instances"),
+    ("bqueue", "--exhaustive", "--max-vertices"),
+]
+
+
 class TestCapArguments:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("corefan", "--max-classes"),
-            ("corefan", "--brute", "--max-subgraphs"),
-            ("fan", "--max-subgraphs"),
-            ("chi", "--max-instances"),
-            ("bqueue", "--exhaustive", "--max-vertices"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", CAP_ARGUMENTS)
     def test_negative_cap_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli(argv[0], fx("c3.graph"), *argv[1:], -1)
         assert exc.value.code == 2
         assert "nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", CAP_ARGUMENTS)
+    def test_cap_beyond_the_int_digit_limit_is_usage_error(self, argv, capsys):
+        # more digits than int converts: the message is -k's and --t's, and
+        # names no function of the module
+        with pytest.raises(SystemExit) as exc:
+            cli(argv[0], fx("c3.graph"), *argv[1:], "1" * 4400)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[-1]}: invalid int value: '1111" in err
+        assert "_nonnegative_int" not in err
 
 
 class TestIntegerArguments:

@@ -87,6 +87,30 @@ class TestExactChromaticIndex:
             assert value >= g.max_degree()
             assert verify_colouring(colouring)
 
+    def test_bytes_are_pinned(self):
+        # one sha256 over f"{k}\n{as_text}" on every four-vertex family member
+        # and 1,000 seeded multigraphs of 13-20 instances (592 of the 2,909
+        # graphs need more than max_degree colours), recorded before the
+        # solver moved onto the fan engine's palette state
+        def family():
+            yield from all_small_multigraphs(4, 4, 3)
+            rng = random.Random(1213)
+            count = 0
+            while count < 1000:
+                g = random_multigraph(rng, rng.randint(3, 6), 8, 4)
+                if 13 <= g.total_instances() <= 20:
+                    count += 1
+                    yield g
+
+        digest, graphs, above = hashlib.sha256(), 0, 0
+        for g in family():
+            k, c = chromatic_index_exact(g)
+            digest.update(f"{k}\n{c.as_text()}".encode())
+            graphs += 1
+            above += k > g.max_degree()
+        assert (graphs, above) == (2909, 592)
+        assert digest.hexdigest() == "6e1e22b7606580e5ad64a0134930d49fe3772a7783127305f9de6bc95fb7232a"
+
 
 class TestFanColouring:
     def test_path_two_colours(self):

@@ -7,6 +7,7 @@ import pytest
 from fancore import (
     GraphError,
     Multigraph,
+    ResourceLimitError,
     SubgraphSelection,
     choose_params,
     circulant_with_matching,
@@ -20,6 +21,7 @@ from fancore import (
     t_core,
     verify_witness,
 )
+from fancore import witness
 from helpers import FIXTURES, fixture
 
 
@@ -324,6 +326,19 @@ def test_construct_bytes_are_pinned(name, t, graph_digest, plan_digest):
     g, plan = construct_witness(fixture(name), t)
     assert hashlib.sha256(serialize(g).encode()).hexdigest() == graph_digest
     assert hashlib.sha256(plan_to_text(plan).encode()).hexdigest() == plan_digest
+
+
+@pytest.mark.parametrize("name,t", [(name, t) for name, t, _, _ in CONSTRUCT_PINS])
+def test_class_cap_counts_the_built_classes(name, t, monkeypatch):
+    # the count choose_params checks against the cap is the class count of
+    # the graph _build makes: it builds at that cap and is refused one below
+    h = fixture(name)
+    g, _ = construct_witness(h, t)
+    monkeypatch.setattr(witness, "WITNESS_CLASS_CAP", g.class_count)
+    assert construct_witness(h, t)[0] == g
+    monkeypatch.setattr(witness, "WITNESS_CLASS_CAP", g.class_count - 1)
+    with pytest.raises(ResourceLimitError, match=f"capped at {g.class_count - 1} classes, .* makes {g.class_count}$"):
+        construct_witness(h, t)
 
 
 class TestPlanText:
