@@ -19,7 +19,6 @@ from .fanmetrics import (
     degree_preserving_set,
     fan_bound,
     fan_degree,
-    fan_edge_certificates,
     fan_number,
     fan_pair_exceeds,
     full_multiplicity_criterion,
@@ -29,7 +28,6 @@ from .multigraph import Multigraph, SubgraphSelection, dump, load, parse, serial
 from .witness import (
     ConstructionPlan,
     choose_params,
-    circulant_with_matching,
     construct_witness,
     plan_from_text,
     plan_to_text,
@@ -53,7 +51,6 @@ __all__ = [
     "cfan_degree",
     "chromatic_index_exact",
     "choose_params",
-    "circulant_with_matching",
     "constant_multiplicity_lift",
     "construct_witness",
     "core_report",
@@ -66,7 +63,6 @@ __all__ = [
     "fan_bound",
     "fan_colouring",
     "fan_degree",
-    "fan_edge_certificates",
     "fan_number",
     "fan_pair_exceeds",
     "forest_core_condition",

@@ -124,25 +124,25 @@ def exhaustive_full_bqueue(b: Multigraph, max_vertices: int = EXHAUSTIVE_VERTEX_
         )
 
     picks: list[int] = []
+    added: list[frozenset[int]] = []  # what each pick added to reach
+    reach: set[int] = set()
     used = [False] * n
-
-    def search(reach: frozenset[int]) -> bool:
-        if len(reach) == n:
-            return True
-        for i in range(n):
-            if used[i]:
-                continue
-            new = _legal_new(b, i, set(reach))
-            if new is None:
-                continue
+    i = 0  # the next vertex to try after the last pick
+    while len(reach) < n:
+        new = _legal_new(b, i, reach) if i < n and not used[i] else None
+        if new is not None:
             used[i] = True
             picks.append(i)
-            if search(reach | new):
-                return True
-            picks.pop()
+            added.append(new)
+            reach |= new
+            i = 0
+        elif i < n:
+            i += 1
+        elif picks:  # nothing extends this queue: take its last pick back
+            reach -= added.pop()
+            i = picks.pop()
             used[i] = False
-        return False
-
-    if search(frozenset()):
-        return _as_bqueue(b, picks)
-    return None
+            i += 1
+        else:
+            return None
+    return _as_bqueue(b, picks)

@@ -182,9 +182,11 @@ def _keys(g: Multigraph) -> list[tuple[str, str, int]]:
 class _State:
     """Mutable partial colouring with per-vertex colour lookup.
 
-    used[v] has bit c set when colour c is on an instance at v, so the free
-    colours of v are the bits of full & ~used[v]; at[v] maps each colour at
-    v to its instance, for the Kempe walks.
+    used[v] is the one record of which colours sit at v: bit c is set when
+    colour c is on an instance at v, so the free colours of v are the bits
+    of full & ~used[v]. at[v][c] is that instance, for the Kempe walks; it
+    is valid wherever bit c of used[v] is set, and unassign leaves stale
+    entries behind, so at is read only after a bit test.
     """
 
     def __init__(self, g: Multigraph, k: int):
@@ -219,11 +221,8 @@ class _State:
         self.used[j] |= bit
 
     def unassign(self, e: int) -> None:
-        c = self.colour[e]
         i, j = self.ends[e]
-        del self.at[i][c]
-        del self.at[j][c]
-        bit = 1 << c
+        bit = 1 << self.colour[e]
         self.used[i] ^= bit
         self.used[j] ^= bit
         self.colour[e] = 0
@@ -246,33 +245,44 @@ def chromatic_index_exact(g: Multigraph, max_instances: int = INSTANCE_CAP) -> t
     # instances, k = 0 does.
     for k in range(g.max_degree(), total + 1):
         st = _State(g, k)
-        if _extend(st, 0, 0):
+        if _extend(st):
             return k, EdgeColouring(g, k, _InstanceColours(g, k, st.colour))
     raise RuntimeError("unreachable: k = instance count always admits a colouring")
 
 
-def _extend(st: _State, e: int, top: int) -> bool:
-    """Whether st's colouring of the instances before e extends to them all.
+def _extend(st: _State) -> bool:
+    """Whether st's empty colouring extends to every instance, by depth-first search.
 
-    top is the largest colour used so far. Instance e tries, lowest first,
-    the colours free at both its ends from lo to top + 1: a fresh instance
-    opens at most one new colour, and a copy of the class before it starts
-    one above that copy's colour (lo), so no colouring is tried twice up to
-    a renaming of colours or of parallel copies. On False st is as it was.
+    Instance e tries, lowest first, the colours free at both its ends from
+    lo to top[e] + 1, top[e] being the largest colour on the instances
+    before it: a fresh instance opens at most one new colour, and a copy of
+    the class before it starts one above that copy's colour (lo), so no
+    colouring is tried twice up to a renaming of colours or of parallel
+    copies. cand[e] holds the candidates e has still to try. An instance is
+    uncoloured when the search first reaches it and coloured when the
+    search backs up to it. On False st is as it was.
     """
-    if e == len(st.ends):
-        return True
-    i, j = st.ends[e]
-    lo = st.colour[e - 1] + 1 if e and st.ends[e - 1] == (i, j) else 1
-    cand = st.full & ~(st.used[i] | st.used[j]) & ((1 << top + 2) - (1 << lo))
-    while cand:
-        c = _lowest(cand)
-        st.assign(e, c)
-        if _extend(st, e + 1, max(top, c)):
-            return True
-        st.unassign(e)
-        cand &= cand - 1
-    return False
+    ends, colour, used = st.ends, st.colour, st.used
+    n = len(ends)
+    cand = [0] * n
+    top = [0] * (n + 1)
+    e = 0
+    while 0 <= e < n:
+        if colour[e]:
+            st.unassign(e)
+        else:
+            i, j = ends[e]
+            lo = colour[e - 1] + 1 if e and ends[e - 1] == (i, j) else 1
+            cand[e] = st.full & ~(used[i] | used[j]) & ((1 << top[e] + 2) - (1 << lo))
+        if cand[e]:
+            c = _lowest(cand[e])
+            cand[e] &= cand[e] - 1
+            st.assign(e, c)
+            top[e + 1] = max(top[e], c)
+            e += 1
+        else:
+            e -= 1
+    return e == n
 
 
 # -- the fan engine -------------------------------------------------------
@@ -286,12 +296,13 @@ def _flip_path(st: _State, start: int, c_present: int, c_missing: int, avoid) ->
     and the far end of the path is that vertex, nothing is swapped and the
     call reports False (swapping would disturb the fan anchor's palette).
     """
-    if (st.used[start] >> c_missing & 1) or not (st.used[start] >> c_present & 1):
+    used = st.used
+    if (used[start] >> c_missing & 1) or not (used[start] >> c_present & 1):
         return False
     z, cur = start, c_present
     chain: list[int] = []
     limit = len(st.ends) + 1
-    while cur in st.at[z]:
+    while used[z] >> cur & 1:
         e = st.at[z][cur]
         chain.append(e)
         z = st.other(e, z)
@@ -418,7 +429,8 @@ def _perturb(st: _State, e: int, attempt: int) -> None:
     """
     v = st.ends[e][attempt % 2]
     fv = st.free(v)
-    present = sorted(st.at[v])
+    u = st.used[v]
+    present = [c for c in range(u.bit_length()) if u >> c & 1]
     if fv and present:
         _flip_path(st, v, present[(attempt // 2) % len(present)], _lowest(fv), avoid=None)
 

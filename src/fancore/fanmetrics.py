@@ -64,9 +64,9 @@ the largest term other than y's: the largest unless y holds it, else the
 second, which equals it on a tie. fan_pair_exceeds and the searches make
 that pass for one pair.
 
-The certificate kernel behind fan_edge_certificates and verify_witness
-decides a whole anchor at once. Condition (i) fails for every y exactly
-when the least d_J(y) - mult_J(x, y) is above k - d_J(x). When x has two
+The certificate kernel behind verify_witness, _failing_pairs, decides a
+whole anchor at once. Condition (i) fails for every y exactly when the
+least d_J(y) - mult_J(x, y) is above k - d_J(x). When x has two
 or more neighbours, every pair's worst sum is total + min(0, b_y - k),
 b_y being y's term: y has positive company unless its contribution is
 the only positive one, and then it is padded with the largest other term,
@@ -155,18 +155,13 @@ def _worst_set(base: dict[int, int], y: int, k: int, need_two: bool) -> list[int
     return zset
 
 
-def _fan_base(deg, adj, x: int) -> dict[int, int]:
-    """The fan terms of anchor x: d_J(z) + mult_J(x, z) for each neighbour z."""
-    return {z: deg[z] + m for z, m in adj[x].items()}
-
-
 def _fan_terms(deg, adj, x: int, y: int) -> tuple[dict[int, int], int, bool, int]:
     """The arguments of _level for the fan degree of (x, y) in index space.
 
-    Z needs two members, and condition (i) caps the value at
-    d_J(x) + d_J(y) - mult_J(x, y).
+    The term of neighbour z is d_J(z) + mult_J(x, z). Z needs two members,
+    and condition (i) caps the value at d_J(x) + d_J(y) - mult_J(x, y).
     """
-    return _fan_base(deg, adj, x), y, True, deg[x] + deg[y] - adj[x][y]
+    return {z: deg[z] + m for z, m in adj[x].items()}, y, True, deg[x] + deg[y] - adj[x][y]
 
 
 def _cfan_terms(hdeg, deg, adj, x: int, y: int) -> tuple[dict[int, int], int, bool, int]:
@@ -273,21 +268,6 @@ def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
                 if not (k < deg[x] + deg[y] - m and _worst_sum(anchor, base[y], k, True) > 1)]
     bad.sort(key=lambda p: (min(p), max(p), p[0] > p[1]))
     return bad
-
-
-def fan_edge_certificates(j: Multigraph, k: int) -> list[tuple[str, str, bool]]:
-    """fan_pair_exceeds(j, x, y, k)[0] for every ordered pair (x, y) on an edge of j.
-
-    The pairs come class by class as (lo, hi) then (hi, lo), in dense pair
-    order; the answers are _failing_pairs', so the whole graph is certified
-    in time linear in its classes. A negative k raises GraphError.
-    """
-    if k < 0:
-        raise GraphError(f"level {k} is negative")
-    labels = j.labels
-    bad = set(_failing_pairs(j, range(len(labels)), k))
-    return [(labels[x], labels[y], (x, y) not in bad)
-            for lo, hi, _ in j.index_classes for x, y in ((lo, hi), (hi, lo))]
 
 
 def cfan_degree(h: Multigraph, k_sel: SubgraphSelection, x: str, y: str) -> tuple[int, frozenset[str]]:

@@ -114,7 +114,7 @@ class Multigraph:
     classes as ``(i, j, m)`` with ``i < j``, sorted by dense index pair.
     """
 
-    __slots__ = ("labels", "_index", "adj", "deg", "index_classes", "_hash")
+    __slots__ = ("labels", "_index", "adj", "deg", "index_classes")
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable[tuple[str, str, int]] = ()):
         b = _Builder()
@@ -143,7 +143,6 @@ class Multigraph:
             adj[j][i] = m
         self.adj = tuple(adj)
         self.deg = tuple(map(sum, map(dict.values, adj)))
-        self._hash = None
         return self
 
     @classmethod
@@ -262,20 +261,18 @@ class Multigraph:
 
     # -- value semantics -----------------------------------------------
 
+    def _key(self) -> tuple[frozenset[str], frozenset[tuple[str, str, int]]]:
+        """The vertex labels and the classes with endpoints in label order, as sets."""
+        return frozenset(self.labels), frozenset(map(_norm_class, self.classes()))
+
     def __eq__(self, other) -> bool:
         """Label-preserving equality: same vertex labels, same multiplicities."""
         if not isinstance(other, Multigraph):
             return NotImplemented
-        if set(self.labels) != set(other.labels):
-            return False
-        return set(map(_norm_class, self.classes())) == set(map(_norm_class, other.classes()))
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(
-                (frozenset(self.labels), frozenset(map(_norm_class, self.classes())))
-            )
-        return self._hash
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Multigraph({len(self.labels)} vertices, {self.class_count} classes)"

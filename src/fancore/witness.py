@@ -64,28 +64,6 @@ def _circulant_pairs(n: int, k: int) -> list[tuple[int, int]]:
     ]
 
 
-def circulant_with_matching(n: int, k: int, r: int) -> tuple[Multigraph, tuple[str, ...]]:
-    """k-regular simple circulant on n vertices with a matched r-set.
-
-    Requires k and r even, 2 <= r <= n, 2 <= k < n. Vertices are labelled
-    c0..c{n-1}; the returned set S_r is the first r labels, whose induced
-    subgraph contains the perfect matching (c0,c1), (c2,c3), ... realized by
-    distance-1 circulant edges.
-    """
-    for name, val in (("n", n), ("k", k), ("r", r)):
-        if not isinstance(val, int) or val < 1:
-            raise GraphError(f"{name} must be a positive integer, got {val!r}")
-    if k % 2 or r % 2:  # so both are at least 2
-        raise GraphError(f"k and r must be even, got k={k}, r={r}")
-    if r > n:
-        raise GraphError(f"r={r} exceeds the vertex count n={n}")
-    if k >= n:
-        raise GraphError(f"regular degree k={k} needs more than k vertices, got n={n}")
-    labels = [f"c{i}" for i in range(n)]
-    edges = [(labels[i], labels[j], 1) for i, j in _circulant_pairs(n, k)]
-    return Multigraph(labels, edges), tuple(labels[:r])
-
-
 @dataclass(frozen=True)
 class ConstructionPlan:
     """Everything needed to rebuild or verify a constructed witness graph."""

@@ -349,6 +349,39 @@ class TestProcessLevel:
         assert result.returncode == 1
         assert "loop" in result.stderr
 
+    @staticmethod
+    def long_path(tmp_path):
+        """A path of 1,500 edges, deeper than the interpreter's default recursion limit of 1,000 frames."""
+        path = tmp_path / "path.graph"
+        path.write_text("".join(f"p{i} p{i + 1} 1\n" for i in range(1500)))
+        return path
+
+    def test_chi_on_a_long_path_needs_no_deep_recursion(self, tmp_path):
+        path = self.long_path(tmp_path)
+        result = subprocess.run(
+            [sys.executable, "-m", "fancore.cli", "chi", str(path), "--max-instances", "2000"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr[-300:]
+        assert keyvals(result.stdout)["chi"] == "2"
+        assignment = {}
+        for line in block(result.stdout, "colouring").splitlines():
+            u, v, copy, colour = line.split()
+            assignment[(u, v, int(copy))] = int(colour)
+        assert verify_colouring(EdgeColouring(parse(path.read_text()), 2, assignment))
+
+    def test_exhaustive_bqueue_on_a_long_path_needs_no_deep_recursion(self, tmp_path):
+        path = self.long_path(tmp_path)
+        result = subprocess.run(
+            [sys.executable, "-m", "fancore.cli", "bqueue", str(path), "--exhaustive", "--max-vertices", "2000"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr[-300:]
+        assert keyvals(result.stdout)["bqueue"] == "full"
+        assert result.stdout == cli("bqueue", path)[1]
+
     def test_in_process_runs_match_separate_processes(self):
         # one process builds the argument parser once and reuses it, so no
         # run may leave anything behind for the next

@@ -2,7 +2,10 @@
 
 import ast
 import sys
+import types
 from pathlib import Path
+
+import fancore
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fancore"
 
@@ -22,3 +25,17 @@ def test_imports_are_relative_or_standard_library():
                 continue
             outside += [f"{path.name}: {m}" for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
     assert not outside
+
+
+def test_public_names_resolve():
+    """fancore.__all__ and the public names fancore binds are the same set, and each resolves."""
+    exported = fancore.__all__
+    assert len(set(exported)) == len(exported)
+    missing = [name for name in exported if not hasattr(fancore, name)]
+    assert not missing
+    # submodules are bound as attributes by being imported; they are not exports
+    bound = {
+        name for name, value in vars(fancore).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert bound == set(exported)

@@ -10,7 +10,6 @@ from fancore import (
     ResourceLimitError,
     SubgraphSelection,
     choose_params,
-    circulant_with_matching,
     construct_witness,
     corefan,
     fan_degree,
@@ -33,42 +32,37 @@ def hosts():
 
 
 class TestCirculant:
+    """witness._circulant_pairs, the circulant of _build's stage 2, on index pairs."""
+
+    @staticmethod
+    def pairs(n, k):
+        """The pairs, checked: each listed once as (i, j) with i < j, ascending, and k-regular."""
+        pairs = witness._circulant_pairs(n, k)
+        assert pairs == sorted(set(pairs)) and all(i < j for i, j in pairs)
+        degree = [0] * n
+        for i, j in pairs:
+            assert min(j - i, n - (j - i)) <= k // 2  # circular distance
+            degree[i] += 1
+            degree[j] += 1
+        assert degree == [k] * n
+        return pairs
+
     def test_c5_with_matched_quadruple(self):
-        g, s_r = circulant_with_matching(5, 2, 4)
-        assert g.vertex_count == 5 and all(g.degree(v) == 2 for v in g.labels)
-        assert len(s_r) == 4
-        induced = g.induced(s_r)
-        assert induced.mult("c0", "c1") == 1 and induced.mult("c2", "c3") == 1
+        pairs = self.pairs(5, 2)
+        assert pairs == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]  # (0, 4) from the wrap-around run
+        assert {(0, 1), (2, 3)} <= set(pairs)
 
     def test_c4_perfect_matching(self):
-        g, s_r = circulant_with_matching(4, 2, 4)
-        assert set(s_r) == set(g.labels)
-        assert g.mult("c0", "c1") == 1 and g.mult("c2", "c3") == 1
+        pairs = self.pairs(4, 2)
+        assert pairs == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        assert {(0, 1), (2, 3)} <= set(pairs)
 
     def test_four_regular_on_six(self):
-        g, s_r = circulant_with_matching(6, 4, 6)
-        assert all(g.degree(v) == 4 for v in g.labels)
-        assert g.is_simple()
-        for a, b in (("c0", "c1"), ("c2", "c3"), ("c4", "c5")):
-            assert g.mult(a, b) == 1
-
-    @pytest.mark.parametrize("n,k,r", [(5, 3, 4), (5, 2, 3), (4, 4, 4), (3, 2, 4)])
-    def test_bad_parameters(self, n, k, r):
-        with pytest.raises(GraphError):
-            circulant_with_matching(n, k, r)
-
-    @pytest.mark.parametrize("n,k,r,message", [
-        (5.0, 2, 4, "n must be a positive integer, got 5.0"),
-        (5, "2", 4, "k must be a positive integer, got '2'"),
-        (5, 0, 4, "k must be a positive integer, got 0"),
-        (5, 2, 0, "r must be a positive integer, got 0"),
-        (5, 1, 4, "k and r must be even, got k=1, r=4"),
-        (5, 2, 1, "k and r must be even, got k=2, r=1"),
-    ])
-    def test_bad_parameter_messages(self, n, k, r, message):
-        with pytest.raises(GraphError) as exc:
-            circulant_with_matching(n, k, r)
-        assert str(exc.value) == message
+        pairs = self.pairs(6, 4)
+        assert {(0, 4), (0, 5), (1, 5)} <= set(pairs)  # the wrap-around runs of 0 and 1
+        assert {(0, 1), (2, 3), (4, 5)} <= set(pairs)
+        for n, k in ((7, 2), (7, 6), (9, 4), (12, 10)):
+            assert {(2 * i, 2 * i + 1) for i in range(n // 2)} <= set(self.pairs(n, k))
 
 
 class TestChooseParams:
