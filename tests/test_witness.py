@@ -118,6 +118,15 @@ class TestChooseParams:
         with pytest.raises(GraphError):
             choose_params(h, 0, weak)
 
+    @pytest.mark.parametrize("entry", ["choose_params", "construct_witness"])
+    @pytest.mark.parametrize("t", [-1, 1.0, "1", True, None], ids=repr)
+    def test_bad_t_message(self, entry, t):
+        h = fixture("double-edge.graph")
+        args = (h, t, corefan(h).witness.strip_isolated())
+        with pytest.raises(GraphError) as exc:
+            choose_params(*args) if entry == "choose_params" else construct_witness(*args[:2])
+        assert str(exc.value) == f"t must be a nonnegative integer, got {t!r}"
+
 
 class TestConstructAndVerify:
     def test_double_edge_end_to_end(self):
