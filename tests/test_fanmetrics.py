@@ -1,6 +1,8 @@
 """Fan and corefan metrics against brute-force oracles and known values."""
 
+import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -28,7 +30,7 @@ from fancore import (
     t_core,
 )
 from fancore.fanmetrics import _failing_pairs
-from helpers import all_simple_graphs_up_to, fixture, random_multigraph
+from helpers import all_simple_graphs_up_to, all_small_multigraphs, fixture, random_multigraph
 from oracles import (
     cfan_degree_oracle,
     corefan_oracle,
@@ -416,6 +418,33 @@ class TestFirstMaximiser:
             if g.class_count == 0:
                 continue
             assert corefan_bruteforce(g) == first_maximiser(g, "corefan", False)[0], g.classes()
+
+
+class TestPinnedReports:
+    def test_bytes_are_pinned(self):
+        # one sha256 over the value, pair, certifying set and witness classes
+        # of fan_number and corefan, and the corefan_bruteforce value, on every
+        # four-vertex family member and 300 seeded 5-7-vertex multigraphs of
+        # at most 2^12 candidates, recorded before the searches moved onto
+        # the one-pass pair test
+        def family():
+            yield from all_small_multigraphs(4, 4, 3)
+            rng = random.Random(1414)
+            count = 0
+            while count < 300:
+                g = random_multigraph(rng, rng.randint(5, 7), 7, 3)
+                if g.class_count and math.prod(m + 1 for _, _, m in g.index_classes) <= 1 << 12:
+                    count += 1
+                    yield g
+
+        digest, graphs = hashlib.sha256(), 0
+        for g in family():
+            for r in (fan_number(g), corefan(g)):
+                digest.update(f"{r.kind} {r.value} {r.pair} {sorted(r.zset)} {r.witness.classes()}\n".encode())
+            digest.update(f"brute {corefan_bruteforce(g)}\n".encode())
+            graphs += 1
+        assert graphs == 2209
+        assert digest.hexdigest() == "ac1043e00391a7de2a547d173c8188404458cddbe18517642e8c588852722e09"
 
 
 class TestReductions:
