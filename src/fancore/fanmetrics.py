@@ -41,28 +41,34 @@ first pair attaining it, and the maximum is the first candidate attaining
 it. Colex counting changes fewer than two classes per step on average, so
 the candidate's degrees and adjacency are updated in place, not rebuilt.
 
-The search is pruned against the best value so far. The worst-set sum
-does not increase with the level, so one worst-set sum decides whether a
-pair's degree exceeds a given k. A candidate is dropped at its first pair
-whose degree does not exceed the best value, as its minimum cannot then
-exceed it. That keeps the first maximiser: only a strictly larger minimum
-replaces the best, so a dropped candidate could never have been chosen,
-and the first candidate attaining the maximum still replaces whatever came
-before it. Before any candidate the best value is taken as -1, which every
-degree exceeds, so the first candidate is never dropped. A candidate that
-survives gets the exact degree of every pair, so its reported pair is
-still the first one attaining its minimum.
+Each invariant has one pair test, "level of (x, y) above k", and every
+search, degree and certificate decides through it. The worst-set sum does
+not increase with the level, so the test is monotone in k: the searches
+compare a pair with a threshold, and a degree is bisected between 0 and
+d(x) + d(y), at or above either invariant's cap, in O(log d) tests. The
+test is one pass over the adjacency of x with no container built: it
+adds up the positive contributions b_z - k over N(x), b_z being the term
+of z, and for the fan degree, whose Z needs two members, it also keeps
+the two largest terms. The worst sum of (x, y) is then the total less
+y's own positive part plus y's contribution, and, when no other positive
+term supplies Z's second member, the largest term other than y's: the
+largest unless y holds it, else the second, which equals it on a tie.
+The fan test checks condition (i), d_J(x) + d_J(y) - mult_J(x, y) <= k,
+before the pass. The cfan value needs no cap check: at or above the
+largest term no contribution is positive. Only a certifying set builds
+the terms into a dict, once per reported pair.
 
-Whether a pair's fan degree exceeds a fixed level k is also the per-edge
-certificate of constructed witness graphs, asked of every ordered pair.
-At a fixed anchor x and level k, the worst Z of every pair (x, y) is read
-off the same three numbers: the total of the positive contributions
-d_J(z) + mult_J(x, z) - k over N(x), and the two largest terms. The pair
-takes the total less its own positive part plus its own contribution,
-and, when Z needs a second member that no other positive term supplies,
-the largest term other than y's: the largest unless y holds it, else the
-second, which equals it on a tie. fan_pair_exceeds and the searches make
-that pass for one pair.
+The search is pruned against the best value so far. A candidate is
+dropped at its first pair whose degree does not exceed the best value,
+as its minimum cannot then exceed it. That keeps the first maximiser:
+only a strictly larger minimum replaces the best, so a dropped candidate
+could never have been chosen, and the first candidate attaining the
+maximum still replaces whatever came before it. Before any candidate the
+best value is taken as -1, which every degree exceeds, so the first
+candidate is never dropped. A candidate that survives gets the exact
+degree of every pair, so its reported pair is still the first one
+attaining its minimum. A candidate therefore costs its in-place update
+and about one pair test, a single pass over one adjacency dict.
 
 The certificate kernel behind verify_witness, _failing_pairs, decides a
 whole anchor at once. Condition (i) fails for every y exactly when the
@@ -79,11 +85,11 @@ place on its host, is certified in time linear in its classes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from operator import add, sub
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import GraphError, ResourceLimitError
 from .multigraph import Multigraph, SubgraphSelection
@@ -106,97 +112,111 @@ GraphLike = Union[Multigraph, SubgraphSelection]
 # k exactly when both conditions fail at k itself.
 
 
-def _anchor(base: dict[int, int], k: int, need_two: bool) -> tuple[int, Sequence[int]]:
-    """One pass over the terms of an anchor x at level k.
-
-    base maps each neighbour z of x to its k-independent term, so the
-    contribution of z is base[z] - k. Returns the total of the positive
-    contributions and, when a pair may need padding, the one or two largest
-    terms in ascending order (a tie keeps both): whatever y is, the padding
-    neighbour's term is one of them. No pair needs padding unless Z needs
-    two members and at most one contribution is positive.
-    """
-    pos = [b for b in base.values() if b > k]
-    total = sum(pos) - k * len(pos)
-    return total, sorted(base.values())[-2:] if need_two and len(pos) < 2 else ()
-
-
-def _worst_sum(anchor: tuple[int, Sequence[int]], by: int, k: int, need_two: bool) -> int:
+def _worst_sum(total: int, by: int, k: int, need_two: bool, first: int, second: int) -> int:
     """The largest sum over admissible Z at level k, for the pair (x, y).
 
-    anchor is _anchor of x at level k and by the term of y, so the answer
-    costs O(1) per pair. When need_two is set and y has no positive
-    company, Z is padded with the largest term other than y's: the largest
-    itself unless y holds it, else the second (equal on a tie). When x has
-    no second neighbour there is no admissible Z; the sum is 0.
+    total is the sum of the positive contributions over N(x) at level k and
+    by the term of y, so the answer costs O(1) per pair. first and second,
+    the two largest terms of x, are read only when need_two is set and y
+    has no positive company: Z is then padded with the largest term other
+    than y's, first unless y holds it, else second (equal on a tie). second
+    is 0 when x has no second neighbour (every fan term is at least 2), and
+    then no Z is admissible; the sum is 0.
     """
-    total, top = anchor
     ty = by - k
     rest = total - (ty if ty > 0 else 0)  # all positive contributions but y's
     if rest or not need_two:
         return ty + rest
-    if by < top[-1]:
-        return ty + top[-1] - k
-    return ty + top[0] - k if len(top) == 2 else 0
+    if by < first:
+        return ty + first - k
+    return ty + second - k if second else 0
 
 
-def _worst_set(base: dict[int, int], y: int, k: int, need_two: bool) -> list[int]:
+def _fan_exceeds(deg, adj, x: int, y: int, k: int) -> bool:
+    """Whether the fan degree of the index pair (x, y) is above k.
+
+    Every level is at least 0, so it is above each negative k. Otherwise
+    both conditions must fail at k itself: the degree-sum bound
+    d_J(x) + d_J(y) - mult_J(x, y), checked first, must exceed k, and the
+    worst Z must sum to at least 2. The term of neighbour z is
+    d_J(z) + mult_J(x, z), and Z needs two members; one pass over adj[x]
+    collects the positive total and the two largest terms.
+    """
+    if k < 0:
+        return True
+    ax = adj[x]
+    if k >= deg[x] + deg[y] - ax[y]:
+        return False
+    total = first = second = 0
+    for z, m in ax.items():
+        b = deg[z] + m
+        if b > k:
+            total += b - k
+        if b > second:
+            if b > first:
+                first, second = b, first
+            else:
+                second = b
+    return _worst_sum(total, deg[y] + ax[y], k, True, first, second) > 1
+
+
+def _cfan_exceeds(hdeg, deg, adj, x: int, y: int, k: int) -> bool:
+    """Whether the cfan degree of the index pair (x, y) is above k.
+
+    The term of neighbour z is the deficit d_K(z) - d_H(z) plus
+    mult_K(x, z), and Z may be {y} alone, so one pass over adj[x] collects
+    the positive total and nothing else. The largest term caps the value
+    without a check of its own: at or above it no contribution is positive
+    and no Z sums above 0.
+    """
+    if k < 0:
+        return True
+    total = 0
+    for z, m in adj[x].items():
+        b = deg[z] - hdeg[z] + m
+        if b > k:
+            total += b - k
+    return _worst_sum(total, deg[y] - hdeg[y] + adj[x][y], k, False, 0, 0) > 1
+
+
+def _level(exceeds, deg, adj, x: int, y: int) -> int:
+    """The degree of (x, y): the smallest k >= 0 at which exceeds(deg, adj, x, y, k) fails.
+
+    The test is monotone in k and fails at d(x) + d(y), which is at or
+    above either invariant's cap, so the level is bisected below it in
+    O(log d) pair tests.
+    """
+    return bisect_left(range(deg[x] + deg[y]), True, key=lambda k: not exceeds(deg, adj, x, y, k))
+
+
+def _cfan_level(h: Multigraph, k_sel: SubgraphSelection, x: int, y: int) -> int:
+    """The cfan degree of the index pair (x, y) of k_sel inside its host h."""
+    return _level(partial(_cfan_exceeds, h.deg), k_sel.deg, k_sel.adj, x, y)
+
+
+def _fan_terms(deg, adj, x: int) -> dict[int, int]:
+    """Each neighbour z of x mapped to its fan term d_J(z) + mult_J(x, z)."""
+    return {z: deg[z] + m for z, m in adj[x].items()}
+
+
+def _worst_set(terms: dict[int, int], y: int, k: int, need_two: bool) -> list[int]:
     """The Z attaining _worst_sum, unordered; just y when none is admissible.
 
-    Only certificates need the set, so the searches read _worst_sum alone.
-    The padding neighbour is the one of largest term, the smallest index
-    winning a tie.
+    Only certificates need the set, built once per report from the terms
+    dict, so the pair tests read _worst_sum alone. The padding neighbour is
+    the one of largest term, the smallest index winning a tie.
     """
-    zset = [y] + [z for z, b in base.items() if b > k and z != y]
+    zset = [y] + [z for z, b in terms.items() if b > k and z != y]
     if need_two and len(zset) == 1:
-        others = [z for z in base if z != y]
+        others = [z for z in terms if z != y]
         if others:
-            zset.append(max(others, key=lambda z: (base[z], -z)))
+            zset.append(max(others, key=lambda z: (terms[z], -z)))
     return zset
 
 
-def _fan_terms(deg, adj, x: int, y: int) -> tuple[dict[int, int], int, bool, int]:
-    """The arguments of _level for the fan degree of (x, y) in index space.
-
-    The term of neighbour z is d_J(z) + mult_J(x, z). Z needs two members,
-    and condition (i) caps the value at d_J(x) + d_J(y) - mult_J(x, y).
-    """
-    return {z: deg[z] + m for z, m in adj[x].items()}, y, True, deg[x] + deg[y] - adj[x][y]
-
-
-def _cfan_terms(hdeg, deg, adj, x: int, y: int) -> tuple[dict[int, int], int, bool, int]:
-    """The arguments of _level for the cfan degree of (x, y) in index space.
-
-    The term of neighbour z is the deficit d_K(z) - d_H(z) plus
-    mult_K(x, z), and Z may be {y} alone. Once l reaches every term, no Z
-    sums above 0, so the largest term caps the value.
-    """
-    base = {z: deg[z] - hdeg[z] + m for z, m in adj[x].items()}
-    return base, y, False, max(base.values())
-
-
-def _exceeds(base: dict[int, int], y: int, need_two: bool, cap: int, k: int) -> bool:
-    """Whether the level of the pair is above k: _level(...) > k.
-
-    Every level is at least 0, so it is above each negative k. Otherwise
-    both conditions must fail at k itself: k is below the cap and the worst
-    Z sums to at least 2.
-    """
-    return k < 0 or (k < cap and _worst_sum(_anchor(base, k, need_two), base[y], k, need_two) > 1)
-
-
-def _level(base: dict[int, int], y: int, need_two: bool, cap: int) -> int:
-    """Smallest k below cap at which the worst Z sums to at most 1, else cap."""
-    k = 0
-    while _exceeds(base, y, need_two, cap, k):
-        k += 1
-    return k
-
-
-def _certified(labels, base: dict[int, int], y: int, need_two: bool, cap: int) -> tuple[int, frozenset[str]]:
-    """_level plus the certifying set described in fan_degree, as labels."""
-    value = _level(base, y, need_two, cap)
-    zset = _worst_set(base, y, value - 1, need_two) if value else (y,)
+def _certified(labels, value: int, terms: dict[int, int], y: int, need_two: bool) -> tuple[int, frozenset[str]]:
+    """value plus the certifying set described in fan_degree, as labels."""
+    zset = _worst_set(terms, y, value - 1, need_two) if value else (y,)
     return value, frozenset(labels[z] for z in zset)
 
 
@@ -210,18 +230,19 @@ def _pair_indices(j: GraphLike, x: str, y: str) -> tuple[int, int]:
 def fan_degree(j: GraphLike, x: str, y: str) -> tuple[int, frozenset[str]]:
     """Fan degree of the ordered pair (x, y) plus a certifying vertex set.
 
-    The search ascends from k = 0; condition (i) caps it, so the first k at
-    which (i) holds or the worst-Z sum drops to at most 1 is the value. For
-    a positive value the returned set is the worst Z at k = value - 1, the
-    explicit violator showing the value cannot be smaller; for value 0 it
+    The value is the smallest k at which (i) holds or the worst-Z sum drops
+    to at most 1, bisected between 0 and d_J(x) + d_J(y). For a positive
+    value the returned set is the worst Z at k = value - 1, the explicit
+    violator showing the value cannot be smaller; for value 0 it
     degenerates to {y}.
     """
     xi, yi = _pair_indices(j, x, y)
-    return _certified(j.labels, *_fan_terms(j.deg, j.adj, xi, yi))
+    deg, adj = j.deg, j.adj
+    return _certified(j.labels, _level(_fan_exceeds, deg, adj, xi, yi), _fan_terms(deg, adj, xi), yi, True)
 
 
 def fan_pair_exceeds(j: GraphLike, x: str, y: str, k: int) -> tuple[bool, Optional[frozenset[str]]]:
-    """Decide deg_J(x, y) > k without the ascending search.
+    """Decide deg_J(x, y) > k without computing the degree.
 
     Both defining conditions must fail at level k: the degree-sum bound
     must exceed k, and the worst admissible Z must sum to at least 2.
@@ -232,10 +253,9 @@ def fan_pair_exceeds(j: GraphLike, x: str, y: str, k: int) -> tuple[bool, Option
     if k < 0:
         raise GraphError(f"level {k} is negative")
     xi, yi = _pair_indices(j, x, y)
-    base, _, need_two, cap = _fan_terms(j.deg, j.adj, xi, yi)
-    if not _exceeds(base, yi, need_two, cap, k):
+    if not _fan_exceeds(j.deg, j.adj, xi, yi, k):
         return False, None
-    return True, frozenset(j.labels[z] for z in _worst_set(base, yi, k, need_two))
+    return True, frozenset(j.labels[z] for z in _worst_set(_fan_terms(j.deg, j.adj, xi), yi, k, True))
 
 
 def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
@@ -261,11 +281,10 @@ def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
         total = sum([b - k for b in bs if b > k])
         if len(bs) > 1 and total + min(0, min(bs) - k) > 1 and min(map(sub, ds, ax.values())) > k - deg[x]:
             continue
-        base = dict(zip(ax, bs))
-        anchor = _anchor(base, k, True)
-        # _exceeds at k >= 0, with _fan_terms' cap
+        second, first = ([0, 0] + sorted(bs))[-2:]
+        # _fan_exceeds at k >= 0, from this anchor's total and two largest terms
         bad += [(x, y) for y, m in ax.items()
-                if not (k < deg[x] + deg[y] - m and _worst_sum(anchor, base[y], k, True) > 1)]
+                if not (k < deg[x] + deg[y] - m and _worst_sum(total, deg[y] + m, k, True, first, second) > 1)]
     bad.sort(key=lambda p: (min(p), max(p), p[0] > p[1]))
     return bad
 
@@ -279,7 +298,8 @@ def cfan_degree(h: Multigraph, k_sel: SubgraphSelection, x: str, y: str) -> tupl
     """
     k_sel._check_host(h)
     xi, yi = _pair_indices(k_sel, x, y)
-    return _certified(h.labels, *_cfan_terms(h.deg, k_sel.deg, k_sel.adj, xi, yi))
+    terms = {z: k_sel.deg[z] - h.deg[z] + m for z, m in k_sel.adj[xi].items()}
+    return _certified(h.labels, _cfan_level(h, k_sel, xi, yi), terms, yi, False)
 
 
 # -- the subgraph max-min -------------------------------------------------
@@ -351,45 +371,52 @@ def _selection(g: Multigraph, vec) -> SubgraphSelection:
     return SubgraphSelection._derived(g, [(i, j, m) for (i, j, _), m in zip(g.index_classes, vec) if m])
 
 
-def _max_min(g: Multigraph, full_only: bool, terms):
+def _max_min(g: Multigraph, full_only: bool, exceeds):
     """Maximum over selections of g of the minimum degree over ordered pairs.
 
-    terms(deg, adj, x, y) gives the arguments of _level for one pair, in the
-    index space of the candidate. Returns (value, vector, (x, y)) for the
-    first maximizing selection and its first minimizing pair, with x and y
-    dense indices; None when g has no class.
+    exceeds(deg, adj, x, y, k) is the invariant's pair test, "level of
+    (x, y) above k", in the index space of the candidate. Returns
+    (value, vector, (x, y)) for the first maximizing selection and its
+    first minimizing pair, with x and y dense indices; None when g has no
+    class.
 
     One deg and adj follow the enumeration, updated only on the classes
-    a step changed. floor is the best value so far, -1 before the first
-    candidate: a candidate is dropped at its first pair whose level is not
-    above it, and the exact levels are computed only for a candidate none
-    of whose pairs is. Each such candidate raises floor, so at most
-    value + 1 of them occur.
+    a step changed: those below the changed class drop from their top value
+    to 0, and the changed class rises. floor is the best value so far, -1
+    before the first candidate. The classes are walked by index from the
+    changed one, as those below it are off, and a candidate is dropped at
+    its first pair whose level is not above floor. The exact levels are
+    bisected only for a candidate none of whose pairs is; each such
+    candidate raises floor, so at most value + 1 of them occur. A dropped
+    candidate costs its update and about one pair test, a pass over one
+    adjacency dict.
     """
     classes = g.index_classes
     n = len(g.labels)
     deg = [0] * n
     adj: list[dict[int, int]] = [{} for _ in range(n)]
-    pairs = [p for c, (i, j, _) in enumerate(classes) for p in ((c, i, j), (c, j, i))]
     best, floor = None, -1
     for vec, changed in _selections(classes, full_only):
-        for c in range(changed + 1):
-            i, j, _ = classes[c]
-            m = vec[c]
-            step = m - adj[i].get(j, 0)
-            deg[i] += step
-            deg[j] += step
-            if m:
-                adj[i][j] = adj[j][i] = m
-            else:
-                del adj[i][j], adj[j][i]
-        # the classes below the changed one are 0, so its pairs come first
-        for c, x, y in islice(pairs, 2 * changed, None):
-            if vec[c] and not _exceeds(*terms(deg, adj, x, y), floor):
-                break
+        for c in range(changed):  # each was at its top value and is reset to 0
+            i, j, m = classes[c]
+            deg[i] -= m
+            deg[j] -= m
+            del adj[i][j], adj[j][i]
+        i, j, _ = classes[changed]
+        m = vec[changed]
+        step = m - adj[i].get(j, 0)
+        deg[i] += step
+        deg[j] += step
+        adj[i][j] = adj[j][i] = m
+        for c in range(changed, len(classes)):
+            if vec[c]:
+                i, j, _ = classes[c]
+                if not (exceeds(deg, adj, i, j, floor) and exceeds(deg, adj, j, i, floor)):
+                    break
         else:
             low = min(
-                ((_level(*terms(deg, adj, x, y)), x, y) for c, x, y in pairs if vec[c]),
+                ((_level(exceeds, deg, adj, x, y), x, y)
+                 for (i, j, _), m in zip(classes, vec) if m for x, y in ((i, j), (j, i))),
                 key=lambda t: t[0],
             )
             floor = low[0]
@@ -415,7 +442,7 @@ def fan_number(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> FanReport:
     guarded by a cap on prod(mult + 1) over parallel classes.
     """
     _assignment_space(g.index_classes, max_product, "fan_number")
-    return _report("fan", g, _max_min(g, False, _fan_terms))
+    return _report("fan", g, _max_min(g, False, _fan_exceeds))
 
 
 def fan_bound(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> int:
@@ -432,7 +459,7 @@ def corefan(h: Multigraph, max_classes: int = COREFAN_CLASS_CAP) -> FanReport:
     verifies independently on enumerable inputs.
     """
     _class_cap(h.index_classes, max_classes, "corefan")
-    return _report("corefan", h, _max_min(h, True, partial(_cfan_terms, h.deg)))
+    return _report("corefan", h, _max_min(h, True, partial(_cfan_exceeds, h.deg)))
 
 
 def corefan_bruteforce(h: Multigraph, max_product: int = BRUTEFORCE_PRODUCT_CAP) -> int:
@@ -441,7 +468,7 @@ def corefan_bruteforce(h: Multigraph, max_product: int = BRUTEFORCE_PRODUCT_CAP)
     Oracle counterpart of corefan; returns the value only.
     """
     _assignment_space(h.index_classes, max_product, "corefan_bruteforce")
-    best = _max_min(h, False, partial(_cfan_terms, h.deg))
+    best = _max_min(h, False, partial(_cfan_exceeds, h.deg))
     return best[0] if best else 0
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .core import check_t, t_core
 from .errors import GraphError, ResourceLimitError
-from .fanmetrics import _cfan_terms, _failing_pairs, _level, corefan
+from .fanmetrics import _cfan_level, _failing_pairs, corefan
 from .multigraph import Multigraph, SubgraphSelection, _is_int
 
 # The most classes construct_witness builds: some 220 MB of graph at the
@@ -112,7 +112,7 @@ def _validate_witness_subgraph(h: Multigraph, k_sel: SubgraphSelection, t: int) 
     labels = h.labels
     for i, j, _ in classes:
         for x, y in ((i, j), (j, i)):
-            value = _level(*_cfan_terms(h.deg, k_sel.deg, k_sel.adj, x, y))
+            value = _cfan_level(h, k_sel, x, y)
             if value <= t:
                 raise GraphError(
                     f"witness subgraph has cfan degree {value} <= t on "

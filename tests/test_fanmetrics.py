@@ -29,6 +29,7 @@ from fancore import (
     parse,
     t_core,
 )
+from fancore import fanmetrics
 from fancore.fanmetrics import _failing_pairs
 from helpers import all_simple_graphs_up_to, all_small_multigraphs, fixture, random_multigraph
 from oracles import (
@@ -418,6 +419,43 @@ class TestFirstMaximiser:
             if g.class_count == 0:
                 continue
             assert corefan_bruteforce(g) == first_maximiser(g, "corefan", False)[0], g.classes()
+
+
+class TestLevelIsBisected:
+    """A level costs O(log d) pair tests, not one per unit of the value it returns."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        test = getattr(fanmetrics, name)
+
+        def counting(*args):
+            calls.append(args[-1])
+            return test(*args)
+
+        monkeypatch.setattr(fanmetrics, name, counting)
+        return calls
+
+    def test_corefan_of_one_heavy_class(self, monkeypatch):
+        levels = self.counted(monkeypatch, "_cfan_exceeds")
+        report = corefan(parse("x y 1000000"))
+        assert (report.value, report.pair, report.zset) == (999_999, ("x", "y"), {"y"})
+        # the one candidate's two pairs at floor -1, then about log2(2e6) = 21
+        # tests per level: both pairs, and the reported pair once more
+        assert len(levels) <= 2 + 3 * 22
+        assert levels[:2] == [-1, -1] and max(levels) < 2_000_000
+
+    def test_fan_degree_of_a_heavy_triangle(self, monkeypatch):
+        levels = self.counted(monkeypatch, "_fan_exceeds")
+        g = parse("a b 1000000\nb c 1000000\na c 1000000")
+        assert fan_degree(g, "a", "b") == (3_000_000, {"b", "c"})
+        assert len(levels) <= 23
+
+    def test_construct_refuses_a_heavy_class_after_few_pair_tests(self, monkeypatch):
+        levels = self.counted(monkeypatch, "_cfan_exceeds")
+        with pytest.raises(ResourceLimitError):
+            construct_witness(parse("x y 1000000"), 5)
+        assert len(levels) <= 2 + 5 * 22
 
 
 class TestPinnedReports:
