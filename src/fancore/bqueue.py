@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GraphError, ResourceLimitError
+from .errors import GraphError, ResourceLimitError, check_cap
 from .multigraph import Multigraph
 
 EXHAUSTIVE_VERTEX_CAP = 10
@@ -117,6 +117,7 @@ def exhaustive_full_bqueue(b: Multigraph, max_vertices: int = EXHAUSTIVE_VERTEX_
     for the greedy decision on small graphs; guarded by a vertex cap.
     """
     _require_simple(b)
+    check_cap("max_vertices", max_vertices)
     n = len(b.labels)
     if n > max_vertices:
         raise ResourceLimitError(

@@ -52,7 +52,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .errors import GraphError, ResourceLimitError
+from .errors import GraphError, ResourceLimitError, check_cap
 from .multigraph import Multigraph
 
 INSTANCE_CAP = 24
@@ -235,6 +235,7 @@ def _lowest(mask: int) -> int:
 
 def chromatic_index_exact(g: Multigraph, max_instances: int = INSTANCE_CAP) -> tuple[int, EdgeColouring]:
     """Exact chromatic index plus an optimal colouring, by backtracking."""
+    check_cap("max_instances", max_instances)
     total = g.total_instances()
     if total > max_instances:
         raise ResourceLimitError(

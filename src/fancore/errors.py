@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check of the resource caps."""
 
 
 class GraphError(ValueError):
@@ -15,3 +15,9 @@ class ParseError(GraphError):
 
 class ResourceLimitError(RuntimeError):
     """An enumeration cap was exceeded; raise instead of running forever."""
+
+
+def check_cap(name: str, cap) -> None:
+    """Refuse a resource cap that is not an int, a bool included; a negative one fails the cap itself."""
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise GraphError(f"{name} must be an integer, got {cap!r}")

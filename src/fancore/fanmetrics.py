@@ -13,33 +13,14 @@ is an upper bound on the chromatic index.
 
 The core-relative cfan degree replaces absolute degrees by the deficit
 d_K(z) - d_H(z) of a subgraph K inside its host H, and drops the |Z| >= 2
-restriction. corefan(H) maximizes the minimum cfan degree over subgraphs K;
-restricting the maximization to full-multiplicity subgraphs (each parallel
-class kept whole or dropped) provably does not change the value, which is
-what makes corefan computable at 2^(#classes) instead of prod(mult+1)
-candidates. corefan_bruteforce enumerates the full space as an oracle.
+restriction. corefan(H) maximizes the minimum cfan degree over subgraphs K
+that keep each parallel class whole or drop it; the whole-class argument
+below shows this does not change the value. corefan_bruteforce searches
+every sub-multiplicity as an independent oracle.
 
 Subset notation is read non-strictly throughout (Z may equal N(x), K may
 equal H): singleton and whole-graph cases are exactly the ones several of
 the tested equivalences depend on.
-
-Both invariants are a maximum over subgraphs of a minimum over ordered
-pairs, differing only in the per-pair degree, so one enumerator and one
-max-min routine compute fan_number, corefan and corefan_bruteforce, and
-full_multiplicity_criterion walks the same enumerator. Candidates live in
-the host's dense index space as plain degree and adjacency lists; the
-witness subgraph, label pair and certifying set are built once, for the
-winning candidate only.
-
-Enumeration order is pinned for reproducible witnesses. Classes are sorted
-by dense endpoint pair, and candidates are multiplicity vectors in
-colexicographic order, class 0 the fastest digit, each class taking every
-multiplicity 0..m (fan_number, corefan_bruteforce) or only 0 and m
-(corefan, full_multiplicity_criterion). Within a candidate, ordered pairs
-are tried class by class as (lo, hi) then (hi, lo); the minimum is the
-first pair attaining it, and the maximum is the first candidate attaining
-it. Colex counting changes fewer than two classes per step on average, so
-the candidate's degrees and adjacency are updated in place, not rebuilt.
 
 Each invariant has one pair test, "level of (x, y) above k", and every
 search, degree and certificate decides through it. The worst-set sum does
@@ -58,17 +39,64 @@ before the pass. The cfan value needs no cap check: at or above the
 largest term no contribution is positive. Only a certifying set builds
 the terms into a dict, once per reported pair.
 
-The search is pruned against the best value so far. A candidate is
-dropped at its first pair whose degree does not exceed the best value,
-as its minimum cannot then exceed it. That keeps the first maximiser:
-only a strictly larger minimum replaces the best, so a dropped candidate
-could never have been chosen, and the first candidate attaining the
-maximum still replaces whatever came before it. Before any candidate the
-best value is taken as -1, which every degree exceeds, so the first
-candidate is never dropped. A candidate that survives gets the exact
-degree of every pair, so its reported pair is still the first one
-attaining its minimum. A candidate therefore costs its in-place update
-and about one pair test, a single pass over one adjacency dict.
+Both invariants are a maximum over subgraphs J of the minimum over the
+classes c of J of p(c, J), the smaller of c's two ordered-pair degrees,
+and p is monotone in J: an added edge instance raises every d_J(z) and
+mult_J(x, z), hence every term and the fan cap d_J(x) + d_J(y) -
+mult_J(x, y), and can only add admissible sets Z. As for generalized
+cores (Batagelj and Zaversnik, arXiv cs/0202039; Matula and Beck, JACM
+1983), the subgraphs whose every p is at least v are then closed under
+union, their union is the largest of them, the v-core, and the value v*
+is the largest v with a nonempty v-core.
+
+The v-core is found by peeling whole classes. Inside a box, a class that
+fails either pair test at level v - 1 fails in every subgraph of the box
+that keeps it, at any multiplicity, since that subgraph lies in the box;
+so it is deleted whole, and sweeps over the box repeat until none fails.
+The survivors keep their box multiplicity. By the same monotonicity a
+subgraph whose every p is at least v keeps that property when each of
+its classes is raised to host multiplicity, so the largest value is
+attained by a subgraph of whole classes: the reason corefan may search
+full-multiplicity candidates only, and fan_number's value needs no
+partial class either. Cores nest as v grows, so v* is bisected between
+0, whose core is the host, and the largest d(i) + d(j) over classes,
+which no degree reaches; each probe peels the last nonempty core, in
+O(classes) pair tests per sweep.
+
+The witness is pinned for reproducibility: the first maximiser in the
+enumeration order below. Every maximiser lies in the v*-core, so the
+enumerator runs over the core's classes only, each at its host
+multiplicity, the others at 0, which visits the vectors of that box in
+the same relative order as the whole space. It drops a candidate at its
+first pair whose level is not above the fixed floor v* - 1 and stops at
+the first candidate that survives. Its minimum is at least v*, so it is
+a maximiser, and every candidate before it in the whole space either
+keeps a class outside the core or was dropped, so none of them is: it is
+the first maximiser. The reported pair is the candidate's first pair
+whose test at v* fails, the first pair attaining the minimum. The value
+takes O(log d) probes; the witness search may still walk most of the
+core's box before its first maximiser.
+
+Enumeration order is pinned for reproducible witnesses. Classes are sorted
+by dense endpoint pair, and candidates are multiplicity vectors in
+colexicographic order, class 0 the fastest digit, each class taking every
+multiplicity 0..m (fan_number, corefan_bruteforce) or only 0 and m
+(corefan, full_multiplicity_criterion). Within a candidate, ordered pairs
+are tried class by class as (lo, hi) then (hi, lo). Colex counting
+changes fewer than two classes per step on average, so the candidate's
+degrees and adjacency are updated in place, not rebuilt. Candidates live
+in the host's dense index space as plain degree and adjacency lists; the
+witness subgraph, label pair and certifying set are built once, for the
+winner only.
+
+corefan_bruteforce runs the same enumerator over the whole space with a
+floor that follows the best value so far, -1 at first, which every
+degree exceeds. A candidate is dropped at its first pair whose degree is
+not above the floor, as its minimum cannot then exceed it; a survivor
+beats the best strictly, gets its exact minimum, and raises the floor, so
+the first candidate attaining the maximum is the one kept, at most
+value + 1 candidates survive, and a dropped one costs about one pair
+test.
 
 The certificate kernel behind verify_witness, _failing_pairs, decides a
 whole anchor at once. Condition (i) fails for every y exactly when the
@@ -91,7 +119,7 @@ from functools import partial
 from operator import add, sub
 from typing import Optional, Union
 
-from .errors import GraphError, ResourceLimitError
+from .errors import GraphError, ResourceLimitError, check_cap
 from .multigraph import Multigraph, SubgraphSelection
 
 FAN_PRODUCT_CAP = 1 << 20
@@ -309,9 +337,12 @@ def cfan_degree(h: Multigraph, k_sel: SubgraphSelection, x: str, y: str) -> tupl
 class FanReport:
     """A computed invariant value with enough context to recheck it.
 
-    witness is the maximizing subgraph, pair the ordered pair attaining the
-    inner minimum there, zset the certifying vertex set for that pair. For
-    an edgeless input the report is the trivial one (value 0, no pair).
+    value is the peeled maximum; witness is the first maximizing subgraph
+    in the pinned enumeration order, found by searching the value's core,
+    pair the first ordered pair attaining the inner minimum there, and
+    zset the certifying vertex set for that pair (see the module
+    docstring). For an edgeless input the report is the trivial one
+    (value 0, no pair).
     """
 
     kind: str  # "fan" or "corefan"
@@ -331,6 +362,7 @@ class FanReport:
 
 
 def _assignment_space(classes, cap: int, op: str) -> None:
+    check_cap("max_product", cap)
     product = 1
     for _, _, m in classes:
         product *= m + 1
@@ -341,6 +373,7 @@ def _assignment_space(classes, cap: int, op: str) -> None:
 
 
 def _class_cap(classes, cap: int, op: str) -> None:
+    check_cap("max_classes", cap)
     if len(classes) > cap:
         raise ResourceLimitError(f"{op}: {len(classes)} parallel classes exceed the cap of {cap}")
 
@@ -366,36 +399,44 @@ def _selections(classes, full_only: bool):
         yield vec, pos
 
 
+def _kept(classes, vec) -> list[tuple[int, int, int]]:
+    """The classes (i, j, m) that vec keeps, each at its multiplicity m in vec."""
+    return [(i, j, m) for (i, j, _), m in zip(classes, vec) if m]
+
+
 def _selection(g: Multigraph, vec) -> SubgraphSelection:
     """The subgraph of g keeping multiplicity vec[c] of its class c."""
-    return SubgraphSelection._derived(g, [(i, j, m) for (i, j, _), m in zip(g.index_classes, vec) if m])
+    return SubgraphSelection._derived(g, _kept(g.index_classes, vec))
 
 
-def _max_min(g: Multigraph, full_only: bool, exceeds):
-    """Maximum over selections of g of the minimum degree over ordered pairs.
+def _max_min(n: int, classes, full_only: bool, exceeds, floor: Optional[int] = None):
+    """Maximum over selections of classes of the minimum degree over ordered pairs.
 
-    exceeds(deg, adj, x, y, k) is the invariant's pair test, "level of
-    (x, y) above k", in the index space of the candidate. Returns
-    (value, vector, (x, y)) for the first maximizing selection and its
-    first minimizing pair, with x and y dense indices; None when g has no
-    class.
+    classes are index classes (i, j, m) of a graph on n vertices, the box
+    searched; exceeds(deg, adj, x, y, k) is the invariant's pair test,
+    "level of (x, y) above k", in the index space of the candidate. Returns
+    (value, kept classes, (x, y)) for the first maximizing selection and
+    its first minimizing pair, with x and y dense indices; None when no
+    candidate has every pair above floor.
 
     One deg and adj follow the enumeration, updated only on the classes
     a step changed: those below the changed class drop from their top value
-    to 0, and the changed class rises. floor is the best value so far, -1
-    before the first candidate. The classes are walked by index from the
-    changed one, as those below it are off, and a candidate is dropped at
-    its first pair whose level is not above floor. The exact levels are
-    bisected only for a candidate none of whose pairs is; each such
-    candidate raises floor, so at most value + 1 of them occur. A dropped
-    candidate costs its update and about one pair test, a pass over one
-    adjacency dict.
+    to 0, and the changed class rises. The classes are walked by index from
+    the changed one, as those below it are off, and a candidate is dropped
+    at its first pair whose level is not above floor. A candidate that
+    survives has its minimum above floor. A floor passed in stays fixed and
+    the first survivor is returned, its value floor + 1: the caller passes
+    one below the known maximum. Without one, floor starts at -1, the
+    minimum of every survivor is bisected and becomes the new floor, so at
+    most value + 1 candidates survive. Either way the reported pair is the
+    first whose level is not above the value. A dropped candidate costs its
+    update and about one pair test, a pass over one adjacency dict.
     """
-    classes = g.index_classes
-    n = len(g.labels)
+    first = floor is not None
+    floor = floor if first else -1
     deg = [0] * n
     adj: list[dict[int, int]] = [{} for _ in range(n)]
-    best, floor = None, -1
+    best = None
     for vec, changed in _selections(classes, full_only):
         for c in range(changed):  # each was at its top value and is reset to 0
             i, j, m = classes[c]
@@ -414,20 +455,78 @@ def _max_min(g: Multigraph, full_only: bool, exceeds):
                 if not (exceeds(deg, adj, i, j, floor) and exceeds(deg, adj, j, i, floor)):
                     break
         else:
-            low = min(
-                ((_level(exceeds, deg, adj, x, y), x, y)
-                 for (i, j, _), m in zip(classes, vec) if m for x, y in ((i, j), (j, i))),
-                key=lambda t: t[0],
-            )
-            floor = low[0]
-            best = (floor, tuple(vec), low[1:])
+            kept = _kept(classes, vec)
+            pairs = [(x, y) for i, j, _ in kept for x, y in ((i, j), (j, i))]
+            floor = floor + 1 if first else min(_level(exceeds, deg, adj, x, y) for x, y in pairs)
+            best = floor, kept, next(p for p in pairs if not exceeds(deg, adj, *p, floor))
+            if first:
+                return best
     return best
 
 
-def _report(kind: str, g: Multigraph, best) -> FanReport:
-    """The FanReport of a _max_min result; the trivial one for None."""
-    value, vec, pair = best or (0, (), None)
-    sel = _selection(g, vec)
+def _core(n: int, box, exceeds, k: int) -> list[tuple[int, int, int]]:
+    """The classes of the largest subgraph of box whose every class passes both pair tests at k.
+
+    box is a list of index classes (i, j, m) of a graph on n vertices,
+    each at its multiplicity in the box. A class whose pair test fails
+    fails in every subgraph of the box that keeps it, at any multiplicity,
+    as the degree is monotone in the subgraph (see the module docstring),
+    so whole classes are deleted, in sweeps over the box until one deletes
+    nothing, and the survivors keep their box multiplicity. Which failing
+    class goes first does not change the result.
+    """
+    deg = [0] * n
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, j, m in box:
+        deg[i] += m
+        deg[j] += m
+        adj[i][j] = adj[j][i] = m
+    while True:
+        kept = []
+        for c in box:
+            i, j, m = c
+            if exceeds(deg, adj, i, j, k) and exceeds(deg, adj, j, i, k):
+                kept.append(c)
+            else:
+                deg[i] -= m
+                deg[j] -= m
+                del adj[i][j], adj[j][i]
+        if len(kept) == len(box):
+            return kept
+        box = kept
+
+
+def _peak(g: Multigraph, full_only: bool, exceeds):
+    """_max_min of g with at least one class, by peeling to the value's core.
+
+    The v-core, _core at level v - 1, is nonempty exactly when some
+    subgraph has every pair degree at least v, and cores nest, so the value
+    v* is bisected: the 0-core is g, no core exists at the largest
+    d(i) + d(j) over classes, which no degree reaches, and each probe peels
+    the last nonempty core. Every maximiser lies in the v*-core, so the
+    enumerator runs over the core's classes only, at the fixed floor
+    v* - 1, and its first survivor is the first maximiser.
+    """
+    n, deg = len(g.labels), g.deg
+    low, core = 0, list(g.index_classes)
+    high = max(deg[i] + deg[j] for i, j, _ in core)
+    while high - low > 1:
+        mid = (low + high) // 2
+        inner = _core(n, core, exceeds, mid - 1)
+        if inner:
+            low, core = mid, inner
+        else:
+            high = mid
+    best = _max_min(n, core, full_only, exceeds, low - 1)
+    if best is None:
+        raise RuntimeError(f"no selection of the {low}-core attains {low}")
+    return best
+
+
+def _report(kind: str, g: Multigraph, full_only: bool, exceeds) -> FanReport:
+    """The FanReport of g's first maximiser, by _peak; the trivial one for no class."""
+    value, kept, pair = _peak(g, full_only, exceeds) if g.index_classes else (0, [], None)
+    sel = SubgraphSelection._derived(g, kept)
     if pair is None:
         return FanReport(kind=kind, value=value, witness=sel, pair=None, zset=frozenset())
     x, y = (g.labels[v] for v in pair)
@@ -438,11 +537,13 @@ def _report(kind: str, g: Multigraph, best) -> FanReport:
 def fan_number(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> FanReport:
     """fan(g) with a maximizing subgraph and minimizing pair as witness.
 
-    Enumerates every sub-multiplicity assignment with at least one edge;
-    guarded by a cap on prod(mult + 1) over parallel classes.
+    The value is peeled; the witness is the first maximiser among the
+    sub-multiplicity assignments with at least one edge, searched inside
+    the value's core. Guarded by a cap on prod(mult + 1) over parallel
+    classes.
     """
     _assignment_space(g.index_classes, max_product, "fan_number")
-    return _report("fan", g, _max_min(g, False, _fan_exceeds))
+    return _report("fan", g, False, _fan_exceeds)
 
 
 def fan_bound(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> int:
@@ -453,22 +554,24 @@ def fan_bound(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> int:
 def corefan(h: Multigraph, max_classes: int = COREFAN_CLASS_CAP) -> FanReport:
     """corefan(h) over full-multiplicity subgraphs, with witness.
 
-    Each parallel class is kept at full multiplicity or dropped, giving
-    2^(#classes) candidates; dropping to full-multiplicity subgraphs is
-    value-preserving (see module docstring), which corefan_bruteforce
-    verifies independently on enumerable inputs.
+    Each parallel class is kept at full multiplicity or dropped, which is
+    value-preserving (see module docstring) and which corefan_bruteforce
+    verifies independently on enumerable inputs. The value is peeled; the
+    witness is the first maximiser among those 2^(#classes) candidates,
+    searched inside the value's core. Guarded by a cap on the classes.
     """
     _class_cap(h.index_classes, max_classes, "corefan")
-    return _report("corefan", h, _max_min(h, True, partial(_cfan_exceeds, h.deg)))
+    return _report("corefan", h, True, partial(_cfan_exceeds, h.deg))
 
 
 def corefan_bruteforce(h: Multigraph, max_product: int = BRUTEFORCE_PRODUCT_CAP) -> int:
     """corefan(h) by enumerating every sub-multiplicity assignment.
 
-    Oracle counterpart of corefan; returns the value only.
+    Oracle counterpart of corefan, by the running-floor search and no
+    peeling; returns the value only.
     """
     _assignment_space(h.index_classes, max_product, "corefan_bruteforce")
-    best = _max_min(h, False, partial(_cfan_exceeds, h.deg))
+    best = _max_min(len(h.labels), h.index_classes, False, partial(_cfan_exceeds, h.deg))
     return best[0] if best else 0
 
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -37,6 +38,7 @@ from oracles import (
     corefan_oracle,
     fan_degree_oracle,
     fan_number_oracle,
+    sub_assignments,
 )
 
 
@@ -421,6 +423,11 @@ class TestFirstMaximiser:
             assert corefan_bruteforce(g) == first_maximiser(g, "corefan", False)[0], g.classes()
 
 
+def triangle_behind_a_matching(count):
+    """A triple triangle whose classes come after those of a matching of count single edges."""
+    return [(f"m{i}", f"n{i}", 1) for i in range(count)] + [("a", "b", 3), ("b", "c", 3), ("a", "c", 3)]
+
+
 class TestLevelIsBisected:
     """A level costs O(log d) pair tests, not one per unit of the value it returns."""
 
@@ -440,16 +447,38 @@ class TestLevelIsBisected:
         levels = self.counted(monkeypatch, "_cfan_exceeds")
         report = corefan(parse("x y 1000000"))
         assert (report.value, report.pair, report.zset) == (999_999, ("x", "y"), {"y"})
-        # the one candidate's two pairs at floor -1, then about log2(2e6) = 21
-        # tests per level: both pairs, and the reported pair once more
+        # the value bisected in 21 probes of at most two tests each, the core's
+        # one candidate's two pairs, one test for the pair and 21 for its degree
         assert len(levels) <= 2 + 3 * 22
-        assert levels[:2] == [-1, -1] and max(levels) < 2_000_000
+        assert min(levels) >= 0 and max(levels) < 2_000_000
 
     def test_fan_degree_of_a_heavy_triangle(self, monkeypatch):
         levels = self.counted(monkeypatch, "_fan_exceeds")
         g = parse("a b 1000000\nb c 1000000\na c 1000000")
         assert fan_degree(g, "a", "b") == (3_000_000, {"b", "c"})
         assert len(levels) <= 23
+
+    @pytest.mark.parametrize("kind,edges,witness", [
+        ("corefan", [(f"p{i}", f"p{i + 1}", 1) for i in range(20)], "first"),
+        ("corefan", [("c", f"s{i}", 1) for i in range(20)], "first"),
+        ("fan", [("c", f"s{i}", 1) for i in range(20)], "first"),
+        ("corefan", triangle_behind_a_matching(17), "triangle"),
+        ("fan", triangle_behind_a_matching(14), "triangle"),
+    ], ids=["corefan-path", "corefan-star", "fan-star", "corefan-triangle", "fan-triangle"])
+    def test_the_search_stops_at_the_first_maximiser(self, monkeypatch, kind, edges, witness):
+        # about 2^20 candidates each: on the path and stars the first class
+        # alone is the first maximiser, and the triangle, the last classes,
+        # comes after 7 * 2^17 or 63 * 2^14 candidates that keep a matching
+        # edge, outside the value's core. The value's probes, the core's few
+        # candidates, the pair and its degree cost a few tests per class and
+        # bisection step, not one per candidate
+        g = Multigraph(edges=edges)
+        levels = self.counted(monkeypatch, "_fan_exceeds" if kind == "fan" else "_cfan_exceeds")
+        report = fan_number(g) if kind == "fan" else corefan(g)
+        first = g.classes()[0][:2] + (1,)
+        assert report.witness.classes() == ((first,) if witness == "first" else g.classes()[-3:])
+        bits = max(g.deg[i] + g.deg[j] for i, j, _ in g.index_classes).bit_length()
+        assert len(levels) <= 3 * g.class_count * bits
 
     def test_construct_refuses_a_heavy_class_after_few_pair_tests(self, monkeypatch):
         levels = self.counted(monkeypatch, "_cfan_exceeds")
@@ -483,6 +512,107 @@ class TestPinnedReports:
             graphs += 1
         assert graphs == 2209
         assert digest.hexdigest() == "ac1043e00391a7de2a547d173c8188404458cddbe18517642e8c588852722e09"
+
+
+def exhaustive_report(g, kind):
+    """(value, witness classes, pair, zset) of the running-floor search over the whole space."""
+    n, classes = len(g.labels), g.index_classes
+    if kind == "fan":
+        best = fanmetrics._max_min(n, classes, False, fanmetrics._fan_exceeds)
+    else:
+        best = fanmetrics._max_min(n, classes, True, partial(fanmetrics._cfan_exceeds, g.deg))
+    if best is None:
+        return 0, (), None, frozenset()
+    value, kept, (x, y) = best
+    sel = SubgraphSelection._derived(g, kept)
+    x, y = g.labels[x], g.labels[y]
+    zset = fan_degree(sel, x, y)[1] if kind == "fan" else cfan_degree(g, sel, x, y)[1]
+    return value, sel.classes(), (x, y), zset
+
+
+def canonical(g):
+    """The least relabelling of g's index classes over vertex permutations, with its permutation."""
+    return min(
+        (tuple(sorted((min(p[i], p[j]), max(p[i], p[j]), m) for i, j, m in g.index_classes)), p)
+        for p in itertools.permutations(range(len(g.labels)))
+    )
+
+
+def oracle_cores(g, kind):
+    """v -> the union of the subgraphs of g whose least pair degree is at least v, by oracle.
+
+    The union is a dict {(i, j): largest multiplicity}, in g's index space.
+    """
+    lows = []
+    for j in sub_assignments(g):
+        pairs = [(x, y) for u, v, _ in j.classes() for x, y in ((u, v), (v, u))]
+        low = min(fan_degree_oracle(j, x, y) if kind == "fan" else cfan_degree_oracle(g, j, x, y) for x, y in pairs)
+        lows.append((low, j.index_classes))
+    cores = {}
+    for v in range(max(low for low, _ in lows) + 2):
+        union = {}
+        for low, classes in lows:
+            if low >= v:
+                for i, j, m in classes:
+                    union[i, j] = max(m, union.get((i, j), 0))
+        cores[v] = union
+    return cores
+
+
+class TestPeel:
+    """The v-cores behind the value, and the first-hit search over the value's core."""
+
+    @pytest.mark.parametrize("kind", ["fan", "corefan"])
+    def test_cores_are_the_union_of_the_qualifying_subgraphs(self, kind):
+        # every member of the four-vertex family; the oracle side is computed
+        # once per isomorphism class and carried to each member by relabelling,
+        # which both sides commute with
+        by_form, members, proper = {}, 0, 0
+        for g in all_small_multigraphs(4, 4, 3):
+            if not g.class_count:
+                continue
+            form, perm = canonical(g)
+            if form not in by_form:
+                rep = Multigraph._derived(g.labels, form)
+                by_form[form] = oracle_cores(rep, kind)
+            cores = by_form[form]
+            n, deg = len(g.labels), g.deg
+            exceeds = fanmetrics._fan_exceeds if kind == "fan" else partial(fanmetrics._cfan_exceeds, deg)
+            top = max(deg[i] + deg[j] for i, j, _ in g.index_classes)
+            for v in range(top + 1):
+                core = fanmetrics._core(n, list(g.index_classes), exceeds, v - 1)
+                assert set(core) <= set(g.index_classes)  # each class at host multiplicity
+                got = {tuple(sorted((perm[i], perm[j]))): m for i, j, m in core}
+                assert got == cores.get(v, {}), (g.classes(), v)
+                proper += 0 < len(core) < g.class_count
+            members += 1
+        assert members == 1908 and proper and len(by_form) < members
+
+    def test_reports_match_the_exhaustive_search(self):
+        rng = random.Random(1515)
+        graphs = late = sub_multiplicity = 0
+        while graphs < 2000:
+            g = random_multigraph(rng, rng.randint(2, 8), 14, 3)
+            if math.prod(m + 1 for _, _, m in g.index_classes) > 1 << 14:
+                continue
+            graphs += 1
+            for kind, report in (("fan", fan_number(g)), ("corefan", corefan(g))):
+                want = exhaustive_report(g, kind)
+                got = (report.value, report.witness.classes(), report.pair, report.zset)
+                assert got == want, (kind, g.classes())
+                late += len(report.witness.index_classes) > 1
+                sub_multiplicity += kind == "fan" and any(
+                    m < g.mult(u, v) for u, v, m in report.witness.classes())
+        # a witness of two or more classes is not the first candidate, and
+        # fan_number's witness is not always at host multiplicity
+        assert late and sub_multiplicity
+
+    def test_a_search_that_finds_no_maximiser_raises(self, monkeypatch):
+        # the value's core holds every maximiser; a value one too high has none
+        core = fanmetrics._core
+        monkeypatch.setattr(fanmetrics, "_core", lambda n, box, exceeds, k: core(n, box, exceeds, k - 1))
+        with pytest.raises(RuntimeError, match="attains"):
+            corefan(fixture("fig1-h.graph"))
 
 
 class TestReductions:

@@ -1,9 +1,12 @@
 """Package-wide rules that no single module's tests can see."""
 
 import ast
+import re
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import fancore
 
@@ -39,3 +42,27 @@ def test_public_names_resolve():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert bound == set(exported)
+
+
+# each library call that takes a resource cap, and the cap's name
+CAPPED = [
+    (fancore.corefan, "max_classes"),
+    (fancore.full_multiplicity_criterion, "max_classes"),
+    (fancore.fan_number, "max_product"),
+    (fancore.fan_bound, "max_product"),
+    (fancore.corefan_bruteforce, "max_product"),
+    (fancore.chromatic_index_exact, "max_instances"),
+    (fancore.exhaustive_full_bqueue, "max_vertices"),
+]
+
+
+@pytest.mark.parametrize("cap", [True, False, "3", 3.0, None])
+@pytest.mark.parametrize("call,name", CAPPED, ids=[f"{call.__name__}" for call, _ in CAPPED])
+def test_caps_take_only_ints(call, name, cap):
+    """A cap that is not an int, or is a bool, is a GraphError; a negative int still fails the cap."""
+    g = fancore.Multigraph(edges=[("a", "b", 1)])
+    with pytest.raises(fancore.GraphError, match=re.escape(f"{name} must be an integer, got {cap!r}")):
+        call(g, **{name: cap})
+    with pytest.raises(fancore.ResourceLimitError):
+        call(g, **{name: -1})
+    call(g, **{name: 2})
