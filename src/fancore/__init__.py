@@ -6,7 +6,7 @@ index oracle, a constructive fan-recolouring engine, and the builder for
 graphs with a prescribed t-core and provably large fan number.
 """
 
-from .bqueue import BQueue, exhaustive_full_bqueue, greedy_full_bqueue, validate_bqueue
+from .bqueue import BQueue, greedy_full_bqueue, validate_bqueue
 from .colouring import EdgeColouring, chromatic_index_exact, fan_colouring, verify_colouring
 from .core import CoreReport, bqueue_core_condition, core_report, edges_above, forest_core_condition, t_core
 from .errors import GraphError, ParseError, ResourceLimitError
@@ -59,7 +59,6 @@ __all__ = [
     "degree_preserving_set",
     "dump",
     "edges_above",
-    "exhaustive_full_bqueue",
     "fan_bound",
     "fan_colouring",
     "fan_degree",

@@ -1,4 +1,4 @@
-"""B-queues of simple graphs: validation, greedy search, exhaustive oracle.
+"""B-queues of simple graphs: validation and the greedy search.
 
 A B-queue of a simple graph B is a sequence of distinct vertices
 (u_1, ..., u_q) with reach sets S_0 = {} and S_i = N(u_i) | {u_i} | S_{i-1}
@@ -6,19 +6,28 @@ such that every step adds one or two new vertices, of which at most one is
 not u_i itself. The queue is full when S_q = V(B).
 
 The greedy constructor scans vertices in dense index order and takes the
-first legal extension; the cited decision procedure for full B-queues is
-greedy, so the scan order does not affect the yes/no answer (the exhaustive
-oracle below double-checks this on enumerable graphs in the test suite).
+first legal extension. It is complete: it finds a full B-queue whenever one
+exists. A step's new set N[u] - S, N[u] = N(u) | {u} being the closed
+neighbourhood, only shrinks as the reach S grows, and a nonempty subset of a
+legal new set is itself legal. Let Q = (u_1, ..., u_q) be a full queue and S
+any reach a sequence of legal steps attains, greedy's among them. If S is
+not V(B), take the first u_i of Q whose N[u_i] is not inside S; one exists,
+as Q's reach is V(B). Q's reach before u_i, the union of the earlier N[u_j],
+lies inside S, so u_i's new set at S is nonempty and is a subset of its
+legal new set in Q: u_i is unused (a used vertex has its N[u] inside the
+reach) and legal at S. So while a full queue exists, every reach short of
+V(B) has a legal step: greedy, adding at least one vertex per step, ends
+full, and a depth-first search over queues in index order never backs up, so
+the lexicographically least full queue is greedy's, and the two return None
+together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GraphError, ResourceLimitError, check_cap
+from .errors import GraphError
 from .multigraph import Multigraph
-
-EXHAUSTIVE_VERTEX_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -108,42 +117,3 @@ def greedy_full_bqueue(b: Multigraph) -> BQueue | None:
             return None
     return _as_bqueue(b, picks)
 
-
-def exhaustive_full_bqueue(b: Multigraph, max_vertices: int = EXHAUSTIVE_VERTEX_CAP) -> BQueue | None:
-    """Backtracking search over every valid vertex sequence.
-
-    Deterministic: candidates are explored in index order, so the first full
-    queue found is the lexicographically least one. Intended as an oracle
-    for the greedy decision on small graphs; guarded by a vertex cap.
-    """
-    _require_simple(b)
-    check_cap("max_vertices", max_vertices)
-    n = len(b.labels)
-    if n > max_vertices:
-        raise ResourceLimitError(
-            f"exhaustive B-queue search capped at {max_vertices} vertices, got {n}"
-        )
-
-    picks: list[int] = []
-    added: list[frozenset[int]] = []  # what each pick added to reach
-    reach: set[int] = set()
-    used = [False] * n
-    i = 0  # the next vertex to try after the last pick
-    while len(reach) < n:
-        new = _legal_new(b, i, reach) if i < n and not used[i] else None
-        if new is not None:
-            used[i] = True
-            picks.append(i)
-            added.append(new)
-            reach |= new
-            i = 0
-        elif i < n:
-            i += 1
-        elif picks:  # nothing extends this queue: take its last pick back
-            reach -= added.pop()
-            i = picks.pop()
-            used[i] = False
-            i += 1
-        else:
-            return None
-    return _as_bqueue(b, picks)

@@ -106,11 +106,7 @@ def _cmd_hypothesis(args, out) -> int:
 
 
 def _cmd_bqueue(args, out) -> int:
-    g = _load(args.file)
-    if args.exhaustive:
-        queue = bq.exhaustive_full_bqueue(g, max_vertices=args.max_vertices)
-    else:
-        queue = bq.greedy_full_bqueue(g)
+    queue = bq.greedy_full_bqueue(_load(args.file))
     if queue is None:
         out.write("bqueue none\n")
     else:
@@ -208,8 +204,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bqueue", help="search for a full B-queue of a simple graph")
     p.add_argument("file")
+    # accepted for old scripts and ignored: the greedy search is complete (see fancore.bqueue)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--max-vertices", type=_nonnegative_int, default=bq.EXHAUSTIVE_VERTEX_CAP)
+    p.add_argument("--max-vertices", type=_nonnegative_int)
     p.set_defaults(func=_cmd_bqueue)
 
     p = sub.add_parser("corefan", help="corefan value with witness subgraph")

@@ -80,7 +80,9 @@ def bqueue_core_condition(g: Multigraph, t: int) -> tuple[bool, CoreReport]:
     full B-queue.
 
     Strictly weaker requirement than forest_core_condition (every forest has
-    a full B-queue), with the same colourability conclusion.
+    a full B-queue), with the same colourability conclusion. The check is
+    exact: the greedy search finds a full B-queue whenever one exists (see
+    fancore.bqueue).
     """
     report = core_report(g, t)
     ok = report.max_mult_simple is not None and greedy_full_bqueue(report.max_mult_simple) is not None

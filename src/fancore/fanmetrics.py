@@ -227,6 +227,11 @@ def _fan_terms(deg, adj, x: int) -> dict[int, int]:
     return {z: deg[z] + m for z, m in adj[x].items()}
 
 
+def _cfan_terms(hdeg, deg, adj, x: int) -> dict[int, int]:
+    """Each neighbour z of x mapped to its cfan term d_K(z) - d_H(z) + mult_K(x, z)."""
+    return {z: deg[z] - hdeg[z] + m for z, m in adj[x].items()}
+
+
 def _worst_set(terms: dict[int, int], y: int, k: int, need_two: bool) -> list[int]:
     """The Z attaining _worst_sum, unordered; just y when none is admissible.
 
@@ -326,7 +331,7 @@ def cfan_degree(h: Multigraph, k_sel: SubgraphSelection, x: str, y: str) -> tupl
     """
     k_sel._check_host(h)
     xi, yi = _pair_indices(k_sel, x, y)
-    terms = {z: k_sel.deg[z] - h.deg[z] + m for z, m in k_sel.adj[xi].items()}
+    terms = _cfan_terms(h.deg, k_sel.deg, k_sel.adj, xi)
     return _certified(h.labels, _cfan_level(h, k_sel, xi, yi), terms, yi, False)
 
 
@@ -524,14 +529,20 @@ def _peak(g: Multigraph, full_only: bool, exceeds):
 
 
 def _report(kind: str, g: Multigraph, full_only: bool, exceeds) -> FanReport:
-    """The FanReport of g's first maximiser, by _peak; the trivial one for no class."""
+    """The FanReport of g's first maximiser, by _peak; the trivial one for no class.
+
+    The reported pair's level is the value itself, so its certifying set
+    is read at the value without another bisection.
+    """
     value, kept, pair = _peak(g, full_only, exceeds) if g.index_classes else (0, [], None)
     sel = SubgraphSelection._derived(g, kept)
     if pair is None:
         return FanReport(kind=kind, value=value, witness=sel, pair=None, zset=frozenset())
-    x, y = (g.labels[v] for v in pair)
-    _, zset = fan_degree(sel, x, y) if kind == "fan" else cfan_degree(g, sel, x, y)
-    return FanReport(kind=kind, value=value, witness=sel, pair=(x, y), zset=zset)
+    x, y = pair
+    fan = kind == "fan"
+    terms = _fan_terms(sel.deg, sel.adj, x) if fan else _cfan_terms(g.deg, sel.deg, sel.adj, x)
+    _, zset = _certified(g.labels, value, terms, y, fan)
+    return FanReport(kind=kind, value=value, witness=sel, pair=(g.labels[x], g.labels[y]), zset=zset)
 
 
 def fan_number(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> FanReport:

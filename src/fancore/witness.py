@@ -268,10 +268,17 @@ def verify_witness(
     t-core is the only graph built. J is never built: the certificates are
     read on g under a membership mask, one bulk decision per anchor (see
     fanmetrics), so the whole check is linear in g's classes.
+
+    At most max_diagnostics messages are kept, and a check stops at the
+    cap. The verdict is whether any check failed, whether or not its
+    message was kept, so a cap of 0 or below still returns False.
     """
     diags: list[str] = []
+    failed = False
 
     def record(msg: str) -> bool:
+        nonlocal failed
+        failed = True
         if len(diags) < max_diagnostics:
             diags.append(msg)
         return len(diags) < max_diagnostics
@@ -304,13 +311,13 @@ def verify_witness(
 
     level = D + t
     if level < 0:  # every fan degree is at least 0, so above the level
-        return not diags, diags
+        return not failed, diags
     members = {index[v] for v in plan.k_vertices + plan.s_vertices}
     for x, y in _failing_pairs(g, members, level):
         if not record(f"edge-certificate: fan degree of ({labels[x]},{labels[y]}) is not above {level}"):
             break
 
-    return not diags, diags
+    return not failed, diags
 
 
 # -- plan sidecar text ----------------------------------------------------

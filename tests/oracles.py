@@ -1,10 +1,11 @@
-"""Independent brute-force oracles for the fan metrics.
+"""Independent brute-force oracles for the fan metrics and B-queues.
 
 These deliberately avoid the library's worst-set shortcut: the inner
 condition is checked against every admissible Z by literal enumeration, and
 the subgraph maxima enumerate every sub-multiplicity assignment with
-itertools. Slow, but they are the ground truth the fast paths are measured
-against.
+itertools. The B-queue oracle is a plain depth-first search whose step rule
+is written from the definition, not through the library's. Slow, but they
+are the ground truth the fast paths are measured against.
 """
 
 import itertools
@@ -101,3 +102,32 @@ def corefan_oracle(h: Multigraph) -> int:
             min(cfan_degree_oracle(h, k_graph, x, y) for x, y in _ordered_pairs(k_graph)),
         )
     return best
+
+
+def least_full_bqueue_oracle(b: Multigraph):
+    """The lexicographically least full B-queue of the simple graph b, or None.
+
+    Depth-first search over sequences of distinct vertices, trying them in
+    the order of b.labels. A step u from reach S adds
+    new = ({u} | N(u)) - S and is allowed when new has one or two vertices,
+    at most one of them other than u. The first sequence whose reach is
+    V(b) is returned as (order, sets), sets being S_0 .. S_q as frozensets
+    of labels; None when no sequence gets there.
+    """
+    everything = frozenset(b.labels)
+
+    def extend(order, sets):
+        reach = sets[-1]
+        if reach == everything:
+            return tuple(order), tuple(sets)
+        for u in b.labels:
+            if u in order:
+                continue
+            new = ({u} | set(b.neighbours(u))) - reach
+            if 1 <= len(new) <= 2 and len(new - {u}) <= 1:
+                found = extend(order + [u], sets + [reach | new])
+                if found is not None:
+                    return found
+        return None
+
+    return extend([], [frozenset()])

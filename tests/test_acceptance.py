@@ -38,7 +38,6 @@ from fancore import (
     corefan,
     corefan_bruteforce,
     edges_above,
-    exhaustive_full_bqueue,
     fan_bound,
     fan_colouring,
     fan_number,
@@ -57,7 +56,7 @@ from helpers import (
     random_multigraph,
     random_simple_graph,
 )
-from oracles import corefan_oracle
+from oracles import corefan_oracle, least_full_bqueue_oracle
 
 
 def announce(n: int, elapsed: float, detail: str) -> None:
@@ -229,7 +228,7 @@ def test_criterion_6_full_queue_forces_corefan_zero():
         g = fixture(name)
         assert corefan(g).value == 0
         assert greedy_full_bqueue(g) is None
-        assert exhaustive_full_bqueue(g) is None
+        assert least_full_bqueue_oracle(g) is None
     elapsed = time.perf_counter() - start
     announce(6, elapsed, f"{successes} full-queue graphs all have corefan 0; converse fails on fixtures")
 
@@ -257,10 +256,11 @@ def test_criterion_8_greedy_equals_exhaustive():
     for n in range(7):
         for g in all_simple_graphs(n):
             count += 1
-            assert (greedy_full_bqueue(g) is None) == (exhaustive_full_bqueue(g) is None)
+            q = greedy_full_bqueue(g)
+            assert (None if q is None else (q.order, q.sets)) == least_full_bqueue_oracle(g), g.classes()
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
-    announce(8, elapsed, f"greedy and exhaustive B-queue decisions agree on {count} graphs")
+    announce(8, elapsed, f"greedy returns the depth-first oracle's least full B-queue on {count} graphs")
 
 
 def test_criterion_9_witness_construction_end_to_end():

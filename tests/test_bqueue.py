@@ -1,4 +1,4 @@
-"""B-queue validation, greedy construction, and the exhaustive oracle."""
+"""B-queue validation and greedy construction, checked against a depth-first oracle."""
 
 import random
 
@@ -8,12 +8,16 @@ from fancore import (
     BQueue,
     GraphError,
     Multigraph,
-    ResourceLimitError,
-    exhaustive_full_bqueue,
     greedy_full_bqueue,
     validate_bqueue,
 )
 from helpers import all_simple_graphs_up_to, cycle_graph, fixture, path_graph, random_simple_graph
+from oracles import least_full_bqueue_oracle
+
+
+def as_pair(q):
+    """A BQueue as the oracle reports one: (order, sets), or None."""
+    return None if q is None else (q.order, q.sets)
 
 
 class TestValidate:
@@ -117,41 +121,42 @@ class TestGreedy:
             greedy_full_bqueue(fixture("double-edge.graph"))
 
 
-class TestExhaustive:
+class TestOracle:
     def test_forest_found(self):
-        q = exhaustive_full_bqueue(fixture("forest-spider.graph"))
-        assert q is not None and q.is_full() and validate_bqueue(q)
+        g = fixture("forest-spider.graph")
+        order, sets = least_full_bqueue_oracle(g)
+        q = BQueue(graph=g, order=order, sets=sets)
+        assert q.is_full() and validate_bqueue(q)
 
     def test_c5_absent(self):
-        assert exhaustive_full_bqueue(fixture("c5.graph")) is None
+        assert least_full_bqueue_oracle(fixture("c5.graph")) is None
 
     def test_cycle_plus_pendant_found(self):
-        assert exhaustive_full_bqueue(fixture("cycle-pendant.graph")) is not None
-
-    def test_cap(self):
-        big = path_graph([f"p{i}" for i in range(12)])
-        with pytest.raises(ResourceLimitError):
-            exhaustive_full_bqueue(big)
-        assert exhaustive_full_bqueue(big, max_vertices=12) is not None
+        assert least_full_bqueue_oracle(fixture("cycle-pendant.graph")) is not None
 
 
 class TestAgreement:
-    def test_greedy_matches_exhaustive_up_to_5(self):
-        for g in all_simple_graphs_up_to(5):
+    # greedy is complete and scans in index order, so its queue is the
+    # lexicographically least full one: the oracle's, order and sets alike
+    def test_greedy_matches_the_oracle_up_to_6(self):
+        full = 0
+        for g in all_simple_graphs_up_to(6):
             greedy = greedy_full_bqueue(g)
-            exact = exhaustive_full_bqueue(g)
-            assert (greedy is None) == (exact is None), g.classes()
-            for q in (greedy, exact):
-                if q is not None:
-                    assert validate_bqueue(q) and q.is_full()
+            assert as_pair(greedy) == least_full_bqueue_oracle(g), g.classes()
+            if greedy is not None:
+                full += 1
+                assert validate_bqueue(greedy) and greedy.is_full()
+        assert full > 0
 
-    def test_greedy_matches_exhaustive_random_6_to_8(self):
+    def test_greedy_matches_the_oracle_random_6_to_8(self):
         rng = random.Random(20240810)
         for _ in range(1500):
             g = random_simple_graph(rng, rng.choice([6, 7, 8]), rng.uniform(0.1, 0.9))
-            greedy = greedy_full_bqueue(g)
-            exact = exhaustive_full_bqueue(g)
-            assert (greedy is None) == (exact is None), g.classes()
+            assert as_pair(greedy_full_bqueue(g)) == least_full_bqueue_oracle(g), g.classes()
+
+    def test_long_path_is_greedy_order(self):
+        g = path_graph([f"p{i}" for i in range(12)])
+        assert as_pair(greedy_full_bqueue(g)) == least_full_bqueue_oracle(g)
 
     def test_pendant_monotonicity_on_cycles(self):
         # once a cycle has one pendant, adding more pendants keeps fullness

@@ -99,6 +99,23 @@ class TestBQueue:
             q = BQueue(graph=g, order=tuple(order), sets=tuple(sets))
             assert validate_bqueue(q) and q.is_full()
 
+    # --exhaustive and --max-vertices are accepted and select nothing: the
+    # greedy search is complete, so there is no second search to choose
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.graph")))
+    def test_exhaustive_flag_prints_the_same_bytes(self, name):
+        plain = cli("bqueue", fx(name))
+        assert cli("bqueue", fx(name), "--exhaustive") == plain
+        assert cli("bqueue", fx(name), "--exhaustive", "--max-vertices", 0) == plain
+        assert plain[0] == (0 if fixture(name).is_simple() else 1)
+
+    def test_exhaustive_flag_has_no_vertex_cap(self, tmp_path):
+        path = tmp_path / "path12.graph"
+        path.write_text("".join(f"p{i} p{i + 1} 1\n" for i in range(11)))
+        code, out = cli("bqueue", path, "--exhaustive")
+        assert code == 0
+        assert keyvals(out)["bqueue"] == "full"
+        assert out == cli("bqueue", path)[1]
+
 
 class TestCorefan:
     def test_h4_zero(self):
@@ -374,7 +391,7 @@ class TestProcessLevel:
     def test_exhaustive_bqueue_on_a_long_path_needs_no_deep_recursion(self, tmp_path):
         path = self.long_path(tmp_path)
         result = subprocess.run(
-            [sys.executable, "-m", "fancore.cli", "bqueue", str(path), "--exhaustive", "--max-vertices", "2000"],
+            [sys.executable, "-m", "fancore.cli", "bqueue", str(path), "--exhaustive"],
             capture_output=True,
             text=True,
         )

@@ -52,7 +52,6 @@ CAPPED = [
     (fancore.fan_bound, "max_product"),
     (fancore.corefan_bruteforce, "max_product"),
     (fancore.chromatic_index_exact, "max_instances"),
-    (fancore.exhaustive_full_bqueue, "max_vertices"),
 ]
 
 

@@ -222,6 +222,16 @@ class TestConstructAndVerify:
         assert not ok
         assert any(d.startswith("s-degrees") for d in diags)
 
+    def test_a_cap_that_keeps_no_diagnostic_still_fails(self):
+        h = fixture("double-edge.graph")
+        g, plan = construct_witness(h, 0)
+        broken = Multigraph(g.labels, g.classes()[1:])
+        ok, diags = verify_witness(h, 0, broken, plan, max_diagnostics=1)
+        assert not ok and len(diags) == 1
+        for cap in (0, -1, -5):
+            assert verify_witness(h, 0, broken, plan, max_diagnostics=cap) == (False, [])
+        assert verify_witness(h, 0, g, plan, max_diagnostics=0) == (True, [])
+
     def test_shifted_t_fails_core_check(self):
         h = fixture("double-edge.graph")
         g, plan = construct_witness(h, 0)
