@@ -23,10 +23,14 @@ fan_colouring is the constructive engine. It colours instances one at a
 time, each with the lowest colour free at both ends; when an instance has
 none it builds a fan anchored at one endpoint and repairs the colouring by
 fan rotation ("folding") and two-colour alternating-path swaps (Kempe
-chains). With k >= max over v of degree(v) + vertex_mult(v), a stuck fan
-is arithmetically impossible, so the engine always succeeds there; below
-that bound it is a deterministic best-effort search with a hard retry
-budget per instance. The palette is bounded by 2 * max_degree: with that
+chains). Folding and swapping always complete, so the engine has one
+failure mode: a stuck fan, which can neither fold, reduce nor grow. A
+stuck instance is perturbed by a Kempe swap at one of its ends and
+retried, within a budget per instance, and a pass whose budget runs out
+is run again in another instance order. With k >= max over v of
+degree(v) + vertex_mult(v), a stuck fan is arithmetically impossible, so
+the engine always succeeds there; below that bound it is a deterministic
+best-effort search. The palette is bounded by 2 * max_degree: with that
 many colours no instance is ever stuck, so a larger k gives the same
 colouring, and the engine runs with min(k, 2 * Delta) colours whatever k
 is asked for.
@@ -292,100 +296,122 @@ def _extend(st: _State) -> bool:
 def _flip_path(st: _State, start: int, c_present: int, c_missing: int, avoid) -> bool:
     """Swap the two colours along the maximal alternating path from start.
 
-    start must miss c_missing, so it is an endpoint of its path in the
-    two-colour subgraph and the walk cannot cycle. When avoid is a vertex
-    and the far end of the path is that vertex, nothing is swapped and the
-    call reports False (swapping would disturb the fan anchor's palette).
+    start holds c_present and misses c_missing, as both callers ensure
+    (_reduce and _perturb say why). Every vertex has at most two instances
+    in those two colours and start has one, so start ends a path and the
+    walk stops at its other end, z. When z is avoid, nothing is swapped and
+    the call reports False (swapping would disturb the fan anchor's
+    palette); avoid is None for a swap that may end anywhere.
     """
     used = st.used
-    if (used[start] >> c_missing & 1) or not (used[start] >> c_present & 1):
-        return False
     z, cur = start, c_present
     chain: list[int] = []
-    limit = len(st.ends) + 1
     while used[z] >> cur & 1:
         e = st.at[z][cur]
         chain.append(e)
         z = st.other(e, z)
         cur = c_missing if cur == c_present else c_present
-        if len(chain) > limit:  # would mean the invariant broke; bail safely
-            return False
-    if avoid is not None and z == avoid:
+    if z == avoid:
         return False
-    olds = [st.colour[e] for e in chain]
     for e in chain:
         st.unassign(e)
-    for e, old in zip(chain, olds):
-        st.assign(e, c_missing if old == c_present else c_present)
+    for e in chain[0::2]:
+        st.assign(e, c_missing)
+    for e in chain[1::2]:
+        st.assign(e, c_present)
     return True
 
 
-def _fold(st: _State, x: int, fan: list[int], rim: list[int]) -> bool:
+def _fold(st: _State, x: int, fan: list[int], rim: list[int]) -> None:
     """Rotate colours down the fan until the uncoloured first edge is set.
 
-    Recolour the last fan edge with a colour free at both x and the last
-    rim vertex; its old colour is then free at x and at some earlier rim
-    vertex, so the truncated fan is foldable again. Terminates when the
-    first (uncoloured) edge receives a colour. Returns False, leaving a
-    proper partial colouring, if the fold invariant is ever unavailable.
+    Each step recolours the last fan edge with the lowest colour c free at
+    both x and the last rim vertex, then cuts the fan back to the first rim
+    vertex at which the edge's old colour is now free. Invariant (F) of
+    _fan_attempt holds on entry, and so does the step's condition: x and the
+    last rim vertex share a free colour, the fold condition or b after
+    _reduce's swap. Each step keeps both:
+
+    - Some earlier rim vertex misses old. By (F) one did before the step,
+      and it is not the last rim vertex, which held old on the recoloured
+      edge; the step changes free colours only at x and that vertex.
+    - x misses old now, so x shares old with the cut fan's last rim vertex.
+    - (F) holds for the cut fan. Its edges keep their colours, and the one
+      rim vertex whose free colours changed, the last, lost only c, which
+      no fan edge has because c was free at x.
+
+    The fan shrinks at every step, and the step on the first edge ends it.
     """
     used = st.used
     while True:
-        shared = st.full & ~(used[x] | used[rim[-1]])
-        if not shared:
-            return False
-        c = _lowest(shared)
+        c = _lowest(st.full & ~(used[x] | used[rim[-1]]))
         last = fan[-1]
         old = st.colour[last]
-        if old:
-            st.unassign(last)
+        if not old:
+            st.assign(last, c)
+            return
+        st.unassign(last)
         st.assign(last, c)
-        if old == 0:
-            return True
-        idx = None
-        for i2 in range(len(fan) - 1):
-            if not used[rim[i2]] >> old & 1:
-                idx = i2
-                break
-        if idx is None:
-            return False
+        idx = next(i for i in range(len(fan) - 1) if not used[rim[i]] >> old & 1)
         del fan[idx + 1:]
         del rim[idx + 1:]
 
 
-def _reduce(st: _State, x: int, fan: list[int], rim: list[int], i: int) -> bool:
-    """Make the fan foldable via a Kempe swap between two rim vertices.
+def _reduce(st: _State, x: int, fan: list[int], rim: list[int], i: int) -> None:
+    """Make the fan foldable by a Kempe swap between two rim vertices, and fold it.
 
-    rim[i] and rim[-1] (distinct vertices) share a missing colour a, and
-    b = min free(x) is present at every rim vertex. The (b, a) path from
-    rim[i] and the one from rim[-1] cannot both reach x (x has no b-edge
-    and at most one a-edge, so it ends at most one such path). Swapping
-    whichever path avoids x leaves b free at x and at one of the two rim
-    vertices, so the fan, truncated to that vertex if need be, folds.
+    yi = rim[i] and yn = rim[-1] are distinct vertices sharing a free
+    colour, a the lowest, and b is the lowest colour free at x. By (X) every
+    rim vertex holds b and a is not free at x, so yi and yn each miss a and
+    hold b, as _flip_path requires of its start. x misses b, so it can only
+    end a (b, a)-path. If yi's path does not end at x, it is swapped: b is
+    then free at yi and, untouched, at x, and the fan is cut back to yi.
+    Otherwise that path's two ends are yi and x, so yn, which ends its own
+    path, lies on another one, which avoids x and is swapped: b is then
+    free at yn and at x. Either way x and the last rim vertex share b.
+
+    (F) survives the swap. No swapped instance is at x, so no fan edge
+    changes colour, and free colours change only at the path's ends and
+    only in a and b. No fan edge has b, which is free at x. By (D) yi is the
+    only rim vertex before the last that misses a, and i is its first
+    index, so an a-coloured fan edge comes after rim[i]: the cut drops it
+    when yi's path is swapped, and yi, on the other path, still misses a
+    when yn's is.
     """
     yi, yn = rim[i], rim[-1]
-    shared = st.full & ~(st.used[yi] | st.used[yn])
-    fx = st.free(x)
-    if not shared or not fx:
-        return False
-    a = _lowest(shared)
-    b = _lowest(fx)
+    a = _lowest(st.full & ~(st.used[yi] | st.used[yn]))
+    b = _lowest(st.free(x))
     if _flip_path(st, yi, b, a, avoid=x):
         del fan[i + 1:]
         del rim[i + 1:]
-    elif not _flip_path(st, yn, b, a, avoid=x):
-        return False
-    return _fold(st, x, fan, rim)
+    else:
+        _flip_path(st, yn, b, a, avoid=x)
+    _fold(st, x, fan, rim)
 
 
 def _fan_attempt(st: _State, e: int, x: int) -> bool:
-    """Grow a fan anchored at x from the uncoloured instance e.
+    """Grow a fan anchored at x from the uncoloured instance e; False when it is stuck.
 
-    Fan edges are coloured instances at x whose colour is missing at some
-    earlier rim vertex. After each extension: if x and the new rim vertex
-    share a free colour the fan folds; if the new rim vertex shares a free
-    colour with an earlier, distinct rim vertex the fan reduces. A fan that
-    can do neither and cannot extend is stuck and the attempt fails.
+    The fan is a list of instances at x, e first, and rim[j] is the other
+    end of fan[j]. A coloured instance at x joins the fan when its colour is
+    free at a rim vertex already in it. After each extension: if x and the
+    new rim vertex share a free colour the fan folds; if the new rim vertex
+    shares a free colour with an earlier, distinct rim vertex the fan
+    reduces. A fan that can do neither and cannot extend is stuck: the
+    attempt fails, and it has changed no colour. Folding and reducing
+    always complete, so this is the engine's only failure.
+
+    Nothing is recoloured while the fan grows, so when it folds or reduces:
+
+    - (F) every fan edge after e has a colour free at an earlier rim vertex;
+    - (X) no rim vertex shares a free colour with x, except the last when
+      the fan folds (rim[0] shares none because no colour is free at both
+      ends of e);
+    - (D) no two distinct vertices among the rim vertices before the last
+      share a free colour.
+
+    x has a free colour: the palette has at least max_degree colours, and
+    one of x's instances, e, is uncoloured.
     """
     y0 = st.other(e, x)
     fan = [e]
@@ -395,13 +421,11 @@ def _fan_attempt(st: _State, e: int, x: int) -> bool:
     missing_union = st.free(y0)
     fx = st.free(x)
     while True:
-        nxt = None
-        for cand in st.incident[x]:
+        for nxt in st.incident[x]:
             # an uncoloured instance has colour 0, never a free colour
-            if missing_union >> colour[cand] & 1 and cand not in in_fan:
-                nxt = cand
+            if missing_union >> colour[nxt] & 1 and nxt not in in_fan:
                 break
-        if nxt is None:
+        else:
             return False
         fan.append(nxt)
         in_fan.add(nxt)
@@ -409,36 +433,44 @@ def _fan_attempt(st: _State, e: int, x: int) -> bool:
         rim.append(ynew)
         fy = st.free(ynew)
         if fx & fy:
-            return _fold(st, x, fan, rim)
-        hit = None
+            _fold(st, x, fan, rim)
+            return True
         for idx in range(len(rim) - 1):
             if rim[idx] != ynew and fy & ~used[rim[idx]]:
-                hit = idx
-                break
-        if hit is not None:
-            return _reduce(st, x, fan, rim, hit)
+                _reduce(st, x, fan, rim, idx)
+                return True
         missing_union |= fy
 
 
 def _perturb(st: _State, e: int, attempt: int) -> None:
     """Deterministic Kempe flip near the stuck edge to change the landscape.
 
-    Flips the path from one endpoint between its smallest free colour and a
-    present colour selected by the attempt counter. Sound (properness is
+    Flips the path from one endpoint v between its smallest free colour and
+    a present colour selected by the attempt counter. Sound (properness is
     preserved) and cheap; which flip is taken varies with the counter so
-    successive retries explore different colourings.
+    successive retries explore different colourings. Both colours exist:
+    v ends the uncoloured e, so it has fewer than max_degree coloured
+    instances and a free colour; and no colour is free at both ends of e,
+    so if v had no colour at all, its other end would hold every palette
+    colour besides e and have more than max_degree instances.
     """
     v = st.ends[e][attempt % 2]
-    fv = st.free(v)
     u = st.used[v]
     present = [c for c in range(u.bit_length()) if u >> c & 1]
-    if fv and present:
-        _flip_path(st, v, present[(attempt // 2) % len(present)], _lowest(fv), avoid=None)
+    _flip_path(st, v, present[(attempt // 2) % len(present)], _lowest(st.free(v)), avoid=None)
 
 
 def _colour_edge(st: _State, e: int) -> bool:
+    """Colour the uncoloured instance e; False when every attempt is stuck.
+
+    An attempt takes the lowest colour free at both ends if there is one,
+    and otherwise grows a fan, anchored at the end of lower (degree, index)
+    on even attempts and at the other on odd ones; after a stuck fan it
+    perturbs the colouring. There are |V| * palette attempts, at least two,
+    since e has two ends and the palette at least max_degree >= 1 colours.
+    """
     i, j = st.ends[e]
-    budget = max(1, len(st.g.labels) * max(st.k, 1))
+    budget = len(st.g.labels) * st.k
     lower = i if (st.g.deg[i], i) <= (st.g.deg[j], j) else j
     higher = j if lower == i else i
     for attempt in range(budget):
@@ -492,14 +524,15 @@ def _pass_orders(total: int):
 def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
     """Colour g with k colours by fan recolouring; None when the search fails.
 
-    Requires k >= max_degree(g). Success is guaranteed for
-    k >= max over v of degree(v) + vertex_mult(v); below that bound the
-    engine is a deterministic best-effort search: each stuck instance gets
-    up to |V| * k fan attempts interleaved with Kempe perturbations, and a
-    pass that still fails is retried from scratch with the instance order
-    rotated (forward and reversed starts). None is returned only after
-    every pass fails. Deterministic throughout: identical inputs give
-    identical colourings.
+    Requires k >= max_degree(g). An instance with no colour free at both
+    ends fails only when its fan is stuck; it is then perturbed and retried,
+    up to |V| * palette fan attempts, and a pass with an instance that exhausts
+    them is retried from scratch with the instance order rotated (forward
+    and reversed starts). None is returned only after every pass fails. No
+    fan is stuck for k >= max over v of degree(v) + vertex_mult(v), so
+    success is guaranteed there, on the first pass; below that bound the
+    engine is a deterministic best-effort search. Deterministic throughout:
+    identical inputs give identical colourings.
 
     The engine's palette is min(k, 2 * max_degree(g)). From 2 * Delta - 1
     colours on, the two ends of an instance block at most 2 * Delta - 2 of

@@ -45,6 +45,7 @@ from fancore import (
     forest_core_condition,
     greedy_full_bqueue,
     t_core,
+    validate_bqueue,
     verify_colouring,
     verify_witness,
 )
@@ -252,13 +253,17 @@ def test_criterion_7_figure_values():
 
 def test_criterion_8_greedy_equals_exhaustive():
     start = time.perf_counter()
-    count = 0
+    count = full = 0
     for n in range(7):
         for g in all_simple_graphs(n):
             count += 1
             q = greedy_full_bqueue(g)
             assert (None if q is None else (q.order, q.sets)) == least_full_bqueue_oracle(g), g.classes()
+            if q is not None:
+                full += 1
+                assert validate_bqueue(q) and q.is_full()
     elapsed = time.perf_counter() - start
+    assert full > 0
     assert elapsed < 300.0
     announce(8, elapsed, f"greedy returns the depth-first oracle's least full B-queue on {count} graphs")
 

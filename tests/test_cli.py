@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import runpy
 import subprocess
 import sys
 import time
@@ -22,7 +23,7 @@ from fancore import (
     verify_colouring,
     verify_witness,
 )
-from fancore.cli import run
+from fancore.cli import main, run
 from helpers import FIXTURES, fixture
 
 
@@ -346,6 +347,21 @@ class TestProcessLevel:
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "corefan 0"
+
+    def test_main_and_module_guard_in_process(self, monkeypatch, capsys):
+        # the console script's main and the module's __main__ guard, run here
+        # rather than in a child process, both exit with run's code
+        monkeypatch.setattr(sys, "argv", ["fancore", "corefan", fx("fig2-h4.graph")])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "corefan 0"
+        monkeypatch.delitem(sys.modules, "fancore.cli")  # runpy warns on a loaded module
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("fancore.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == out
 
     def test_usage_error_is_exit_2(self):
         result = subprocess.run(

@@ -25,6 +25,20 @@ from fancore import colouring
 from helpers import FIXTURES, all_small_multigraphs, fixture, path_graph, random_multigraph
 
 
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """How often the fan engine's passes, fan attempts and perturbations run."""
+    calls = {"_run_pass": 0, "_fan_attempt": 0, "_perturb": 0}
+    for name in calls:
+
+        def counted(*args, _real=getattr(colouring, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(colouring, name, counted)
+    return calls
+
+
 def p3():
     return path_graph(["a", "b", "c"])
 
@@ -196,14 +210,27 @@ class TestFanColouring:
             assert chi <= g.ore_bound()
             assert chi <= fan_bound(g)
 
-    def test_exhaustive_small_family_at_ore_bound(self):
+    def test_exhaustive_small_family_at_ore_bound(self, engine_calls):
         # every 4-vertex multigraph (<= 4 classes, mult <= 3) colours at the
-        # degree-sum bound on the first pass of the engine
+        # degree-sum bound on the first pass of the engine, unperturbed
+        graphs = 0
         for g in all_small_multigraphs(4, 4, 3):
             if g.class_count == 0:
                 continue
+            graphs += 1
             c = fan_colouring(g, g.ore_bound())
             assert c is not None and verify_colouring(c)
+        assert engine_calls["_run_pass"] == graphs and engine_calls["_perturb"] == 0
+
+    @pytest.mark.parametrize("host,t", [("double-edge", 0), ("fig1-h", 0), ("multiforest-path", 4)])
+    def test_witness_at_ore_bound_takes_one_pass_and_no_perturbation(self, engine_calls, host, t):
+        # at the Ore bound no fan is stuck, so every stuck instance is
+        # repaired by its first fan attempt: 142, 360 and 2,051 of them here
+        g, _ = construct_witness(fixture(host + ".graph"), t)
+        c = fan_colouring(g, g.ore_bound())
+        assert c is not None and verify_colouring(c)
+        assert engine_calls["_run_pass"] == 1 and engine_calls["_perturb"] == 0
+        assert engine_calls["_fan_attempt"] > 0
 
     def test_retry_orders_are_made_lazily(self):
         # all 2N pass orders held at once take O(N^2) memory: about 110 MB

@@ -173,6 +173,11 @@ class TestConstruction:
         assert hash(g1) == hash(g2)
         assert g1 != Multigraph(edges=[("a", "b", 1), ("b", "c", 3)])
 
+    def test_equality_with_another_type_and_repr(self):
+        g = Multigraph(vertices=["c"], edges=[("a", "b", 2)])
+        assert (g == 1) is False and g != 1
+        assert repr(g) == "Multigraph(3 vertices, 1 classes)"
+
 
 class TestTextFormat:
     def test_parse_edge_line(self):
@@ -320,6 +325,12 @@ class TestSubgraphSelection:
         on_ab = SubgraphSelection(h, [("a", "b", 2)], ["a", "b"])
         assert on_ab == SubgraphSelection(h2, [("a", "b", 2)], ["b", "a"])
         assert on_ab != SubgraphSelection(h2, [("a", "b", 2)], ["a", "b", "c"])
+
+    def test_equality_with_another_type_and_repr(self):
+        sel = SubgraphSelection(fat_triangle_t0(), [("b", "c", 1)], vertices=["b", "c"])
+        assert (sel == 1) is False and sel != 1
+        assert (sel == sel.graph) is False
+        assert repr(sel) == "SubgraphSelection(2 vertices, 1 classes)"
 
 
 class TestDerivedGraphFields:
