@@ -14,12 +14,13 @@ any reach a sequence of legal steps attains, greedy's among them. If S is
 not V(B), take the first u_i of Q whose N[u_i] is not inside S; one exists,
 as Q's reach is V(B). Q's reach before u_i, the union of the earlier N[u_j],
 lies inside S, so u_i's new set at S is nonempty and is a subset of its
-legal new set in Q: u_i is unused (a used vertex has its N[u] inside the
-reach) and legal at S. So while a full queue exists, every reach short of
-V(B) has a legal step: greedy, adding at least one vertex per step, ends
-full, and a depth-first search over queues in index order never backs up, so
-the lexicographically least full queue is greedy's, and the two return None
-together.
+legal new set in Q: u_i is legal at S. So while a full queue exists, every
+reach short of V(B) has a legal step: greedy, adding at least one vertex per
+step, ends full, and a depth-first search over queues in index order never
+backs up, so the lexicographically least full queue is greedy's, and the two
+return None together. A vertex already taken has its N[u] inside the reach,
+so its new set is empty and it is never legal again: the search keeps no
+record of the vertices it took.
 """
 
 from __future__ import annotations
@@ -73,47 +74,35 @@ def _legal_new(g: Multigraph, i: int, reach: set[int]) -> frozenset[int] | None:
     new = {j for j in g.adj[i] if j not in reach}
     if i not in reach:
         new.add(i)
-    if not 1 <= len(new) <= 2:
-        return None
-    if len(new - {i}) > 1:
+    # At most one new vertex besides i also bounds the count by two: with i
+    # new, the count is one more than that; without it, the same.
+    if not new or len(new - {i}) > 1:
         return None
     return frozenset(new)
-
-
-def _as_bqueue(b: Multigraph, picks: list[int]) -> BQueue:
-    labels = b.labels
-    sets = [frozenset()]
-    reach: set[int] = set()
-    for i in picks:
-        reach |= set(b.adj[i])
-        reach.add(i)
-        sets.append(frozenset(labels[j] for j in reach))
-    return BQueue(graph=b, order=tuple(labels[i] for i in picks), sets=tuple(sets))
 
 
 def greedy_full_bqueue(b: Multigraph) -> BQueue | None:
     """First-fit greedy construction; returns a full B-queue or None.
 
-    At each step the smallest-index unused vertex whose addition satisfies
-    the cardinality constraints is taken. Stops as soon as the reach set
-    covers V(B) (success) or no vertex extends the queue (failure).
+    At each step the smallest-index vertex whose addition satisfies the
+    cardinality constraints is taken. Stops as soon as the reach set covers
+    V(B) (success) or no vertex extends the queue (failure).
     """
     _require_simple(b)
-    n = len(b.labels)
+    labels = b.labels
+    n = len(labels)
     reach: set[int] = set()
-    used = [False] * n
-    picks: list[int] = []
+    order: list[str] = []
+    sets = [frozenset()]
     while len(reach) < n:
+        # _legal_new refuses a vertex already taken: its N[u] is in the reach
         for i in range(n):
-            if used[i]:
-                continue
             new = _legal_new(b, i, reach)
             if new is not None:
-                used[i] = True
-                picks.append(i)
-                reach |= new
+                reach |= new  # new = N[u] - S_{i-1}, so the reach is now S_i
+                order.append(labels[i])
+                sets.append(sets[-1].union(labels[j] for j in new))
                 break
         else:
             return None
-    return _as_bqueue(b, picks)
-
+    return BQueue(graph=b, order=tuple(order), sets=tuple(sets))

@@ -245,29 +245,32 @@ def chromatic_index_exact(g: Multigraph, max_instances: int = INSTANCE_CAP) -> t
         raise ResourceLimitError(
             f"chromatic_index_exact capped at {max_instances} edge instances, got {total}"
         )
-    # k = total always succeeds (give every instance its own colour), so the
-    # loop terminates without appealing to any colourability bound; with no
-    # instances, k = 0 does.
+    # One state serves every k: _extend cuts the palette to 1..k itself and
+    # hands the state back uncoloured when it fails. k = total always
+    # succeeds (give every instance its own colour), so the loop terminates
+    # without appealing to any colourability bound; with no instances, k = 0
+    # does.
+    st = _State(g, total)
     for k in range(g.max_degree(), total + 1):
-        st = _State(g, k)
-        if _extend(st):
+        if _extend(st, k):
             return k, EdgeColouring(g, k, _InstanceColours(g, k, st.colour))
     raise RuntimeError("unreachable: k = instance count always admits a colouring")
 
 
-def _extend(st: _State) -> bool:
-    """Whether st's empty colouring extends to every instance, by depth-first search.
+def _extend(st: _State, k: int) -> bool:
+    """Whether st's empty colouring extends to every instance with colours 1..k.
 
-    Instance e tries, lowest first, the colours free at both its ends from
-    lo to top[e] + 1, top[e] being the largest colour on the instances
-    before it: a fresh instance opens at most one new colour, and a copy of
-    the class before it starts one above that copy's colour (lo), so no
-    colouring is tried twice up to a renaming of colours or of parallel
-    copies. cand[e] holds the candidates e has still to try. An instance is
-    uncoloured when the search first reaches it and coloured when the
-    search backs up to it. On False st is as it was.
+    A depth-first search. Instance e tries, lowest first, the colours free
+    at both its ends from lo to top[e] + 1, top[e] being the largest colour
+    on the instances before it: a fresh instance opens at most one new
+    colour, and a copy of the class before it starts one above that copy's
+    colour (lo), so no colouring is tried twice up to a renaming of colours
+    or of parallel copies. cand[e] holds the candidates e has still to try.
+    An instance is uncoloured when the search first reaches it and coloured
+    when the search backs up to it. On False st is as it was.
     """
     ends, colour, used = st.ends, st.colour, st.used
+    full = (1 << (k + 1)) - 2  # colours 1..k
     n = len(ends)
     cand = [0] * n
     top = [0] * (n + 1)
@@ -278,7 +281,7 @@ def _extend(st: _State) -> bool:
         else:
             i, j = ends[e]
             lo = colour[e - 1] + 1 if e and ends[e - 1] == (i, j) else 1
-            cand[e] = st.full & ~(used[i] | used[j]) & ((1 << top[e] + 2) - (1 << lo))
+            cand[e] = full & ~(used[i] | used[j]) & ((1 << top[e] + 2) - (1 << lo))
         if cand[e]:
             c = _lowest(cand[e])
             cand[e] &= cand[e] - 1

@@ -279,9 +279,10 @@ def fan_pair_exceeds(j: GraphLike, x: str, y: str, k: int) -> tuple[bool, Option
 
     Both defining conditions must fail at level k: the degree-sum bound
     must exceed k, and the worst admissible Z must sum to at least 2.
-    Returns the violating Z when the answer is True. This is the per-edge
-    certificate used on constructed witness graphs, where the fan degree
-    itself is astronomically large. A negative k raises GraphError.
+    Returns the violating Z when the answer is True, so the answer can be
+    checked by hand where the fan degree itself is astronomically large.
+    verify_witness does not call it: _failing_pairs makes the same test on
+    every edge of a witness in bulk. A negative k raises GraphError.
     """
     if k < 0:
         raise GraphError(f"level {k} is negative")

@@ -18,15 +18,19 @@ pair satisfying
   (d) D >= max_degree(h) + 2r^2,
   (e) D + t = m(r - 1) with m even, m >= 4.
 
+(c) follows from (a) and (d), so D is the least value allowed by (d) and
+(e); choose_params proves it, with the bounds the split and the circulant
+need.
+
 Stage 1 attaches pendant classes of multiplicity r and r-1 from each K
 vertex to fresh vertices (the sets S_r and S_{r-1}), raising every K vertex
 to degree D. The count split per vertex comes from writing
 D - deg_h(x_i) = a_r * r + a_{r-1} * (r - 1) with a_r in [0, r-1]; when the
 total of the a_r is odd, the first vertex's split is shifted by
 (+(r-1), -r), which flips the parity without changing the sum. Stage 2
-overlays a reg_k-regular circulant on S, reg_k = (D+t)/(r-1) - 2, with a
-planted perfect matching on S_r; matching edges get multiplicity r-3 and the
-rest r-1, leaving S_{r-1} vertices at degree D-(r-1)+t and S_r vertices at
+overlays a reg_k-regular circulant on S, reg_k = (D+t)/(r-1) - 2 = m - 2,
+with a planted perfect matching on S_r; matching edges get multiplicity r-3
+and the rest r-1, leaving S_{r-1} vertices at degree D-(r-1)+t and S_r vertices at
 D-r+t, so every S vertex lands exactly on the t-core threshold without
 crossing it. Stage 3 tops up each vertex of V(h) - V(K) to degree D with
 one pendant class of multiplicity r-1 plus single-copy pendants.
@@ -125,6 +129,26 @@ def choose_params(h: Multigraph, t: int, k_sel: SubgraphSelection) -> Constructi
 
     Raises ResourceLimitError, before any label is made, when the graph the
     plan builds would have more than WITNESS_CLASS_CAP classes.
+
+    The plan needs no check of its own, by these facts. Write Delta for
+    max_degree(h); K has an edge, so 1 <= deg_h(x) <= Delta on V(K) and K
+    has at least two vertices.
+
+    - (c) follows from (a) and (d): (a) gives t <= r - 6 - Delta, so
+      3r + t <= 4r - 6 - Delta < Delta + 2r^2, and m is the least even
+      integer with m(r - 1) >= Delta + 2r^2 + t.
+    - m > 2r >= 12: m(r - 1) >= 2r^2 > 2r(r - 1), and r >= 6 by (a).
+    - The split: D - deg_h(x) = alpha(r - 1) + beta with 0 <= beta <= r - 2
+      gives a_r = beta and a_rm1 = alpha - beta. By (d) D - deg_h(x) >= 2r^2
+      = (2r + 1)(r - 1) + r + 1, so alpha >= 2r + 2 and a_rm1 >= r + 4. The
+      parity shift takes r off the first vertex's a_rm1 only, leaving it at
+      least 4.
+    - The circulant: reg_k = (D + t)/(r - 1) - 2 = m - 2 exactly. It is even
+      because m is, and at least 2 because m >= 12. t + deg_h(x) <= r - 6
+      < r - 1, so D - deg_h(x) = m(r - 1) - (t + deg_h(x)) leaves alpha >=
+      m - 1 at every K vertex. The shift takes one off a vertex's a_r +
+      a_rm1 = alpha, so s = |S| >= 2(m - 1) - 1 = 2m - 3 > m - 2 = reg_k,
+      and _circulant_pairs gets reg_k < s.
     """
     check_t(t)
     _validate_witness_subgraph(h, k_sel, t)
@@ -133,8 +157,7 @@ def choose_params(h: Multigraph, t: int, k_sel: SubgraphSelection) -> Constructi
     r = delta + 6 + t
     if r % 2:
         r += 1
-    d_min = max(3 * r + t, delta + 2 * r * r)
-    m = -(-(d_min + t) // (r - 1))  # ceil division; d_min >= 2r^2 makes m > 2r >= 12
+    m = -(-(delta + 2 * r * r + t) // (r - 1))  # ceil division
     if m % 2:
         m += 1
     D = m * (r - 1) - t
@@ -146,16 +169,12 @@ def choose_params(h: Multigraph, t: int, k_sel: SubgraphSelection) -> Constructi
         alpha, beta = divmod(D - h.deg[i], r - 1)
         a_r.append(beta)
         a_rm1.append(alpha - beta)
-    if any(v < r for v in a_rm1):
-        raise RuntimeError("parameter choice broke the split lower bound")
     if sum(a_r) % 2:
         a_r[0] += r - 1
         a_rm1[0] -= r
 
-    reg_k = (D + t) // (r - 1) - 2
+    reg_k = m - 2
     s = sum(a_r) + sum(a_rm1)
-    if reg_k % 2 or reg_k < 2 or s <= reg_k:
-        raise RuntimeError("parameter choice broke the circulant preconditions")
     # _build's classes: h's, the stage-1 pendants, the circulant on S, and
     # per vertex outside K one class of multiplicity r - 1 plus single copies
     classes = h.class_count + s + s * reg_k // 2 + sum(
@@ -210,11 +229,12 @@ def _build(h: Multigraph, plan: ConstructionPlan) -> Multigraph:
         off_r += a_r
         off_q += a_rm1
 
-    # Stage 2: regular circulant on S, matching edges thinned to r-3.
-    at = {v: p for p, v in enumerate(s_order)}
-    matched = {(at[u], at[v]) for u, v in plan.matching}  # each pair is (s_r[2i], s_r[2i+1])
+    # Stage 2: regular circulant on S, matching edges thinned to r-3. The
+    # matching pairs the S_r positions (2i, 2i+1), so a circulant pair (i, j)
+    # is matched exactly when i is even and j = i + 1 is in S_r.
+    s_r = plan.s_r
     for i, j in _circulant_pairs(len(s_order), plan.reg_k):
-        classes.append((n + i, n + j, r - 3 if (i, j) in matched else r - 1))
+        classes.append((n + i, n + j, r - 3 if i % 2 == 0 and j == i + 1 < s_r else r - 1))
 
     # Stage 3: top up the remaining h vertices with fresh pendants, named
     # with the prefix choose_params found fresh for the S labels ('<prefix>sq0').

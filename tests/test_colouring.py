@@ -88,6 +88,22 @@ class TestExactChromaticIndex:
         value, colouring = chromatic_index_exact(Multigraph(vertices=["a"]))
         assert value == 0 and colouring.assignment == {}
 
+    @pytest.mark.parametrize("name,delta,chi", [("fat-triangle-t1.graph", 5, 7), ("c5.graph", 2, 3)])
+    def test_one_palette_state_per_call(self, name, delta, chi, monkeypatch):
+        # a failed k hands the state back uncoloured, so every k reuses it
+        built = []
+
+        class Counted(colouring._State):
+            def __init__(self, g, k):
+                built.append(k)
+                super().__init__(g, k)
+
+        monkeypatch.setattr(colouring, "_State", Counted)
+        g = fixture(name)
+        value, c = chromatic_index_exact(g)
+        assert (g.max_degree(), value) == (delta, chi) and verify_colouring(c)
+        assert len(built) == 1
+
     def test_cap(self):
         g = Multigraph(edges=[(f"a{i}", f"b{i}", 5) for i in range(5)])
         with pytest.raises(ResourceLimitError):

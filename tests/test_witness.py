@@ -1,6 +1,7 @@
 """Witness construction: circulants, parameter choice, build, verification."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -20,8 +21,8 @@ from fancore import (
     t_core,
     verify_witness,
 )
-from fancore import witness
-from helpers import FIXTURES, fixture
+from fancore import fanmetrics, witness
+from helpers import FIXTURES, fixture, random_multigraph
 
 
 def hosts():
@@ -77,21 +78,38 @@ class TestChooseParams:
         assert plan.reg_k == 18
 
     def test_split_arithmetic(self):
-        for h, t in hosts():
-            k_sel = corefan(h).witness.strip_isolated()
-            plan = choose_params(h, t, k_sel)
+        # (a)-(e) with r and D least, and the facts choose_params's docstring
+        # proves instead of checking them, on every fixture host and 200
+        # seeded hosts, each at every t below its corefan
+        def plans():
+            rng = random.Random(18)
+            graphs = [fixture(p.name) for p in sorted(FIXTURES.glob("*.graph"))]
+            graphs += [random_multigraph(rng, rng.randint(2, 6), 8, 5) for _ in range(200)]
+            for h in graphs:
+                report = corefan(h)
+                for t in range(report.value):
+                    yield h, choose_params(h, t, report.witness.strip_isolated())
+
+        count = 0
+        for h, plan in plans():
+            count += 1
+            delta, r, D, t, reg_k = h.max_degree(), plan.r, plan.D, plan.t, plan.reg_k
+            m, rest = divmod(D + t, r - 1)
+            assert r >= delta + 6 + t > r - 2 and r % 2 == 0  # (a), (b)
+            assert D >= 3 * r + t and D >= delta + 2 * r * r  # (c), (d)
+            assert rest == 0 and m % 2 == 0 and m >= 4  # (e)
+            assert D - 2 * (r - 1) < delta + 2 * r * r  # D is least
             assert sum(plan.a_r) % 2 == 0
             for idx, x in enumerate(plan.k_vertices):
-                assert plan.a_r[idx] >= 0 and plan.a_rm1[idx] >= 0
-                got = plan.a_r[idx] * plan.r + plan.a_rm1[idx] * (plan.r - 1)
-                assert got == plan.D - h.degree(x)
-            # the split lower bound may only be broken on the first vertex
-            assert all(v >= plan.r for v in plan.a_rm1[1:])
+                assert plan.a_r[idx] >= 0 and plan.a_rm1[idx] >= (r if idx else 0)
+                assert plan.a_r[idx] * r + plan.a_rm1[idx] * (r - 1) == D - h.degree(x)
+            s = plan.s_r + plan.s_rm1
+            assert reg_k == m - 2 and reg_k % 2 == 0 and 2 <= reg_k < s
+            assert plan.matching == tuple(zip(plan.s_r_vertices[::2], plan.s_r_vertices[1::2]))
             # stage-2 degree identities
-            r, D, t_, k = plan.r, plan.D, plan.t, plan.reg_k
-            assert (r - 1) + (r - 1) * k == D - (r - 1) + t_
-            assert r + (r - 1) * k - 2 == D - r + t_
-            assert plan.s_r + plan.s_rm1 > k
+            assert (r - 1) + (r - 1) * reg_k == D - (r - 1) + t
+            assert r + (r - 1) * reg_k - 2 == D - r + t
+        assert count == 16 + 325
 
     def test_rejects_empty_witness(self):
         h = fixture("double-edge.graph")
@@ -339,6 +357,41 @@ def test_construct_bytes_are_pinned(name, t, graph_digest, plan_digest):
     g, plan = construct_witness(fixture(name), t)
     assert hashlib.sha256(serialize(g).encode()).hexdigest() == graph_digest
     assert hashlib.sha256(plan_to_text(plan).encode()).hexdigest() == plan_digest
+
+
+# Fan(G) of the witness built for each pinned (host, t), measured. Delta(G)
+# is D on every pair. The construction guarantees only Fan(G) > D + t, and
+# Fan(G) - (D + t) is 1 on twelve pairs but 2 on fat-triangle-t2 at t = 0
+# and multiforest-path at t = 1 and 2, and 3 on multiforest-path at t = 0.
+WITNESS_FAN = {
+    ("c3.graph", 0): 141,
+    ("c5.graph", 0): 141,
+    ("double-edge.graph", 0): 141,
+    ("fat-triangle-t0.graph", 0): 217,
+    ("fat-triangle-t1.graph", 0): 309,
+    ("fat-triangle-t1.graph", 1): 309,
+    ("fat-triangle-t2.graph", 0): 418,
+    ("fat-triangle-t2.graph", 1): 417,
+    ("fat-triangle-t2.graph", 2): 541,
+    ("fig1-h.graph", 0): 217,
+    ("fig1-h1.graph", 0): 309,
+    ("multiforest-path.graph", 0): 419,
+    ("multiforest-path.graph", 1): 542,
+    ("multiforest-path.graph", 2): 542,
+    ("multiforest-path.graph", 3): 681,
+    ("multiforest-path.graph", 4): 681,
+}
+
+
+@pytest.mark.parametrize("name,t", [(name, t) for name, t, _, _ in CONSTRUCT_PINS])
+def test_witness_fan_is_pinned_from_both_sides(name, t):
+    g, plan = construct_witness(fixture(name), t)
+    v = WITNESS_FAN[name, t]
+    n, classes = len(g.labels), list(g.index_classes)
+    assert g.max_degree() == plan.D and plan.D + t < v
+    # some subgraph has every pair degree at least v, and none has all above v
+    assert fanmetrics._core(n, classes, fanmetrics._fan_exceeds, v - 1)
+    assert not fanmetrics._core(n, classes, fanmetrics._fan_exceeds, v)
 
 
 @pytest.mark.parametrize("name,t", [(name, t) for name, t, _, _ in CONSTRUCT_PINS])
