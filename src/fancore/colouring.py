@@ -7,7 +7,7 @@ instances.
 
 Both solvers colour on one palette state, _State, whose palettes are
 bitmasks: each vertex keeps the colours on its instances as one int, bit c
-for colour c, updated on every assign and unassign. The colours free at a
+for colour c, updated on every colour change. The colours free at a
 vertex, or at both ends of an instance, are then one and-not against the
 full palette, every membership test is one bit test, and the smallest
 free colour is the lowest set bit.
@@ -34,6 +34,23 @@ best-effort search. The palette is bounded by 2 * max_degree: with that
 many colours no instance is ever stuck, so a larger k gives the same
 colouring, and the engine runs with min(k, 2 * Delta) colours whatever k
 is asked for.
+
+Almost all of the engine's time below the Ore bound goes to stuck fans and
+the perturbations after them, so that path reads and writes the state's
+lists itself, with no helper call per step, and its tests are mask
+shortcuts that pick exactly what the plain tests pick:
+
+- The fan's instances are a mask of their colours. A candidate's colour is
+  free at a rim vertex, so it is not 0, the uncoloured e's colour, and
+  colours at x are distinct, so a coloured instance at x is in the fan
+  exactly when its colour is in the mask. For the same reason the fan is
+  stuck when no colour free at a rim vertex, outside the mask, is present
+  at x: one and of masks, not a scan of x's instances.
+- The scan for a reduce partner runs only when the new rim vertex shares a
+  free colour with the union of the earlier rim vertices' free colours, as
+  a partner must share one with that union.
+- The perturbation's present colour is the n-th set bit of the vertex's
+  palette, which is the n-th entry of its present colours listed in order.
 
 The check of a colouring shares no code with that state. _proper
 recomputes every vertex's colours from scratch from the instance
@@ -208,13 +225,6 @@ class _State:
             e += m
         self.full = (1 << (k + 1)) - 2  # colours 1..k
 
-    def free(self, v: int) -> int:
-        return self.full & ~self.used[v]
-
-    def other(self, e: int, v: int) -> int:
-        i, j = self.ends[e]
-        return j if v == i else i
-
     def assign(self, e: int, c: int) -> None:
         i, j = self.ends[e]
         self.colour[e] = c
@@ -305,23 +315,29 @@ def _flip_path(st: _State, start: int, c_present: int, c_missing: int, avoid) ->
     walk stops at its other end, z. When z is avoid, nothing is swapped and
     the call reports False (swapping would disturb the fan anchor's
     palette); avoid is None for a swap that may end anywhere.
+
+    The swap writes the state directly. Every inner vertex of the path keeps
+    both colours, so of the palettes only the two ends' change: each trades
+    the colour it held on the path for the other, one xor of both bits.
     """
-    used = st.used
-    z, cur = start, c_present
+    used, at, ends, colour = st.used, st.at, st.ends, st.colour
+    z, cur, alt = start, c_present, c_missing
     chain: list[int] = []
     while used[z] >> cur & 1:
-        e = st.at[z][cur]
+        e = at[z][cur]
         chain.append(e)
-        z = st.other(e, z)
-        cur = c_missing if cur == c_present else c_present
+        i, j = ends[e]
+        z = j if z == i else i
+        cur, alt = alt, cur
     if z == avoid:
         return False
+    swap = 1 << c_present | 1 << c_missing
+    used[start] ^= swap
+    used[z] ^= swap
     for e in chain:
-        st.unassign(e)
-    for e in chain[0::2]:
-        st.assign(e, c_missing)
-    for e in chain[1::2]:
-        st.assign(e, c_present)
+        colour[e] = c = c_present + c_missing - colour[e]
+        i, j = ends[e]
+        at[i][c] = at[j][c] = e
     return True
 
 
@@ -383,7 +399,7 @@ def _reduce(st: _State, x: int, fan: list[int], rim: list[int], i: int) -> None:
     """
     yi, yn = rim[i], rim[-1]
     a = _lowest(st.full & ~(st.used[yi] | st.used[yn]))
-    b = _lowest(st.free(x))
+    b = _lowest(st.full & ~st.used[x])
     if _flip_path(st, yi, b, a, avoid=x):
         del fan[i + 1:]
         del rim[i + 1:]
@@ -415,33 +431,50 @@ def _fan_attempt(st: _State, e: int, x: int) -> bool:
 
     x has a free colour: the palette has at least max_degree colours, and
     one of x's instances, e, is uncoloured.
+
+    The growth reads the state directly. grow is the set of colours that
+    can extend the fan: free at a rim vertex (missing_union), on an
+    instance at x (used[x]) and not yet in the fan (fan_colours). When it is
+    empty no instance can join, since an instance at x joins exactly when
+    its colour is in grow: its colour is not 0, which is never free, and
+    colours at x are distinct, so the colour names the instance. Otherwise
+    the scan of x's instances takes the first one with a colour in grow.
+    The search for a reduce partner runs only if fy meets missing_union,
+    the union of the earlier rim vertices' free colours: a partner's free
+    colours are part of that union, so if fy misses it there is none. The
+    scan can still find none, when every earlier rim vertex that shares a
+    colour with fy is ynew itself, reached before by a parallel instance.
     """
-    y0 = st.other(e, x)
+    ends, used, colour, full = st.ends, st.used, st.colour, st.full
+    i, j = ends[e]
+    y0 = j if x == i else i
     fan = [e]
     rim = [y0]
-    in_fan = {e}
-    used, colour = st.used, st.colour
-    missing_union = st.free(y0)
-    fx = st.free(x)
+    fan_colours = 0
+    missing_union = full & ~used[y0]
+    ux = used[x]
+    fx = full & ~ux
     while True:
-        for nxt in st.incident[x]:
-            # an uncoloured instance has colour 0, never a free colour
-            if missing_union >> colour[nxt] & 1 and nxt not in in_fan:
-                break
-        else:
+        grow = missing_union & ux & ~fan_colours
+        if not grow:
             return False
+        for nxt in st.incident[x]:
+            if grow >> colour[nxt] & 1:
+                break
         fan.append(nxt)
-        in_fan.add(nxt)
-        ynew = st.other(nxt, x)
+        fan_colours |= 1 << colour[nxt]
+        i, j = ends[nxt]
+        ynew = j if x == i else i
         rim.append(ynew)
-        fy = st.free(ynew)
+        fy = full & ~used[ynew]
         if fx & fy:
             _fold(st, x, fan, rim)
             return True
-        for idx in range(len(rim) - 1):
-            if rim[idx] != ynew and fy & ~used[rim[idx]]:
-                _reduce(st, x, fan, rim, idx)
-                return True
+        if fy & missing_union:
+            for idx in range(len(rim) - 1):
+                if rim[idx] != ynew and fy & ~used[rim[idx]]:
+                    _reduce(st, x, fan, rim, idx)
+                    return True
         missing_union |= fy
 
 
@@ -456,11 +489,16 @@ def _perturb(st: _State, e: int, attempt: int) -> None:
     instances and a free colour; and no colour is free at both ends of e,
     so if v had no colour at all, its other end would hold every palette
     colour besides e and have more than max_degree instances.
+
+    The present colour is the n-th set bit of used[v], n = (attempt // 2)
+    modulo their count, found by clearing the n lowest bits: the n-th of
+    v's present colours in increasing order.
     """
     v = st.ends[e][attempt % 2]
     u = st.used[v]
-    present = [c for c in range(u.bit_length()) if u >> c & 1]
-    _flip_path(st, v, present[(attempt // 2) % len(present)], _lowest(st.free(v)), avoid=None)
+    for _ in range((attempt // 2) % u.bit_count()):
+        u &= u - 1
+    _flip_path(st, v, _lowest(u), _lowest(st.full & ~st.used[v]), avoid=None)
 
 
 def _colour_edge(st: _State, e: int) -> bool:
@@ -473,11 +511,10 @@ def _colour_edge(st: _State, e: int) -> bool:
     since e has two ends and the palette at least max_degree >= 1 colours.
     """
     i, j = st.ends[e]
-    budget = len(st.g.labels) * st.k
-    lower = i if (st.g.deg[i], i) <= (st.g.deg[j], j) else j
-    higher = j if lower == i else i
-    for attempt in range(budget):
-        common = st.full & ~(st.used[i] | st.used[j])
+    used, full, deg = st.used, st.full, st.g.deg
+    lower, higher = (i, j) if (deg[i], i) <= (deg[j], j) else (j, i)
+    for attempt in range(len(deg) * st.k):
+        common = full & ~(used[i] | used[j])
         if common:
             st.assign(e, _lowest(common))
             return True

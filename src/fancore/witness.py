@@ -277,12 +277,16 @@ def verify_witness(
 ) -> tuple[bool, list[str]]:
     """Polynomial check that g certifies the construction's two claims.
 
-    Four checks, none of which enumerate subgraphs: (1) max_degree(g) = D,
+    Five checks, none of which enumerate subgraphs: (1) max_degree(g) = D,
     attained exactly on V(h); (2) the t-core of g equals h, multiplicities
-    included; (3) the S vertices hit their exact degree targets; (4) on the
-    subgraph J induced by V(K) and S, both fan-degree conditions fail at
-    level D + t for every ordered pair on an edge, so every edge of J has
-    fan degree above D + t and hence fan(g) > max_degree(g) + t.
+    included; (3) the S vertices hit their exact degree targets; (4) the
+    plan's other keys describe g: reg_k = (D + t)/(r - 1) - 2, K vertex i
+    has a_r[i] classes of multiplicity r into S_r and a_rm1[i] of
+    multiplicity r - 1 into S_{r-1}, and each matching pair is a class of
+    multiplicity r - 3; (5) on the subgraph J induced by V(K) and S, both
+    fan-degree conditions fail at level D + t for every ordered pair on an
+    edge, so every edge of J has fan degree above D + t and hence fan(g) >
+    max_degree(g) + t.
 
     One pass over g's degrees gives the maximum and the degree-D set; the
     t-core is the only graph built. J is never built: the certificates are
@@ -319,7 +323,8 @@ def verify_witness(
     if t_core(g, t) != h:
         record("core: the t-core of the constructed graph is not the host graph")
 
-    unknown = [v for v in plan.k_vertices + plan.s_vertices if v not in index]
+    matched = tuple(v for pair in plan.matching for v in pair)
+    unknown = [v for v in plan.k_vertices + plan.s_vertices + matched if v not in index]
     if unknown:
         record(f"plan: vertices {unknown[:3]} are not in the graph")
         return False, diags
@@ -328,6 +333,24 @@ def verify_witness(
         for v in vertices:
             if deg[index[v]] != want and not record(f"s-degrees: {v} has degree {deg[index[v]]}, expected {want}"):
                 break
+
+    if (plan.reg_k + 2) * (r - 1) != D + t:
+        record(f"plan: reg_k={plan.reg_k} is not (D+t)/(r-1) - 2")
+    s_r = {index[v] for v in plan.s_r_vertices}
+    s_rm1 = {index[v] for v in plan.s_rm1_vertices}
+    for x, want_r, want_rm1 in zip(plan.k_vertices, plan.a_r, plan.a_rm1):
+        adj = g.adj[index[x]]
+        got_r = sum(1 for y, m in adj.items() if m == r and y in s_r)
+        got_rm1 = sum(1 for y, m in adj.items() if m == r - 1 and y in s_rm1)
+        if (got_r, got_rm1) != (want_r, want_rm1) and not record(
+            f"plan: {x} has {got_r} classes of multiplicity r into S_r and {got_rm1} of "
+            f"multiplicity r-1 into S_r-1, expected a_r={want_r} and a_rm1={want_rm1}"
+        ):
+            break
+    for u, v in plan.matching:
+        m = g.adj[index[u]].get(index[v], 0)
+        if m != r - 3 and not record(f"plan: matching pair {u} {v} has multiplicity {m}, expected r-3={r - 3}"):
+            break
 
     level = D + t
     if level < 0:  # every fan degree is at least 0, so above the level

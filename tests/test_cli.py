@@ -288,6 +288,21 @@ class TestConstruct:
         assert keyvals(out)["verified"] == "false"
         assert any(line.startswith("diagnostic ") for line in out.splitlines())
 
+    @pytest.mark.parametrize("old,new,diagnostic", [
+        ("reg_k=18", "reg_k=4", "plan: reg_k=4 is not (D+t)/(r-1) - 2"),
+        ("a_r=5 5", "a_r=999 5", "plan: x has 5 classes of multiplicity r into S_r"),
+        ("a_rm1=14 14", "a_rm1=14 13", "plan: y has 5 classes of multiplicity r into S_r"),
+        ("matching=sr0 sr1", "matching=sr1 sr2", "plan: matching pair sr1 sr2 has multiplicity 7"),
+    ], ids=["reg_k", "a_r", "a_rm1", "matching"])
+    def test_plan_key_contradicting_the_graph_fails_verification(self, old, new, diagnostic, tmp_path):
+        out_path = tmp_path / "w.graph"
+        plan_path = tmp_path / "w.graph.plan"
+        assert cli("construct", fx("double-edge.graph"), "--t", 0, "-o", out_path)[0] == 0
+        plan_path.write_text(plan_path.read_text().replace(old, new))
+        code, out = cli("verify-witness", fx("double-edge.graph"), out_path, plan_path, "--t", 0)
+        assert code == 1
+        assert out.startswith(f"verified false\ndiagnostic {diagnostic}")
+
     def test_missing_plan_is_domain_error(self, tmp_path, capsys):
         host = fx("double-edge.graph")
         code, out = cli("verify-witness", host, host, tmp_path / "missing.plan", "--t", 0)

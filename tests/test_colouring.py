@@ -248,6 +248,21 @@ class TestFanColouring:
         assert engine_calls["_run_pass"] == 1 and engine_calls["_perturb"] == 0
         assert engine_calls["_fan_attempt"] > 0
 
+    def test_fan_grows_past_a_repeated_rim_vertex(self):
+        # x's fan from the uncoloured x-a takes x-b (colour 6, free at a),
+        # then x-b's copy (colour 5): b comes back as the new rim vertex. Its
+        # free colour 2 is in the rim's free union, so the partner scan runs,
+        # but the only rim vertex missing 2 is b itself, so the fan neither
+        # reduces nor stops: it takes x-c (colour 2, free at b) and folds at
+        # c, where colour 4 is free at both c and x.
+        g = Multigraph(["x", "a", "b", "c", "d"], [("x", "a", 1), ("x", "b", 2), ("x", "c", 2), ("a", "b", 3), ("a", "d", 1), ("c", "d", 1)])
+        st = colouring._State(g, 6)
+        for e, c in enumerate([0, 6, 5, 3, 2, 4, 3, 1, 2, 1]):
+            if c:
+                st.assign(e, c)
+        assert colouring._fan_attempt(st, 0, 0) is True
+        assert st.colour == [6, 2, 5, 3, 4, 4, 3, 1, 2, 1]
+
     def test_retry_orders_are_made_lazily(self):
         # all 2N pass orders held at once take O(N^2) memory: about 110 MB
         # on this 2,662-instance witness, against about 1.5 MB for one pass
@@ -367,6 +382,26 @@ def test_fan_engine_bytes_are_pinned(name, bound, digest):
         g = fixture(name)
     c = fan_colouring(g, getattr(g, bound)())
     assert (None if c is None else hashlib.sha256(c.as_text().encode()).hexdigest()) == digest
+
+
+def test_fan_engine_retry_path_is_pinned(engine_calls):
+    # The four-vertex family and 300 seeded 5-8-vertex graphs at k = Delta,
+    # Delta + 1 and Delta + 2: 6,624 calls, 528 of them None after every
+    # pass, and 196,398 stuck fans, each followed by a perturbation.
+    # The digest covers every colouring's text or None in call order, and the
+    # counts pin how many passes, fan attempts and perturbations it took, so
+    # the retry path cannot change a choice without failing here.
+    rng = random.Random(19)
+    graphs = [g for g in all_small_multigraphs(4, 4, 3) if g.class_count]
+    graphs += [random_multigraph(rng, rng.randint(5, 8), 10, 3) for _ in range(300)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        d = g.max_degree()
+        for k in range(d, d + 3):
+            c = fan_colouring(g, k)
+            digest.update(b"None\n" if c is None else c.as_text().encode() + b"\n")
+    assert digest.hexdigest() == "61bff0a31568dfa2cdc7435b75d40bd6f6b75bd7aeecac5f830c57e73dc90da8"
+    assert engine_calls == {"_run_pass": 14312, "_fan_attempt": 196757, "_perturb": 196398}
 
 
 class TestColouringText:

@@ -316,6 +316,44 @@ class TestConstructAndVerify:
         assert not ok
         assert full == [d for d in full if not d.startswith("edge-certificate")] + reference
 
+    @pytest.mark.parametrize("old,new,expected", [
+        ("reg_k=18", "reg_k=4", ["plan: reg_k=4 is not (D+t)/(r-1) - 2"]),
+        ("a_r=5 5", "a_r=999 5", [
+            "plan: x has 5 classes of multiplicity r into S_r and 14 of multiplicity r-1 into S_r-1, "
+            "expected a_r=999 and a_rm1=14",
+        ]),
+        ("a_rm1=14 14", "a_rm1=14 13", [
+            "plan: y has 5 classes of multiplicity r into S_r and 14 of multiplicity r-1 into S_r-1, "
+            "expected a_r=5 and a_rm1=13",
+        ]),
+        ("matching=sr0 sr1 sr2 sr3", "matching=sr0 sr2 sr1 sr3", [
+            "plan: matching pair sr0 sr2 has multiplicity 7, expected r-3=5",
+            "plan: matching pair sr1 sr3 has multiplicity 7, expected r-3=5",
+        ]),
+    ], ids=["reg_k", "a_r", "a_rm1", "matching"])
+    def test_plan_keys_that_contradict_the_graph_fail(self, old, new, expected):
+        # the double-edge/t0 witness: D = 140, r = 8, reg_k = 18, K = {x, y}
+        # with a_r = (5, 5) and a_rm1 = (14, 14), matching sr0-sr1, sr2-sr3, ...
+        h = fixture("double-edge.graph")
+        g, plan = construct_witness(h, 0)
+        text = plan_to_text(plan)
+        assert old in text
+        assert verify_witness(h, 0, g, plan_from_text(text.replace(old, new))) == (False, expected)
+
+    def test_plan_key_checks_stop_at_the_cap(self):
+        # both K vertices' splits and all five matching pairs contradict the
+        # graph: seven diagnostics, and each loop stops when the cap is full
+        h = fixture("double-edge.graph")
+        g, plan = construct_witness(h, 0)
+        text = plan_to_text(plan).replace("a_r=5 5", "a_r=4 4")
+        text = text.replace("matching=sr0 sr1 sr2 sr3 sr4 sr5 sr6 sr7 sr8 sr9", "matching=sr1 sr2 sr3 sr4 sr5 sr6 sr7 sr8 sr9 sr0")
+        corrupt = plan_from_text(text)
+        ok, full = verify_witness(h, 0, g, corrupt, max_diagnostics=10**6)
+        assert not ok and len(full) == 7
+        assert [d.split()[1] for d in full] == ["x", "y"] + ["matching"] * 5
+        for cap in (1, 2, 3):
+            assert verify_witness(h, 0, g, corrupt, max_diagnostics=cap) == (False, full[:cap])
+
     def test_foreign_labels_are_kept_fresh(self):
         h = Multigraph(edges=[("sr0", "sq0", 2)])  # clash with generated names
         g, plan = construct_witness(h, 0)
