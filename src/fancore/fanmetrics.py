@@ -106,9 +106,11 @@ b_y being y's term: y has positive company unless its contribution is
 the only positive one, and then it is padded with the largest other term,
 which is not below the smallest. So (ii) fails for every y exactly when
 total + min(0, min b - k) > 1. Only an anchor this does not clear (one
-neighbour, or some pair failing) is decided pair by pair, and the failing
-pairs are sorted into class order. A whole graph, or a subgraph read in
-place on its host, is certified in time linear in its classes.
+neighbour, or some pair failing) is decided pair by pair, by _fan_exceeds
+itself, and the failing pairs are sorted into class order. A whole graph,
+or a subgraph read in place on its host, whose every anchor clears is
+certified in time linear in its classes; an anchor decided pair by pair
+costs a pass over its adjacency per pair.
 """
 
 from __future__ import annotations
@@ -293,14 +295,15 @@ def fan_pair_exceeds(j: GraphLike, x: str, y: str, k: int) -> tuple[bool, Option
 
 
 def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
-    """The ordered pairs on edges of J = g[members] whose fan degree is not above k >= 0.
+    """The ordered pairs on edges of J = g[members] whose fan degree is not above k.
 
     members are distinct vertex indices of g. J is read on g in place: a
     member with a neighbour outside J gets a filtered copy of its adjacency
     and the degree that copy sums to, every other member keeps g's. Each
-    anchor is decided in bulk, pair by pair only where that does not clear
-    it (see the module docstring). The pairs, indices of g, come class by
-    class as (lo, hi) then (hi, lo) in index pair order, which is J's.
+    anchor is decided in bulk, and one the bulk test does not clear is
+    decided pair by pair by _fan_exceeds (see the module docstring), so a
+    negative k fails no pair. The pairs, indices of g, come class by class
+    as (lo, hi) then (hi, lo) in index pair order, which is J's.
     """
     deg, adj, inside = list(g.deg), list(g.adj), set(members)
     for x in inside:
@@ -315,10 +318,7 @@ def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
         total = sum([b - k for b in bs if b > k])
         if len(bs) > 1 and total + min(0, min(bs) - k) > 1 and min(map(sub, ds, ax.values())) > k - deg[x]:
             continue
-        second, first = ([0, 0] + sorted(bs))[-2:]
-        # _fan_exceeds at k >= 0, from this anchor's total and two largest terms
-        bad += [(x, y) for y, m in ax.items()
-                if not (k < deg[x] + deg[y] - m and _worst_sum(total, deg[y] + m, k, True, first, second) > 1)]
+        bad += [(x, y) for y in ax if not _fan_exceeds(deg, adj, x, y, k)]
     bad.sort(key=lambda p: (min(p), max(p), p[0] > p[1]))
     return bad
 

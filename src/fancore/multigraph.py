@@ -41,6 +41,10 @@ from .errors import GraphError, ParseError
 _RESERVED = "vertex"
 # str.isspace's characters are exactly those \s matches in a str pattern
 _FORBIDDEN = re.compile(r"[\s#]").search
+# The text formats' one line splitter. str.splitlines would also break at
+# \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029, which str.split and
+# _FORBIDDEN treat as whitespace inside a line.
+_split_lines = re.compile("\r\n|\r|\n").split
 
 
 def _check_label(label) -> None:
@@ -482,7 +486,7 @@ def _parse_lines(text: str) -> Multigraph:
     """
     b = _Builder()
     vertex, add_class = b.vertex, b.add_class
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_split_lines(text), 1):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
             continue

@@ -40,11 +40,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import check_t, t_core
 from .errors import GraphError, ResourceLimitError
 from .fanmetrics import _cfan_level, _failing_pairs, corefan
-from .multigraph import Multigraph, SubgraphSelection, _is_int
+from .multigraph import Multigraph, SubgraphSelection, _is_int, _split_lines
 
 # The most classes construct_witness builds: some 220 MB of graph at the
 # 206 bytes a class that building 'x y 120' at t = 40 adds to peak RSS.
@@ -291,76 +292,73 @@ def verify_witness(
     One pass over g's degrees gives the maximum and the degree-D set; the
     t-core is the only graph built. J is never built: the certificates are
     read on g under a membership mask, one bulk decision per anchor (see
-    fanmetrics), so the whole check is linear in g's classes.
+    fanmetrics), so the whole check is linear in g's classes when every
+    anchor clears in bulk, as on every witness construct_witness builds.
 
-    At most max_diagnostics messages are kept, and a check stops at the
-    cap. The verdict is whether any check failed, whether or not its
-    message was kept, so a cap of 0 or below still returns False.
+    The checks yield their messages lazily, in the order above. At most
+    max_diagnostics of them are kept, and checking stops at the first
+    problem past the cap: the verdict says whether any problem was found,
+    so a cap of 0 or below still returns False, having looked no further
+    than the first problem. t is checked before anything else, so a bad t
+    raises GraphError at every cap.
     """
-    diags: list[str] = []
-    failed = False
+    check_t(t)
+    problems = _diagnostics(h, t, g, plan)
+    kept = list(islice(problems, max(max_diagnostics, 0)))
+    return not kept and next(problems, None) is None, kept
 
-    def record(msg: str) -> bool:
-        nonlocal failed
-        failed = True
-        if len(diags) < max_diagnostics:
-            diags.append(msg)
-        return len(diags) < max_diagnostics
 
+def _diagnostics(h: Multigraph, t: int, g: Multigraph, plan: ConstructionPlan):
+    """verify_witness's messages, each yielded as soon as its check finds it."""
     D, r = plan.D, plan.r
     labels, deg, index = g.labels, g.deg, g._index
 
     delta = max(deg, default=0)
     if delta != D:
-        record(f"degree: max degree is {delta}, expected D={D}")
+        yield f"degree: max degree is {delta}, expected D={D}"
     want_top = set(h.labels)
     got_top = {v for v, d in zip(labels, deg) if d == D}
     if got_top != want_top:
         extra = sorted(got_top - want_top)[:3]
         missing = sorted(want_top - got_top)[:3]
-        record(f"degree: degree-D vertex set mismatch (extra={extra}, missing={missing})")
+        yield f"degree: degree-D vertex set mismatch (extra={extra}, missing={missing})"
 
     if t_core(g, t) != h:
-        record("core: the t-core of the constructed graph is not the host graph")
+        yield "core: the t-core of the constructed graph is not the host graph"
 
     matched = tuple(v for pair in plan.matching for v in pair)
     unknown = [v for v in plan.k_vertices + plan.s_vertices + matched if v not in index]
     if unknown:
-        record(f"plan: vertices {unknown[:3]} are not in the graph")
-        return False, diags
+        yield f"plan: vertices {unknown[:3]} are not in the graph"
+        return
 
     for vertices, want in ((plan.s_rm1_vertices, D - (r - 1) + t), (plan.s_r_vertices, D - r + t)):
         for v in vertices:
-            if deg[index[v]] != want and not record(f"s-degrees: {v} has degree {deg[index[v]]}, expected {want}"):
-                break
+            if deg[index[v]] != want:
+                yield f"s-degrees: {v} has degree {deg[index[v]]}, expected {want}"
 
     if (plan.reg_k + 2) * (r - 1) != D + t:
-        record(f"plan: reg_k={plan.reg_k} is not (D+t)/(r-1) - 2")
+        yield f"plan: reg_k={plan.reg_k} is not (D+t)/(r-1) - 2"
     s_r = {index[v] for v in plan.s_r_vertices}
     s_rm1 = {index[v] for v in plan.s_rm1_vertices}
     for x, want_r, want_rm1 in zip(plan.k_vertices, plan.a_r, plan.a_rm1):
         adj = g.adj[index[x]]
         got_r = sum(1 for y, m in adj.items() if m == r and y in s_r)
         got_rm1 = sum(1 for y, m in adj.items() if m == r - 1 and y in s_rm1)
-        if (got_r, got_rm1) != (want_r, want_rm1) and not record(
-            f"plan: {x} has {got_r} classes of multiplicity r into S_r and {got_rm1} of "
-            f"multiplicity r-1 into S_r-1, expected a_r={want_r} and a_rm1={want_rm1}"
-        ):
-            break
+        if (got_r, got_rm1) != (want_r, want_rm1):
+            yield (
+                f"plan: {x} has {got_r} classes of multiplicity r into S_r and {got_rm1} of "
+                f"multiplicity r-1 into S_r-1, expected a_r={want_r} and a_rm1={want_rm1}"
+            )
     for u, v in plan.matching:
         m = g.adj[index[u]].get(index[v], 0)
-        if m != r - 3 and not record(f"plan: matching pair {u} {v} has multiplicity {m}, expected r-3={r - 3}"):
-            break
+        if m != r - 3:
+            yield f"plan: matching pair {u} {v} has multiplicity {m}, expected r-3={r - 3}"
 
     level = D + t
-    if level < 0:  # every fan degree is at least 0, so above the level
-        return not failed, diags
     members = {index[v] for v in plan.k_vertices + plan.s_vertices}
     for x, y in _failing_pairs(g, members, level):
-        if not record(f"edge-certificate: fan degree of ({labels[x]},{labels[y]}) is not above {level}"):
-            break
-
-    return not failed, diags
+        yield f"edge-certificate: fan degree of ({labels[x]},{labels[y]}) is not above {level}"
 
 
 # -- plan sidecar text ----------------------------------------------------
@@ -406,7 +404,7 @@ def plan_from_text(text: str) -> ConstructionPlan:
     """Read a plan sidecar; every key exactly once, each split one entry per K vertex."""
     keys = [key for key, _, _ in _PLAN_FIELDS]
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_split_lines(text), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

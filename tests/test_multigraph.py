@@ -199,6 +199,22 @@ class TestTextFormat:
         assert g.labels == ("α", "β", "γ")
         assert parse(serialize(g)) == g
 
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("a b 1\n\f\nc c 1\n", 3, "loop at 'c'"),
+            ("vertex a\fb", 1, "vertex declaration needs exactly one label"),
+            ("a b 1\x1dc d 2", 1, "malformed line: 'a b 1\\x1dc d 2'"),
+            ("a b 1\rc c 1\r\n", 2, "loop at 'c'"),
+        ],
+    )
+    def test_only_cr_and_lf_end_a_line(self, text, line, message):
+        # str.splitlines also breaks at \f, \x1d and the like, which
+        # str.split reads as whitespace inside a line
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == line and message in str(err.value)
+
     def test_reserved_word_cannot_label_a_vertex(self):
         with pytest.raises(GraphError, match="reserved"):
             Multigraph(vertices=["vertex"])
