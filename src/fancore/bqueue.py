@@ -20,7 +20,10 @@ step, ends full, and a depth-first search over queues in index order never
 backs up, so the lexicographically least full queue is greedy's, and the two
 return None together. A vertex already taken has its N[u] inside the reach,
 so its new set is empty and it is never legal again: the search keeps no
-record of the vertices it took.
+record of the vertices it took. Nor is any other vertex whose N[u] lies inside
+the reach, and the reach only grows, so each scan starts at the first vertex
+that is not such a vertex, with a pointer that only moves forward: a path of
+n vertices costs n - 1 legality tests, not n(n - 1)/2.
 """
 
 from __future__ import annotations
@@ -94,9 +97,12 @@ def greedy_full_bqueue(b: Multigraph) -> BQueue | None:
     reach: set[int] = set()
     order: list[str] = []
     sets = [frozenset()]
+    start = 0  # every vertex below start has its N[u] inside the reach
     while len(reach) < n:
+        while start in reach and reach.issuperset(b.adj[start]):
+            start += 1
         # _legal_new refuses a vertex already taken: its N[u] is in the reach
-        for i in range(n):
+        for i in range(start, n):
             new = _legal_new(b, i, reach)
             if new is not None:
                 reach |= new  # new = N[u] - S_{i-1}, so the reach is now S_i

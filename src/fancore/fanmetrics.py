@@ -98,19 +98,12 @@ the first candidate attaining the maximum is the one kept, at most
 value + 1 candidates survive, and a dropped one costs about one pair
 test.
 
-The certificate kernel behind verify_witness, _failing_pairs, decides a
-whole anchor at once. Condition (i) fails for every y exactly when the
-least d_J(y) - mult_J(x, y) is above k - d_J(x). When x has two
-or more neighbours, every pair's worst sum is total + min(0, b_y - k),
-b_y being y's term: y has positive company unless its contribution is
-the only positive one, and then it is padded with the largest other term,
-which is not below the smallest. So (ii) fails for every y exactly when
-total + min(0, min b - k) > 1. Only an anchor this does not clear (one
-neighbour, or some pair failing) is decided pair by pair, by _fan_exceeds
-itself, and the failing pairs are sorted into class order. A whole graph,
-or a subgraph read in place on its host, whose every anchor clears is
-certified in time linear in its classes; an anchor decided pair by pair
-costs a pass over its adjacency per pair.
+The certificate kernel behind verify_witness, _failing_pairs, shares the
+fan test's rule and its pass: one anchor pass per vertex of J gives the
+total and the two largest terms, and each pair of that anchor is decided
+from them by the cap check and the worst sum, taken once per distinct
+term. So the certificate of a whole graph, or of a subgraph read in place
+on its host, costs time linear in its classes on every input.
 """
 
 from __future__ import annotations
@@ -118,7 +111,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from operator import add, sub
 from typing import Optional, Union
 
 from .errors import GraphError, ResourceLimitError, check_cap
@@ -162,23 +154,16 @@ def _worst_sum(total: int, by: int, k: int, need_two: bool, first: int, second: 
     return ty + second - k if second else 0
 
 
-def _fan_exceeds(deg, adj, x: int, y: int, k: int) -> bool:
-    """Whether the fan degree of the index pair (x, y) is above k.
+def _fan_anchor(deg, adj, x: int, k: int) -> tuple[int, int, int]:
+    """The anchor pass of x at level k: (total, first, second), read by _worst_sum.
 
-    Every level is at least 0, so it is above each negative k. Otherwise
-    both conditions must fail at k itself: the degree-sum bound
-    d_J(x) + d_J(y) - mult_J(x, y), checked first, must exceed k, and the
-    worst Z must sum to at least 2. The term of neighbour z is
-    d_J(z) + mult_J(x, z), and Z needs two members; one pass over adj[x]
-    collects the positive total and the two largest terms.
+    One pass over adj[x] adds up the positive contributions b_z - k, the
+    term of neighbour z being b_z = d_J(z) + mult_J(x, z), and keeps the two
+    largest terms, second being 0 when x has one neighbour. It depends on x
+    and k only, so one pass decides every pair anchored at x.
     """
-    if k < 0:
-        return True
-    ax = adj[x]
-    if k >= deg[x] + deg[y] - ax[y]:
-        return False
     total = first = second = 0
-    for z, m in ax.items():
+    for z, m in adj[x].items():
         b = deg[z] + m
         if b > k:
             total += b - k
@@ -187,6 +172,24 @@ def _fan_exceeds(deg, adj, x: int, y: int, k: int) -> bool:
                 first, second = b, first
             else:
                 second = b
+    return total, first, second
+
+
+def _fan_exceeds(deg, adj, x: int, y: int, k: int) -> bool:
+    """Whether the fan degree of the index pair (x, y) is above k.
+
+    Every level is at least 0, so it is above each negative k. Otherwise
+    both conditions must fail at k itself: the degree-sum bound
+    d_J(x) + d_J(y) - mult_J(x, y), checked first, must exceed k, and the
+    worst Z, read from x's anchor pass (_fan_anchor), must sum to at least
+    2. The term of y is d_J(y) + mult_J(x, y), and Z needs two members.
+    """
+    if k < 0:
+        return True
+    ax = adj[x]
+    if k >= deg[x] + deg[y] - ax[y]:
+        return False
+    total, first, second = _fan_anchor(deg, adj, x, k)
     return _worst_sum(total, deg[y] + ax[y], k, True, first, second) > 1
 
 
@@ -284,7 +287,9 @@ def fan_pair_exceeds(j: GraphLike, x: str, y: str, k: int) -> tuple[bool, Option
     Returns the violating Z when the answer is True, so the answer can be
     checked by hand where the fan degree itself is astronomically large.
     verify_witness does not call it: _failing_pairs makes the same test on
-    every edge of a witness in bulk. A negative k raises GraphError.
+    every edge of a witness, with one anchor pass per vertex, so the whole
+    certificate is linear in the witness's classes. A negative k raises
+    GraphError.
     """
     if k < 0:
         raise GraphError(f"level {k} is negative")
@@ -300,10 +305,14 @@ def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
     members are distinct vertex indices of g. J is read on g in place: a
     member with a neighbour outside J gets a filtered copy of its adjacency
     and the degree that copy sums to, every other member keeps g's. Each
-    anchor is decided in bulk, and one the bulk test does not clear is
-    decided pair by pair by _fan_exceeds (see the module docstring), so a
-    negative k fails no pair. The pairs, indices of g, come class by class
-    as (lo, hi) then (hi, lo) in index pair order, which is J's.
+    anchor x gets one pass, _fan_anchor, and each of its pairs (x, y) is
+    decided from it by _fan_exceeds' rule: it fails when k >= d_J(x) +
+    d_J(y) - mult_J(x, y) or its worst sum is at most 1. The worst sum reads
+    y only through its term d_J(y) + mult_J(x, y), so it is taken once per
+    distinct term, and the kernel is linear in J's classes on every input.
+    A negative k fails no pair, as every level is at least 0. The pairs,
+    indices of g, come class by class as (lo, hi) then (hi, lo) in index
+    pair order, which is J's.
     """
     deg, adj, inside = list(g.deg), list(g.adj), set(members)
     for x in inside:
@@ -312,13 +321,14 @@ def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
             deg[x] = sum(a.values())
     bad = []
     for x in inside:
-        ax = adj[x]
-        ds = list(map(deg.__getitem__, ax))
-        bs = list(map(add, ds, ax.values()))
-        total = sum([b - k for b in bs if b > k])
-        if len(bs) > 1 and total + min(0, min(bs) - k) > 1 and min(map(sub, ds, ax.values())) > k - deg[x]:
-            continue
-        bad += [(x, y) for y in ax if not _fan_exceeds(deg, adj, x, y, k)]
+        total, first, second = _fan_anchor(deg, adj, x, k)
+        cap, low = k - deg[x], {}  # low: whether the worst sum is at most 1, by term
+        for y, m in adj[x].items():
+            b = deg[y] + m
+            if b not in low:  # a negative k fails no pair: every level is at least 0
+                low[b] = k >= 0 and _worst_sum(total, b, k, True, first, second) <= 1
+            if deg[y] - m <= cap or low[b]:
+                bad.append((x, y))
     bad.sort(key=lambda p: (min(p), max(p), p[0] > p[1]))
     return bad
 

@@ -291,9 +291,9 @@ def verify_witness(
 
     One pass over g's degrees gives the maximum and the degree-D set; the
     t-core is the only graph built. J is never built: the certificates are
-    read on g under a membership mask, one bulk decision per anchor (see
-    fanmetrics), so the whole check is linear in g's classes when every
-    anchor clears in bulk, as on every witness construct_witness builds.
+    read on g under a membership mask, one anchor pass per vertex deciding
+    all of its pairs (see fanmetrics), so the whole check is linear in g's
+    classes on every input.
 
     The checks yield their messages lazily, in the order above. At most
     max_diagnostics of them are kept, and checking stops at the first

@@ -11,6 +11,7 @@ from fancore import (
     greedy_full_bqueue,
     validate_bqueue,
 )
+from fancore import bqueue
 from helpers import cycle_graph, fixture, path_graph, random_simple_graph
 from oracles import least_full_bqueue_oracle
 
@@ -119,6 +120,19 @@ class TestGreedy:
     def test_multigraph_rejected(self):
         with pytest.raises(GraphError):
             greedy_full_bqueue(fixture("double-edge.graph"))
+
+    def test_a_long_path_costs_one_legality_test_per_step(self, monkeypatch):
+        # each scan starts at the first vertex whose N[u] is not inside the
+        # reach, so every step takes the first vertex it tests: n - 1 tests,
+        # where a scan from vertex 0 makes n(n - 1)/2 = 1,999,000
+        n = 2000
+        g = path_graph([f"p{i}" for i in range(n)])
+        calls = []
+        legal_new = bqueue._legal_new
+        monkeypatch.setattr(bqueue, "_legal_new", lambda *args: calls.append(args[1]) or legal_new(*args))
+        q = greedy_full_bqueue(g)
+        assert q.order == g.labels[:-1] and q.is_full()
+        assert len(calls) <= 2 * n
 
 
 class TestOracle:

@@ -137,7 +137,7 @@ def _per_pair_failures(g, members, k):
 
 
 class TestCertificateKernel:
-    """_failing_pairs, which reads J on its host in place and decides anchors in bulk."""
+    """_failing_pairs, which reads J on its host in place, one anchor pass per vertex deciding all its pairs."""
 
     @staticmethod
     def check(g, members, levels):
@@ -174,7 +174,7 @@ class TestCertificateKernel:
         one_positive = [k for k in range(12) if sum(j.degree(z) + j.mult("x", z) > k for z in j.neighbours("x")) == 1]
         assert one_positive == list(range(2, 9))
         exceed_at_x = [k for k in one_positive if all(fan_pair_exceeds(j, "x", y, k)[0] for y in j.neighbours("x"))]
-        assert exceed_at_x == [2]  # cleared in bulk; at 3 and 4 only some pairs fail
+        assert exceed_at_x == [2]  # every pair of x passes; at 3 and 4 only some fail
         assert ("p", "a") in [(g.labels[x], g.labels[y]) for x, y in _failing_pairs(g, members, 2)]
         self.check(g, members, self.levels(g, members))
 
@@ -185,6 +185,24 @@ class TestCertificateKernel:
         level = plan.D + t
         self.check(g, members, range(level - 3, level + 4))
         assert _failing_pairs(g, members, level) == []
+
+    def test_one_anchor_pass_per_vertex(self, monkeypatch):
+        # a star of 2,000 leaves at level 17: a leaf has no second neighbour
+        # to pad its one Z, and the centre's terms are all 2, so every one of
+        # the 4,000 ordered pairs fails, decided from one anchor pass per
+        # vertex and no per-pair test
+        leaves = 2000
+        g = Multigraph(edges=[("c", f"l{i}", 1) for i in range(leaves)])
+        calls = {"_fan_anchor": 0, "_fan_exceeds": 0}
+        for name in calls:
+            def counting(*args, name=name, test=getattr(fanmetrics, name)):
+                calls[name] += 1
+                return test(*args)
+            monkeypatch.setattr(fanmetrics, name, counting)
+        bad = _failing_pairs(g, range(leaves + 1), 17)
+        assert bad == [p for i in range(1, leaves + 1) for p in ((0, i), (i, 0))]
+        assert calls == {"_fan_anchor": leaves + 1, "_fan_exceeds": 0}
+
 
 class TestFanNumber:
     def test_edgeless(self):

@@ -1,6 +1,7 @@
 """Witness construction: circulants, parameter choice, build, verification."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -456,6 +457,41 @@ def test_witness_fan_is_pinned_from_both_sides(name, t):
     # some subgraph has every pair degree at least v, and none has all above v
     assert fanmetrics._core(n, classes, fanmetrics._fan_exceeds, v - 1)
     assert not fanmetrics._core(n, classes, fanmetrics._fan_exceeds, v)
+
+
+def _fan_by_peeling(g):
+    """Fan(g) = max(Delta(g), fan(g)), fan bisected over _core as fanmetrics._peak does."""
+    n, deg = len(g.labels), g.deg
+    low, core = 0, list(g.index_classes)
+    high = max(deg[i] + deg[j] for i, j, _ in core)
+    while high - low > 1:
+        mid = (low + high) // 2
+        inner = fanmetrics._core(n, core, fanmetrics._fan_exceeds, mid - 1)
+        if inner:
+            low, core = mid, inner
+        else:
+            high = mid
+    return max(g.max_degree(), low)
+
+
+def test_witness_fan_sits_between_the_two_bounds():
+    # the construction's lower bound Delta + t < Fan, and the paper's upper
+    # bound Fan <= Delta + t*, t* the least t' >= t whose t'-core has corefan
+    # at most t', on the first 100 witnesses of small random hosts. No closed
+    # form is pinned: t* - (Fan - Delta) was 0 on 53, 1 on 44 and 2 on 3
+    rng = random.Random(2026)
+    cases = []
+    while len(cases) < 100:
+        h = random_multigraph(rng, rng.randint(2, 6), rng.randint(1, 8), rng.randint(1, 5))
+        for t in range(corefan(h).value):
+            try:
+                cases.append((construct_witness(h, t)[0], t))
+            except ResourceLimitError:
+                pass
+    for g, t in cases[:100]:
+        delta, fan = g.max_degree(), _fan_by_peeling(g)
+        t_star = next(s for s in itertools.count(t) if corefan(t_core(g, s)).value <= s)
+        assert delta + t < fan <= delta + t_star, (g.classes(), t)
 
 
 # chi'(G) = Delta(G) = D on every fixture witness: the fan engine colours
