@@ -3,7 +3,10 @@
 A B-queue of a simple graph B is a sequence of distinct vertices
 (u_1, ..., u_q) with reach sets S_0 = {} and S_i = N(u_i) | {u_i} | S_{i-1}
 such that every step adds one or two new vertices, of which at most one is
-not u_i itself. The queue is full when S_q = V(B).
+not u_i itself. The queue is full when S_q = V(B). A queue is its order:
+S_i = N[u_1] | ... | N[u_i] is a function of it, so BQueue stores the order
+alone, and validation and is_full rebuild the reach in index space, in
+memory linear in the graph.
 
 The greedy constructor scans vertices in dense index order and takes the
 first legal extension. It is complete: it finds a full B-queue whenever one
@@ -37,11 +40,22 @@ from .multigraph import Multigraph
 @dataclass(frozen=True)
 class BQueue:
     graph: Multigraph
-    order: tuple[str, ...]
-    sets: tuple[frozenset[str], ...]  # S_0 .. S_q, so len(sets) == len(order) + 1
+    order: tuple[str, ...]  # u_1 .. u_q; the reach sets S_i are derived from it
 
     def is_full(self) -> bool:
-        return self.sets[-1] == frozenset(self.graph.labels)
+        """True when the closed neighbourhoods N[u] of the order cover V(B)."""
+        g = self.graph
+        reach: set[int] = set()
+        for u in self.order:
+            i = _index(g, u)
+            reach |= {i, *g.adj[i]}
+        return len(reach) == len(g.labels)
+
+
+def _index(g: Multigraph, u: str) -> int:
+    if not g.has_vertex(u):
+        raise GraphError(f"unknown vertex {u!r} in B-queue")
+    return g.index_of(u)
 
 
 def _require_simple(b: Multigraph) -> None:
@@ -52,36 +66,27 @@ def _require_simple(b: Multigraph) -> None:
 def validate_bqueue(q: BQueue) -> bool:
     """Check the defining conditions; True iff q is a valid B-queue.
 
-    The order is replayed through _legal_new, the step rule the searches
-    use, and each S_i must be the label set of the replayed reach.
+    The order is replayed through _legal_new, the step rule the greedy
+    search uses. A repeated vertex needs no check of its own: its N[u] is
+    already inside the reach, so _legal_new refuses it.
     """
     g = q.graph
     _require_simple(g)
-    if len(q.sets) != len(q.order) + 1 or q.sets[0] != frozenset() or len(set(q.order)) != len(q.order):
-        return False
     reach: set[int] = set()
-    for u, cur in zip(q.order, q.sets[1:]):
-        if not g.has_vertex(u):
-            raise GraphError(f"unknown vertex {u!r} in B-queue")
-        new = _legal_new(g, g.index_of(u), reach)
+    for u in q.order:
+        new = _legal_new(g, _index(g, u), reach)
         if new is None:
             return False
         reach |= new
-        if cur != {g.labels[i] for i in reach}:
-            return False
     return True
 
 
-def _legal_new(g: Multigraph, i: int, reach: set[int]) -> frozenset[int] | None:
+def _legal_new(g: Multigraph, i: int, reach: set[int]) -> set[int] | None:
     """New vertices added by choosing u = i, or None if the step is illegal."""
-    new = {j for j in g.adj[i] if j not in reach}
-    if i not in reach:
-        new.add(i)
+    new = {i, *g.adj[i]} - reach
     # At most one new vertex besides i also bounds the count by two: with i
     # new, the count is one more than that; without it, the same.
-    if not new or len(new - {i}) > 1:
-        return None
-    return frozenset(new)
+    return new if new and len(new - {i}) <= 1 else None
 
 
 def greedy_full_bqueue(b: Multigraph) -> BQueue | None:
@@ -96,7 +101,6 @@ def greedy_full_bqueue(b: Multigraph) -> BQueue | None:
     n = len(labels)
     reach: set[int] = set()
     order: list[str] = []
-    sets = [frozenset()]
     start = 0  # every vertex below start has its N[u] inside the reach
     while len(reach) < n:
         while start in reach and reach.issuperset(b.adj[start]):
@@ -107,8 +111,7 @@ def greedy_full_bqueue(b: Multigraph) -> BQueue | None:
             if new is not None:
                 reach |= new  # new = N[u] - S_{i-1}, so the reach is now S_i
                 order.append(labels[i])
-                sets.append(sets[-1].union(labels[j] for j in new))
                 break
         else:
             return None
-    return BQueue(graph=b, order=tuple(order), sets=tuple(sets))
+    return BQueue(graph=b, order=tuple(order))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the type check of the resource caps."""
+"""Exception types shared across the package, and the check of the resource caps."""
 
 
 class GraphError(ValueError):
@@ -18,6 +18,12 @@ class ResourceLimitError(RuntimeError):
 
 
 def check_cap(name: str, cap) -> None:
-    """Refuse a resource cap that is not an int, a bool included; a negative one fails the cap itself."""
+    """Refuse a resource cap that is not an int, a bool included, or is negative.
+
+    The first is a GraphError. A negative cap is a ResourceLimitError, raised
+    here before any input is measured, so an edgeless graph fails it too.
+    """
     if not isinstance(cap, int) or isinstance(cap, bool):
         raise GraphError(f"{name} must be an integer, got {cap!r}")
+    if cap < 0:
+        raise ResourceLimitError(f"{name} of {cap} admits no input")

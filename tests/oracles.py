@@ -105,29 +105,28 @@ def corefan_oracle(h: Multigraph) -> int:
 
 
 def least_full_bqueue_oracle(b: Multigraph):
-    """The lexicographically least full B-queue of the simple graph b, or None.
+    """The order of the lexicographically least full B-queue of the simple graph b, or None.
 
     Depth-first search over sequences of distinct vertices, trying them in
     the order of b.labels. A step u from reach S adds
     new = ({u} | N(u)) - S and is allowed when new has one or two vertices,
-    at most one of them other than u. The first sequence whose reach is
-    V(b) is returned as (order, sets), sets being S_0 .. S_q as frozensets
-    of labels; None when no sequence gets there.
+    at most one of them other than u. The order of the first sequence whose
+    reach is V(b) is returned as a tuple of labels; None when no sequence
+    gets there.
     """
     everything = frozenset(b.labels)
 
-    def extend(order, sets):
-        reach = sets[-1]
+    def extend(order, reach):
         if reach == everything:
-            return tuple(order), tuple(sets)
+            return tuple(order)
         for u in b.labels:
             if u in order:
                 continue
             new = ({u} | set(b.neighbours(u))) - reach
             if 1 <= len(new) <= 2 and len(new - {u}) <= 1:
-                found = extend(order + [u], sets + [reach | new])
+                found = extend(order + [u], reach | new)
                 if found is not None:
                     return found
         return None
 
-    return extend([], [frozenset()])
+    return extend([], frozenset())

@@ -1,6 +1,7 @@
 """B-queue validation and greedy construction, checked against a depth-first oracle."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,72 +17,67 @@ from helpers import cycle_graph, fixture, path_graph, random_simple_graph
 from oracles import least_full_bqueue_oracle
 
 
-def as_pair(q):
-    """A BQueue as the oracle reports one: (order, sets), or None."""
-    return None if q is None else (q.order, q.sets)
+def as_order(q):
+    """A BQueue as the oracle reports one: its order, or None."""
+    return None if q is None else q.order
 
 
 class TestValidate:
     def test_single_edge_queue(self):
         g = Multigraph(edges=[("u", "v", 1)])
-        q = BQueue(graph=g, order=("u",), sets=(frozenset(), frozenset({"u", "v"})))
+        q = BQueue(graph=g, order=("u",))
         assert validate_bqueue(q)
 
     def test_triangle_has_no_first_vertex(self):
         g = fixture("c3.graph")
         for u in g.labels:
-            closed = frozenset(g.neighbours(u)) | {u}
-            q = BQueue(graph=g, order=(u,), sets=(frozenset(), closed))
+            q = BQueue(graph=g, order=(u,))
             assert not validate_bqueue(q)  # step adds three vertices
 
     def test_empty_queue_on_edgeless_graph(self):
-        q = BQueue(graph=Multigraph(), order=(), sets=(frozenset(),))
+        q = BQueue(graph=Multigraph(), order=())
         assert validate_bqueue(q)
         assert q.is_full()
 
-    def test_wrong_set_rejected(self):
-        g = Multigraph(edges=[("u", "v", 1)])
-        q = BQueue(graph=g, order=("u",), sets=(frozenset(), frozenset({"u"})))
-        assert not validate_bqueue(q)
-
     def test_repeated_vertex_rejected(self):
+        # the replay decides it: b's N[b] is inside the reach after b
         g = path_graph(["a", "b", "c"])
-        full = frozenset(g.labels)
-        q = BQueue(graph=g, order=("b", "b"), sets=(frozenset(), full, full))
+        q = BQueue(graph=g, order=("b", "b"))
         assert not validate_bqueue(q)
 
     def test_multigraph_rejected(self):
         g = Multigraph(edges=[("u", "v", 2)])
-        q = BQueue(graph=g, order=(), sets=(frozenset(),))
+        q = BQueue(graph=g, order=())
         with pytest.raises(GraphError):
             validate_bqueue(q)
 
-    def test_wrong_set_count_rejected(self):
-        g = Multigraph(edges=[("u", "v", 1)])
-        full = frozenset(g.labels)
-        for sets in ((frozenset(),), (frozenset(), full, full)):
-            assert not validate_bqueue(BQueue(graph=g, order=("u",), sets=sets))
-
-    def test_nonempty_first_set_rejected(self):
-        g = Multigraph(edges=[("u", "v", 1)])
-        q = BQueue(graph=g, order=("u",), sets=(frozenset({"u"}), frozenset(g.labels)))
-        assert not validate_bqueue(q)
-
     def test_unknown_vertex_raises_at_its_step(self):
         g = path_graph(["a", "b", "c"])
-        full = frozenset(g.labels)
-        q = BQueue(graph=g, order=("a", "zz"), sets=(frozenset(), frozenset({"a", "b"}), full))
+        q = BQueue(graph=g, order=("a", "zz"))
         with pytest.raises(GraphError, match="^unknown vertex 'zz' in B-queue$"):
             validate_bqueue(q)
         # an earlier illegal step decides first: b would add three vertices
-        assert not validate_bqueue(BQueue(graph=g, order=("b", "zz"), sets=(frozenset(), full, full)))
+        assert not validate_bqueue(BQueue(graph=g, order=("b", "zz")))
 
     def test_step_adding_two_vertices_besides_u_rejected(self):
         # after x, the centre c is reached, and choosing it would add both y and z
         g = Multigraph(edges=[("c", "x", 1), ("c", "y", 1), ("c", "z", 1)])
-        sets = (frozenset(), frozenset({"x", "c"}), frozenset(g.labels))
-        assert validate_bqueue(BQueue(graph=g, order=("x",), sets=sets[:2]))
-        assert not validate_bqueue(BQueue(graph=g, order=("x", "c"), sets=sets))
+        assert validate_bqueue(BQueue(graph=g, order=("x",)))
+        assert not validate_bqueue(BQueue(graph=g, order=("x", "c")))
+
+
+class TestIsFull:
+    def test_a_valid_queue_that_is_not_full(self):
+        g = path_graph(["a", "b", "c"])
+        q = BQueue(graph=g, order=("a",))
+        assert validate_bqueue(q)
+        assert not q.is_full()
+        assert BQueue(graph=g, order=("a", "b")).is_full()
+
+    def test_unknown_vertex_raises(self):
+        q = BQueue(graph=path_graph(["a", "b", "c"]), order=("a", "zz"))
+        with pytest.raises(GraphError, match="^unknown vertex 'zz' in B-queue$"):
+            q.is_full()
 
 
 class TestGreedy:
@@ -134,12 +130,24 @@ class TestGreedy:
         assert q.order == g.labels[:-1] and q.is_full()
         assert len(calls) <= 2 * n
 
+    def test_a_long_path_runs_in_linear_memory(self):
+        # the queue is its order, so memory stays linear in the path; a
+        # stored reach set per step would hold n^2/2 labels, about 83 MB
+        g = path_graph([f"p{i}" for i in range(2000)])
+        tracemalloc.start()
+        try:
+            q = greedy_full_bqueue(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.is_full()
+        assert peak < 1_000_000
+
 
 class TestOracle:
     def test_forest_found(self):
         g = fixture("forest-spider.graph")
-        order, sets = least_full_bqueue_oracle(g)
-        q = BQueue(graph=g, order=order, sets=sets)
+        q = BQueue(graph=g, order=least_full_bqueue_oracle(g))
         assert q.is_full() and validate_bqueue(q)
 
     def test_c5_absent(self):
@@ -151,18 +159,18 @@ class TestOracle:
 
 class TestAgreement:
     # greedy is complete and scans in index order, so its queue is the
-    # lexicographically least full one: the oracle's, order and sets alike.
+    # lexicographically least full one: the oracle's.
     # Every simple graph up to 6 vertices is checked in
     # test_acceptance.py::test_criterion_8_greedy_equals_exhaustive.
     def test_greedy_matches_the_oracle_random_6_to_8(self):
         rng = random.Random(20240810)
         for _ in range(1500):
             g = random_simple_graph(rng, rng.choice([6, 7, 8]), rng.uniform(0.1, 0.9))
-            assert as_pair(greedy_full_bqueue(g)) == least_full_bqueue_oracle(g), g.classes()
+            assert as_order(greedy_full_bqueue(g)) == least_full_bqueue_oracle(g), g.classes()
 
     def test_long_path_is_greedy_order(self):
         g = path_graph([f"p{i}" for i in range(12)])
-        assert as_pair(greedy_full_bqueue(g)) == least_full_bqueue_oracle(g)
+        assert as_order(greedy_full_bqueue(g)) == least_full_bqueue_oracle(g)
 
     def test_pendant_monotonicity_on_cycles(self):
         # once a cycle has one pendant, adding more pendants keeps fullness

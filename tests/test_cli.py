@@ -93,11 +93,7 @@ class TestBQueue:
             assert code == 0
             assert keyvals(out)["bqueue"] == "full"
             order = block(out, "order").split()
-            g = fixture("cycle-pendant.graph")
-            sets = [frozenset()]
-            for u in order:
-                sets.append(sets[-1] | {u} | set(g.neighbours(u)))
-            q = BQueue(graph=g, order=tuple(order), sets=tuple(sets))
+            q = BQueue(graph=fixture("cycle-pendant.graph"), order=tuple(order))
             assert validate_bqueue(q) and q.is_full()
 
     # --exhaustive and --max-vertices are accepted and select nothing: the

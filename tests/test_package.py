@@ -58,10 +58,15 @@ CAPPED = [
 @pytest.mark.parametrize("cap", [True, False, "3", 3.0, None])
 @pytest.mark.parametrize("call,name", CAPPED, ids=[f"{call.__name__}" for call, _ in CAPPED])
 def test_caps_take_only_ints(call, name, cap):
-    """A cap that is not an int, or is a bool, is a GraphError; a negative int still fails the cap."""
-    g = fancore.Multigraph(edges=[("a", "b", 1)])
-    with pytest.raises(fancore.GraphError, match=re.escape(f"{name} must be an integer, got {cap!r}")):
-        call(g, **{name: cap})
-    with pytest.raises(fancore.ResourceLimitError):
-        call(g, **{name: -1})
-    call(g, **{name: 2})
+    """A cap that is not an int, or is a bool, is a GraphError; a negative int still fails the cap.
+
+    The edgeless graph fits a cap of 0, and still fails a negative one.
+    """
+    edge, edgeless = fancore.Multigraph(edges=[("a", "b", 1)]), fancore.Multigraph(["a"])
+    for g in (edge, edgeless):
+        with pytest.raises(fancore.GraphError, match=re.escape(f"{name} must be an integer, got {cap!r}")):
+            call(g, **{name: cap})
+        with pytest.raises(fancore.ResourceLimitError):
+            call(g, **{name: -1})
+    call(edge, **{name: 2})
+    call(edgeless, **{name: 0})
