@@ -577,8 +577,9 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
     A call that fails is the costly one: each of its 2N passes, N the
     instance count, spends up to |V| * palette fan attempts on a stuck
     instance. At k = max_degree = 4, doubled odd cycles of 51, 101 and 201
-    vertices give None after 0.66, 4.6 and 36 s (2 vCPUs, Python 3.11.7),
-    roughly the cube of the size.
+    vertices give None after 0.5-0.7, 3.5-4.3 and 25-30 s (a shared 2-vCPU
+    Intel Xeon VM, Python 3.11.7, whose speed drifts between runs), roughly
+    the cube of the size.
 
     The engine's palette is min(k, 2 * max_degree(g)). From 2 * Delta - 1
     colours on, the two ends of an instance block at most 2 * Delta - 2 of

@@ -26,11 +26,15 @@ def t_core(g: Multigraph, t: int) -> Multigraph:
     """Induced subgraph on the vertices with ore_degree > max_degree + t.
 
     Degrees and multiplicities are evaluated in g itself, so the result is
-    generally not a fixed point of this operation.
+    generally not a fixed point of this operation. The largest incident
+    multiplicity is read only where 2 d(v) exceeds the threshold: it is at
+    most d(v), so no other vertex can pass, and a vertex that may pass has
+    d(v) >= 1, hence a neighbour.
     """
     check_t(t)
     threshold = g.max_degree() + t
-    return g._induced([i for i, d in enumerate(g._ore_degrees()) if d > threshold])
+    adj = g.adj
+    return g._induced([v for v, d in enumerate(g.deg) if 2 * d > threshold and d + max(adj[v].values()) > threshold])
 
 
 def edges_above(h: Multigraph, t: int) -> Multigraph:

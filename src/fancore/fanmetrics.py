@@ -103,7 +103,14 @@ fan test's rule and its pass: one anchor pass per vertex of J gives the
 total and the two largest terms, and each pair of that anchor is decided
 from them by the cap check and the worst sum, taken once per distinct
 term. So the certificate of a whole graph, or of a subgraph read in place
-on its host, costs time linear in its classes on every input.
+on its host, costs time linear in its classes on every input. The same
+pass keeps the anchor's least term and least slack d_J(y) - mult_J(x, y),
+and an anchor whose every pair passes is known from them alone and lists
+no pair: no slack meets the cap, and the worst sum, which does not
+decrease as the term grows over one anchor's terms, is above 1 at the
+least term. Every vertex of a valid witness is such an anchor, so a
+certificate that holds makes no per-pair step; any other anchor decides
+its pairs one by one as above.
 """
 
 from __future__ import annotations
@@ -111,6 +118,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from math import inf
 from typing import Optional, Union
 
 from .errors import GraphError, ResourceLimitError, check_cap
@@ -154,17 +162,26 @@ def _worst_sum(total: int, by: int, k: int, need_two: bool, first: int, second: 
     return ty + second - k if second else 0
 
 
-def _fan_anchor(deg, adj, x: int, k: int) -> tuple[int, int, int]:
-    """The anchor pass of x at level k: (total, first, second), read by _worst_sum.
+def _fan_anchor(deg, adj, x: int, k: int) -> tuple[int, int, int, float, float]:
+    """The anchor pass of x at level k: (total, first, second, least, slack).
 
     One pass over adj[x] adds up the positive contributions b_z - k, the
     term of neighbour z being b_z = d_J(z) + mult_J(x, z), and keeps the two
-    largest terms, second being 0 when x has one neighbour. It depends on x
-    and k only, so one pass decides every pair anchored at x.
+    largest terms, second being 0 when x has one neighbour; _worst_sum reads
+    these three. It also keeps the least term and the least slack
+    d_J(z) - mult_J(x, z), both infinite when x has no neighbour, which
+    _failing_pairs reads. It depends on x and k only, so one pass decides
+    every pair anchored at x.
     """
     total = first = second = 0
+    least = slack = inf
     for z, m in adj[x].items():
-        b = deg[z] + m
+        d = deg[z]
+        b = d + m
+        if b < least:
+            least = b
+        if d - m < slack:
+            slack = d - m
         if b > k:
             total += b - k
         if b > second:
@@ -172,7 +189,7 @@ def _fan_anchor(deg, adj, x: int, k: int) -> tuple[int, int, int]:
                 first, second = b, first
             else:
                 second = b
-    return total, first, second
+    return total, first, second, least, slack
 
 
 def _fan_exceeds(deg, adj, x: int, y: int, k: int) -> bool:
@@ -189,7 +206,7 @@ def _fan_exceeds(deg, adj, x: int, y: int, k: int) -> bool:
     ax = adj[x]
     if k >= deg[x] + deg[y] - ax[y]:
         return False
-    total, first, second = _fan_anchor(deg, adj, x, k)
+    total, first, second, _, _ = _fan_anchor(deg, adj, x, k)
     return _worst_sum(total, deg[y] + ax[y], k, True, first, second) > 1
 
 
@@ -313,6 +330,18 @@ def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
     A negative k fails no pair, as every level is at least 0. The pairs,
     indices of g, come class by class as (lo, hi) then (hi, lo) in index
     pair order, which is J's.
+
+    An anchor with no failing pair skips that per-pair loop, as every
+    vertex of a valid witness does. Its least slack d_J(y) - mult_J(x, y)
+    is above k - d_J(x), so no pair meets the cap, and the worst sum of its
+    least term is above 1, which is then true of every term: over the terms
+    of one anchor the worst sum does not decrease as the term b grows. A
+    lone neighbour's term is the only one. Otherwise second is at least
+    every term but the largest, first. With a positive total, b <= k sums
+    to total + b - k, and b > k to the total, or, when b is the only
+    positive term, hence first, to total + second - k. With no positive
+    total, b < first sums to b + first - 2k, and first to first + second -
+    2k.
     """
     deg, adj, inside = list(g.deg), list(g.adj), set(members)
     for x in inside:
@@ -320,9 +349,11 @@ def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
             adj[x] = a = {z: m for z, m in adj[x].items() if z in inside}
             deg[x] = sum(a.values())
     bad = []
-    for x in inside:
-        total, first, second = _fan_anchor(deg, adj, x, k)
+    for x in filter(adj.__getitem__, inside):  # an isolated member has no pair
+        total, first, second, least, slack = _fan_anchor(deg, adj, x, k)
         cap, low = k - deg[x], {}  # low: whether the worst sum is at most 1, by term
+        if slack > cap and _worst_sum(total, least, k, True, first, second) > 1:
+            continue
         for y, m in adj[x].items():
             b = deg[y] + m
             if b not in low:  # a negative k fails no pair: every level is at least 0

@@ -198,11 +198,7 @@ class Multigraph:
 
     def ore_bound(self) -> int:
         """max over vertices of ore_degree(v) (0 when empty)."""
-        return max(self._ore_degrees(), default=0)
-
-    def _ore_degrees(self):
-        """ore_degree of every vertex, in index order."""
-        return (d + max(a.values(), default=0) for d, a in zip(self.deg, self.adj))
+        return max((d + max(a.values(), default=0) for d, a in zip(self.deg, self.adj)), default=0)
 
     def total_instances(self) -> int:
         return sum(m for _, _, m in self.index_classes)
@@ -443,8 +439,12 @@ def parse(text: str) -> Multigraph:
 # Canonical text: every 'vertex <label>' line, then every '<u> <v> <m>' line,
 # single spaces, each line ended by '\n', m in ASCII digits without a
 # leading zero. A token cannot hold whitespace, so no line break either,
-# and the lines split apart without backtracking across them.
-_CANONICAL = re.compile(r"((?:vertex [^\s#]+\n)*)((?:[^\s#]+ [^\s#]+ [1-9][0-9]*\n)*)").fullmatch
+# and the lines split apart without backtracking across them. Every
+# quantifier is possessive: a token ends only at a separator and a vertex
+# line cannot be read as a class line, so giving a character or a line back
+# never leads to a match, and the pattern matches exactly the texts its
+# greedy form does while keeping no backtracking state.
+_CANONICAL = re.compile(r"((?:vertex [^\s#]++\n)*+)((?:[^\s#]++ [^\s#]++ [1-9][0-9]*+\n)*+)").fullmatch
 
 
 def _parse_canonical(text: str) -> Optional[Multigraph]:

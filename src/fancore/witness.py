@@ -39,6 +39,7 @@ one pendant class of multiplicity r-1 plus single-copy pendants.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 
@@ -83,6 +84,13 @@ class ConstructionPlan:
     s_r_vertices: tuple[str, ...]
     s_rm1_vertices: tuple[str, ...]
     matching: tuple[tuple[str, str], ...]
+
+    def __post_init__(self):
+        """Refuse splits that are not one entry per K vertex, whatever made the plan."""
+        n = len(self.k_vertices)
+        for key in ("a_r", "a_rm1"):
+            if len(getattr(self, key)) != n:
+                raise GraphError(f"plan {key} has {len(getattr(self, key))} entries for {n} k_vertices")
 
     @property
     def s_r(self) -> int:
@@ -283,8 +291,10 @@ def verify_witness(
     included; (3) the S vertices hit their exact degree targets; (4) the
     plan's other keys describe g: reg_k = (D + t)/(r - 1) - 2, K vertex i
     has a_r[i] classes of multiplicity r into S_r and a_rm1[i] of
-    multiplicity r - 1 into S_{r-1}, and each matching pair is a class of
-    multiplicity r - 3; (5) on the subgraph J induced by V(K) and S, both
+    multiplicity r - 1 into S_{r-1}, each matching pair is a class of
+    multiplicity r - 3, no vertex is listed twice in k_vertices and S or in
+    the matching, and S_r and S_{r-1} have sum(a_r) and sum(a_rm1)
+    vertices; (5) on the subgraph J induced by V(K) and S, both
     fan-degree conditions fail at level D + t for every ordered pair on an
     edge, so every edge of J has fan degree above D + t and hence fan(g) >
     max_degree(g) + t.
@@ -326,8 +336,9 @@ def _diagnostics(h: Multigraph, t: int, g: Multigraph, plan: ConstructionPlan):
     if t_core(g, t) != h:
         yield "core: the t-core of the constructed graph is not the host graph"
 
+    listed = plan.k_vertices + plan.s_vertices
     matched = tuple(v for pair in plan.matching for v in pair)
-    unknown = [v for v in plan.k_vertices + plan.s_vertices + matched if v not in index]
+    unknown = [v for v in listed + matched if v not in index]
     if unknown:
         yield f"plan: vertices {unknown[:3]} are not in the graph"
         return
@@ -354,9 +365,17 @@ def _diagnostics(h: Multigraph, t: int, g: Multigraph, plan: ConstructionPlan):
         m = g.adj[index[u]].get(index[v], 0)
         if m != r - 3:
             yield f"plan: matching pair {u} {v} has multiplicity {m}, expected r-3={r - 3}"
+    for where, vertices in (("k_vertices, s_r and s_rm1", listed), ("the matching", matched)):
+        twice = sorted(v for v, count in Counter(vertices).items() if count > 1)
+        if twice:
+            yield f"plan: vertices {twice[:3]} are listed more than once in {where}"
+    for key, vertices, split in (("s_r", plan.s_r_vertices, "a_r"), ("s_rm1", plan.s_rm1_vertices, "a_rm1")):
+        want = sum(getattr(plan, split))
+        if len(vertices) != want:
+            yield f"plan: {key} has {len(vertices)} vertices, expected sum({split})={want}"
 
     level = D + t
-    members = {index[v] for v in plan.k_vertices + plan.s_vertices}
+    members = {index[v] for v in listed}
     for x, y in _failing_pairs(g, members, level):
         yield f"edge-certificate: fan degree of ({labels[x]},{labels[y]}) is not above {level}"
 
@@ -426,10 +445,7 @@ def plan_from_text(text: str) -> ConstructionPlan:
             fields[field] = _KINDS[kind][1](values[key])
         except ValueError as exc:  # only the integer kinds raise it
             raise GraphError(f"plan has a non-integer {kind}: {exc}") from None
-    n = len(fields["k_vertices"])
-    for key in ("a_r", "a_rm1"):
-        if len(fields[key]) != n:
-            raise GraphError(f"plan {key} has {len(fields[key])} entries for {n} k_vertices")
+    plan = ConstructionPlan(**fields)
     if len(values["matching"].split()) % 2:
         raise GraphError("plan matching must list an even number of labels")
-    return ConstructionPlan(**fields)
+    return plan

@@ -14,7 +14,7 @@ from fancore import (
     forest_core_condition,
     t_core,
 )
-from helpers import fixture, random_multigraph
+from helpers import all_small_multigraphs, fixture, random_multigraph
 
 
 def cycle_with_pendants_host():
@@ -73,15 +73,24 @@ class TestTCore:
             assert t_core(g, g.max_degree() + g.max_mult()).vertex_count == 0
 
     def test_membership_recheck_in_host(self):
+        # the definition, d(v) + vertex_mult(v) > max_degree + t, on every
+        # vertex, so also on each one t_core skips for 2 d(v) <= max_degree + t
         rng = random.Random(5)
-        for _ in range(80):
-            g = random_multigraph(rng, 5, 6, 3)
-            t = rng.randint(0, 3)
+        graphs = [(random_multigraph(rng, 5, 6, 3), rng.randint(0, 3)) for _ in range(80)]
+        graphs += [(g, t) for g in all_small_multigraphs() for t in range(4)]
+        graphs += [(Multigraph(vertices=["a", "b", "c"]), t) for t in range(2)]
+        with_isolated = Multigraph(["i0", "a", "i1"], [("a", "b", 2), ("b", "c", 1), ("c", "d", 3)])
+        graphs += [(with_isolated, t) for t in range(4)]
+        skipped = 0
+        for g, t in graphs:
             threshold = g.max_degree() + t
             core = t_core(g, t)
+            assert core.labels == tuple(v for v in g.labels if core.has_vertex(v))  # g's order
             for v in g.labels:
                 passes = g.degree(v) + g.vertex_mult(v) > threshold
-                assert passes == core.has_vertex(v)
+                assert passes == core.has_vertex(v), (g.classes(), t, v)
+                skipped += 2 * g.degree(v) <= threshold
+        assert skipped
 
 
 class TestEdgesAbove:

@@ -625,6 +625,25 @@ class TestPeel:
         # fan_number's witness is not always at host multiplicity
         assert late and sub_multiplicity
 
+    def test_a_deletion_fails_classes_that_only_neighbour_it(self):
+        # at level 7 only (3, 4) fails at first. Deleting it lowers d(3),
+        # which the pair test of (0, 2) reads through 0's neighbour 3, so
+        # (0, 2) fails next, though it has no endpoint at 3 or 4, while the
+        # classes there, (0, 3) and (2, 3), still pass: a peel that rechecks
+        # only the classes at the endpoints of a deleted class would keep
+        # the first five classes, where the largest passing subgraph is empty
+        box = [(0, 1, 3), (0, 2, 1), (0, 3, 3), (1, 2, 1), (2, 3, 3), (3, 4, 3)]
+        g = Multigraph._derived([f"v{i}" for i in range(5)], box)
+        rest = Multigraph._derived(g.labels, box[:5])
+
+        def passes(j, i, k):
+            return all(fanmetrics._fan_exceeds(j.deg, j.adj, x, y, 7) for x, y in ((i, k), (k, i)))
+
+        assert [c for c in box if not passes(g, *c[:2])] == [(3, 4, 3)]
+        assert passes(rest, 0, 3) and passes(rest, 2, 3) and not passes(rest, 0, 2)
+        assert fanmetrics._core(5, box, fanmetrics._fan_exceeds, 7) == []
+        assert oracle_cores(g, "fan").get(8, {}) == {}
+
     def test_a_search_that_finds_no_maximiser_raises(self, monkeypatch):
         # the value's core holds every maximiser; a value one too high has none
         core = fanmetrics._core

@@ -1,5 +1,6 @@
 """Witness construction: circulants, parameter choice, build, verification."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -348,10 +349,12 @@ class TestConstructAndVerify:
         ("a_r=5 5", "a_r=999 5", [
             "plan: x has 5 classes of multiplicity r into S_r and 14 of multiplicity r-1 into S_r-1, "
             "expected a_r=999 and a_rm1=14",
+            "plan: s_r has 10 vertices, expected sum(a_r)=1004",
         ]),
         ("a_rm1=14 14", "a_rm1=14 13", [
             "plan: y has 5 classes of multiplicity r into S_r and 14 of multiplicity r-1 into S_r-1, "
             "expected a_r=5 and a_rm1=13",
+            "plan: s_rm1 has 28 vertices, expected sum(a_rm1)=27",
         ]),
         ("matching=sr0 sr1 sr2 sr3", "matching=sr0 sr2 sr1 sr3", [
             "plan: matching pair sr0 sr2 has multiplicity 7, expected r-3=5",
@@ -369,17 +372,40 @@ class TestConstructAndVerify:
 
     def test_plan_key_checks_stop_at_the_cap(self):
         # both K vertices' splits and all five matching pairs contradict the
-        # graph: seven diagnostics, and each loop stops when the cap is full
+        # graph, and S_r has 10 vertices for a_r = (4, 4): eight diagnostics,
+        # and each loop stops when the cap is full
         h = fixture("double-edge.graph")
         g, plan = construct_witness(h, 0)
         text = plan_to_text(plan).replace("a_r=5 5", "a_r=4 4")
         text = text.replace("matching=sr0 sr1 sr2 sr3 sr4 sr5 sr6 sr7 sr8 sr9", "matching=sr1 sr2 sr3 sr4 sr5 sr6 sr7 sr8 sr9 sr0")
         corrupt = plan_from_text(text)
         ok, full = verify_witness(h, 0, g, corrupt, max_diagnostics=10**6)
-        assert not ok and len(full) == 7
-        assert [d.split()[1] for d in full] == ["x", "y"] + ["matching"] * 5
+        assert not ok and len(full) == 8
+        assert [d.split()[1] for d in full] == ["x", "y"] + ["matching"] * 5 + ["s_r"]
         for cap in (1, 2, 3):
             assert verify_witness(h, 0, g, corrupt, max_diagnostics=cap) == (False, full[:cap])
+
+    def test_a_library_plan_needs_one_split_entry_per_k_vertex(self):
+        # a shorter a_r would let zip drop K vertex y, whose split then goes
+        # unchecked; the sidecar reader and the constructor share the check
+        _, plan = construct_witness(fixture("double-edge.graph"), 0)
+        with pytest.raises(GraphError, match="plan a_r has 3 entries for 2 k_vertices"):
+            dataclasses.replace(plan, a_r=plan.a_r + (5,), a_rm1=plan.a_rm1 + (14,))
+        with pytest.raises(GraphError, match="plan a_r has 1 entries for 2 k_vertices"):
+            dataclasses.replace(plan, a_r=plan.a_r[:1])
+
+    def test_a_plan_vertex_listed_twice_fails(self):
+        h = fixture("double-edge.graph")
+        g, plan = construct_witness(h, 0)
+        first = plan.matching[0]
+        repeated = dataclasses.replace(plan, matching=(first,) + plan.matching)
+        assert verify_witness(h, 0, g, repeated) == (
+            False, ["plan: vertices ['sr0', 'sr1'] are listed more than once in the matching"])
+        doubled = dataclasses.replace(plan, s_r_vertices=plan.s_r_vertices + plan.s_r_vertices[:1])
+        assert verify_witness(h, 0, g, doubled) == (False, [
+            "plan: vertices ['sr0'] are listed more than once in k_vertices, s_r and s_rm1",
+            "plan: s_r has 11 vertices, expected sum(a_r)=10",
+        ])
 
     def test_foreign_labels_are_kept_fresh(self):
         h = Multigraph(edges=[("sr0", "sq0", 2)])  # clash with generated names
