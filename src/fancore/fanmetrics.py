@@ -61,7 +61,10 @@ full-multiplicity candidates only, and fan_number's value needs no
 partial class either. Cores nest as v grows, so v* is bisected between
 0, whose core is the host, and the largest d(i) + d(j) over classes,
 which no degree reaches; each probe peels the last nonempty core, in
-O(classes) pair tests per sweep.
+O(classes) pair tests per sweep. _value is that bisection and the one
+entry to the value: it returns v* and its core and searches no witness,
+so fan_bound reads it alone, and only a report (fan_number, corefan)
+goes on to the witness search below.
 
 The witness is pinned for reproducibility: the first maximiser in the
 enumeration order below. Every maximiser lies in the v*-core, so the
@@ -75,7 +78,7 @@ keeps a class outside the core or was dropped, so none of them is: it is
 the first maximiser. The reported pair is the candidate's first pair
 whose test at v* fails, the first pair attaining the minimum. The value
 takes O(log d) probes; the witness search may still walk most of the
-core's box before its first maximiser.
+core's box before its first maximiser, a cost only the reports pay.
 
 Enumeration order is pinned for reproducible witnesses. Classes are sorted
 by dense endpoint pair, and candidates are multiplicity vectors in
@@ -101,16 +104,16 @@ test.
 The certificate kernel behind verify_witness, _failing_pairs, shares the
 fan test's rule and its pass: one anchor pass per vertex of J gives the
 total and the two largest terms, and each pair of that anchor is decided
-from them by the cap check and the worst sum, taken once per distinct
-term. So the certificate of a whole graph, or of a subgraph read in place
-on its host, costs time linear in its classes on every input. The same
-pass keeps the anchor's least term and least slack d_J(y) - mult_J(x, y),
-and an anchor whose every pair passes is known from them alone and lists
-no pair: no slack meets the cap, and the worst sum, which does not
-decrease as the term grows over one anchor's terms, is above 1 at the
-least term. Every vertex of a valid witness is such an anchor, so a
-certificate that holds makes no per-pair step; any other anchor decides
-its pairs one by one as above.
+from them by the cap check and the worst sum, each O(1). So the
+certificate of a whole graph, or of a subgraph read in place on its host,
+costs time linear in its classes on every input. The same pass keeps the
+anchor's least term and least slack d_J(y) - mult_J(x, y), and an anchor
+whose every pair passes is known from them alone and lists no pair: no
+slack meets the cap, and the worst sum, which does not decrease as the
+term grows over one anchor's terms, is above 1 at the least term. Every
+vertex of a valid witness is such an anchor, so a certificate that holds
+makes no per-pair step; any other anchor decides its pairs one by one as
+above.
 """
 
 from __future__ import annotations
@@ -325,8 +328,8 @@ def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
     anchor x gets one pass, _fan_anchor, and each of its pairs (x, y) is
     decided from it by _fan_exceeds' rule: it fails when k >= d_J(x) +
     d_J(y) - mult_J(x, y) or its worst sum is at most 1. The worst sum reads
-    y only through its term d_J(y) + mult_J(x, y), so it is taken once per
-    distinct term, and the kernel is linear in J's classes on every input.
+    y only through its term d_J(y) + mult_J(x, y) and costs O(1) from the
+    pass, so the kernel is linear in J's classes on every input.
     A negative k fails no pair, as every level is at least 0. The pairs,
     indices of g, come class by class as (lo, hi) then (hi, lo) in index
     pair order, which is J's.
@@ -351,14 +354,11 @@ def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
     bad = []
     for x in filter(adj.__getitem__, inside):  # an isolated member has no pair
         total, first, second, least, slack = _fan_anchor(deg, adj, x, k)
-        cap, low = k - deg[x], {}  # low: whether the worst sum is at most 1, by term
+        cap = k - deg[x]
         if slack > cap and _worst_sum(total, least, k, True, first, second) > 1:
             continue
-        for y, m in adj[x].items():
-            b = deg[y] + m
-            if b not in low:  # a negative k fails no pair: every level is at least 0
-                low[b] = k >= 0 and _worst_sum(total, b, k, True, first, second) <= 1
-            if deg[y] - m <= cap or low[b]:
+        for y, m in adj[x].items():  # a negative k fails no pair: every level is at least 0
+            if deg[y] - m <= cap or k >= 0 and _worst_sum(total, deg[y] + m, k, True, first, second) <= 1:
                 bad.append((x, y))
     bad.sort(key=lambda p: (min(p), max(p), p[0] > p[1]))
     return bad
@@ -543,20 +543,19 @@ def _core(n: int, box, exceeds, k: int) -> list[tuple[int, int, int]]:
         box = kept
 
 
-def _peak(g: Multigraph, full_only: bool, exceeds):
-    """_max_min of g with at least one class, by peeling to the value's core.
+def _value(g: Multigraph, exceeds) -> tuple[int, list[tuple[int, int, int]]]:
+    """The peeled value v* of g and its v*-core, as index classes; (0, []) for no class.
 
     The v-core, _core at level v - 1, is nonempty exactly when some
-    subgraph has every pair degree at least v, and cores nest, so the value
-    v* is bisected: the 0-core is g, no core exists at the largest
-    d(i) + d(j) over classes, which no degree reaches, and each probe peels
-    the last nonempty core. Every maximiser lies in the v*-core, so the
-    enumerator runs over the core's classes only, at the fixed floor
-    v* - 1, and its first survivor is the first maximiser.
+    subgraph has every pair degree at least v, and cores nest, so v* is
+    bisected: the 0-core is g, no core exists at the largest d(i) + d(j)
+    over classes, which no degree reaches, and each probe peels the last
+    nonempty core. No witness is searched; every maximiser lies in the
+    returned core. With no class there is nothing to bisect and the core
+    is empty.
     """
-    n, deg = len(g.labels), g.deg
-    low, core = 0, list(g.index_classes)
-    high = max(deg[i] + deg[j] for i, j, _ in core)
+    n, deg, core = len(g.labels), g.deg, list(g.index_classes)
+    low, high = 0, max((deg[i] + deg[j] for i, j, _ in core), default=0)
     while high - low > 1:
         mid = (low + high) // 2
         inner = _core(n, core, exceeds, mid - 1)
@@ -564,19 +563,24 @@ def _peak(g: Multigraph, full_only: bool, exceeds):
             low, core = mid, inner
         else:
             high = mid
-    best = _max_min(n, core, full_only, exceeds, low - 1)
-    if best is None:
-        raise RuntimeError(f"no selection of the {low}-core attains {low}")
-    return best
+    return low, core
 
 
 def _report(kind: str, g: Multigraph, full_only: bool, exceeds) -> FanReport:
-    """The FanReport of g's first maximiser, by _peak; the trivial one for no class.
+    """The FanReport of g's first maximiser; the trivial one for no class.
 
-    The reported pair's level is the value itself, so its certifying set
-    is read at the value without another bisection.
+    The value and its core come from _value. The witness search is
+    _max_min over that core at the fixed floor v* - 1, whose first
+    survivor is the first maximiser; a core with no survivor is an error
+    in the peel, raised, not reported. The reported pair's level is the
+    value itself, so its certifying set is read at the value without
+    another bisection.
     """
-    value, kept, pair = _peak(g, full_only, exceeds) if g.index_classes else (0, [], None)
+    value, core = _value(g, exceeds)
+    best = _max_min(len(g.labels), core, full_only, exceeds, value - 1) if core else (0, [], None)
+    if best is None:
+        raise RuntimeError(f"no selection of the {value}-core attains {value}")
+    _, kept, pair = best
     sel = SubgraphSelection._derived(g, kept)
     if pair is None:
         return FanReport(kind=kind, value=value, witness=sel, pair=None, zset=frozenset())
@@ -600,8 +604,15 @@ def fan_number(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> FanReport:
 
 
 def fan_bound(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> int:
-    """Fan(g) = max(max_degree, fan); an upper bound on the chromatic index."""
-    return max(g.max_degree(), fan_number(g, max_product=max_product).value)
+    """Fan(g) = max(max_degree, fan); an upper bound on the chromatic index.
+
+    fan is read from the peel alone (_value): no report is built and no
+    witness searched. The cap on prod(mult + 1) over parallel classes is
+    fan_number's, refusing the same inputs; here it bounds the peel, whose
+    sweeps can go quadratic in the classes.
+    """
+    _assignment_space(g.index_classes, max_product, "fan_bound")
+    return max(g.max_degree(), _value(g, _fan_exceeds)[0])
 
 
 def corefan(h: Multigraph, max_classes: int = COREFAN_CLASS_CAP) -> FanReport:

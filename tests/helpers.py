@@ -79,6 +79,23 @@ def cycle_graph(n: int) -> Multigraph:
     return Multigraph(labels, [(labels[i], labels[(i + 1) % n], 1) for i in range(n)])
 
 
+def cycle_with_pendants_host(n: int = 5, t: int = 0):
+    """(host, base): base an n-cycle x0..x{n-1} with a pendant y at x0, every class at multiplicity t + 1.
+
+    Every base vertex is padded with fresh single-edge pendants up to
+    degree 3(t + 1), so the base vertices all pass the t-core threshold
+    Delta + t = 4t + 3 (degree plus multiplicity 4t + 4) while the fresh
+    endpoints (2) stay below it: the host's t-core is base. At n = 5, t = 0
+    base is fixtures/cycle-pendant.graph.
+    """
+    labels = [f"x{i}" for i in range(n)] + ["y"]
+    edges = [(labels[i], labels[(i + 1) % n], t + 1) for i in range(n)] + [("x0", "y", t + 1)]
+    base = Multigraph(labels, edges)
+    for v in labels:
+        edges += [(v, f"pad{v}_{p}", 1) for p in range(3 * (t + 1) - base.degree(v))]
+    return Multigraph(labels, edges), base
+
+
 def iso_representatives(graphs):
     """One labelled graph per isomorphism class (brute-force canonical form).
 

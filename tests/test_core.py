@@ -14,24 +14,7 @@ from fancore import (
     forest_core_condition,
     t_core,
 )
-from helpers import all_small_multigraphs, fixture, random_multigraph
-
-
-def cycle_with_pendants_host():
-    """A graph whose 0-core is a 5-cycle carrying one pendant edge.
-
-    Every core-to-be vertex is padded with fresh pendant edges up to degree
-    3, so the padded vertices all pass the 0-core threshold while the fresh
-    endpoints stay below it.
-    """
-    base = fixture("cycle-pendant.graph")  # x0..x4 cycle, pendant y at x0
-    edges = list(base.classes())
-    counter = 0
-    for v in base.labels:
-        for _ in range(3 - base.degree(v)):
-            edges.append((v, f"pad{counter}", 1))
-            counter += 1
-    return Multigraph(base.labels, edges), base
+from helpers import all_small_multigraphs, cycle_with_pendants_host, fixture, random_multigraph
 
 
 class TestTCore:
@@ -137,6 +120,7 @@ class TestCoreConditions:
 
     def test_cycle_core_fails_forest_but_pendant_saves_bqueue(self):
         host, base = cycle_with_pendants_host()
+        assert base == fixture("cycle-pendant.graph")
         assert t_core(host, 0) == base  # the padded construction worked
         forest_ok, _ = forest_core_condition(host, 0)
         bq_ok, report = bqueue_core_condition(host, 0)

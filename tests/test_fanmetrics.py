@@ -25,6 +25,7 @@ from fancore import (
     fan_degree,
     fan_number,
     fan_pair_exceeds,
+    forest_core_condition,
     full_multiplicity_criterion,
     greedy_full_bqueue,
     parse,
@@ -32,7 +33,14 @@ from fancore import (
 )
 from fancore import fanmetrics
 from fancore.fanmetrics import _failing_pairs
-from helpers import all_simple_graphs_up_to, all_small_multigraphs, fixture, random_multigraph
+from helpers import (
+    FIXTURES,
+    all_simple_graphs_up_to,
+    all_small_multigraphs,
+    cycle_with_pendants_host,
+    fixture,
+    random_multigraph,
+)
 from oracles import (
     cfan_degree_oracle,
     corefan_oracle,
@@ -177,6 +185,9 @@ class TestCertificateKernel:
         assert exceed_at_x == [2]  # every pair of x passes; at 3 and 4 only some fail
         assert ("p", "a") in [(g.labels[x], g.labels[y]) for x, y in _failing_pairs(g, members, 2)]
         self.check(g, members, self.levels(g, members))
+        # every level is at least 0, so a negative one fails no pair, even
+        # at b and p, whose lone neighbour leaves no admissible Z
+        assert _failing_pairs(g, members, -1) == []
 
     @pytest.mark.parametrize("host,t", [("double-edge", 0), ("fig1-h", 0), ("multiforest-path", 4)])
     def test_witness_hosts_with_d_raised_and_lowered(self, host, t):
@@ -236,6 +247,19 @@ class TestFanNumber:
         g = Multigraph(edges=[(f"a{i}", f"b{i}", 3) for i in range(11)])
         with pytest.raises(ResourceLimitError):
             fan_number(g, max_product=1 << 20)
+
+    def test_fan_bound_searches_no_witness(self, monkeypatch):
+        # fan_bound reads the peeled value alone: with the witness search
+        # made to raise, it still returns max(Delta, fan) on every fixture
+        # and every four-vertex graph of the family
+        graphs = [fixture(p.name) for p in sorted(FIXTURES.glob("*.graph"))] + list(all_small_multigraphs())
+        want = [max(g.max_degree(), fan_number(g).value) for g in graphs]
+
+        def no_search(*args):
+            raise AssertionError("fan_bound searched for a witness")
+
+        monkeypatch.setattr(fanmetrics, "_max_min", no_search)
+        assert [fan_bound(g) for g in graphs] == want
 
 
 class TestCfanDegree:
@@ -754,6 +778,39 @@ class TestTheoremChains:
             t = rng.randint(0, 2)
             if corefan(t_core(g, t)).value <= t:
                 assert fan_bound(g) <= g.max_degree() + t
+
+    def test_core_conditions_bound_fan_at_20_to_200_vertices(self):
+        # the paper's theorem on a nonempty t-core: the multiforest or the
+        # full-B-queue condition gives Fan(G) <= Delta + t, and so does
+        # corefan(t-core) <= t, checked where the core has at most 20
+        # classes. Fan(G) is peeled, as these graphs are far above
+        # fan_bound's cap. Of these 1,184 draws, 60 meet both conditions
+        # and 84 have corefan(t-core) <= t, the 60 among them
+        rng = random.Random(2027)
+        held = 0
+        for _ in range(1184):
+            n, t = rng.randint(20, 200), rng.randint(0, 3)
+            g = random_multigraph(rng, n, rng.randint(n, 3 * n), t + 2)
+            core = t_core(g, t)
+            if not core.class_count:
+                continue
+            small = core.class_count <= 20
+            if forest_core_condition(g, t)[0] or bqueue_core_condition(g, t)[0] or small and corefan(core).value <= t:
+                held += 1
+                fan = max(g.max_degree(), fanmetrics._value(g, fanmetrics._fan_exceeds)[0])
+                assert fan <= g.max_degree() + t, (g.classes(), t)
+        assert held == 84
+
+    @pytest.mark.parametrize("n", [20, 50, 100, 199])
+    @pytest.mark.parametrize("t", [0, 1, 2, 3])
+    def test_bqueue_condition_bounds_fan_on_a_cycle_core(self, n, t):
+        # the t-core is an n-cycle with a pendant, every class at t + 1: not
+        # a multiforest, but it has a full B-queue, and Fan(G) = 3(t + 1)
+        g, base = cycle_with_pendants_host(n, t)
+        assert t_core(g, t) == base
+        assert not forest_core_condition(g, t)[0] and bqueue_core_condition(g, t)[0]
+        fan = max(g.max_degree(), fanmetrics._value(g, fanmetrics._fan_exceeds)[0])
+        assert fan == 3 * (t + 1) <= g.max_degree() + t
 
 
 class TestSelfCertification:

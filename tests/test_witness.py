@@ -485,21 +485,6 @@ def test_witness_fan_is_pinned_from_both_sides(name, t):
     assert not fanmetrics._core(n, classes, fanmetrics._fan_exceeds, v)
 
 
-def _fan_by_peeling(g):
-    """Fan(g) = max(Delta(g), fan(g)), fan bisected over _core as fanmetrics._peak does."""
-    n, deg = len(g.labels), g.deg
-    low, core = 0, list(g.index_classes)
-    high = max(deg[i] + deg[j] for i, j, _ in core)
-    while high - low > 1:
-        mid = (low + high) // 2
-        inner = fanmetrics._core(n, core, fanmetrics._fan_exceeds, mid - 1)
-        if inner:
-            low, core = mid, inner
-        else:
-            high = mid
-    return max(g.max_degree(), low)
-
-
 def test_witness_fan_sits_between_the_two_bounds():
     # the construction's lower bound Delta + t < Fan, and the paper's upper
     # bound Fan <= Delta + t*, t* the least t' >= t whose t'-core has corefan
@@ -515,7 +500,8 @@ def test_witness_fan_sits_between_the_two_bounds():
             except ResourceLimitError:
                 pass
     for g, t in cases[:100]:
-        delta, fan = g.max_degree(), _fan_by_peeling(g)
+        delta = g.max_degree()
+        fan = max(delta, fanmetrics._value(g, fanmetrics._fan_exceeds)[0])  # Fan(G), peeled
         t_star = next(s for s in itertools.count(t) if corefan(t_core(g, s)).value <= s)
         assert delta + t < fan <= delta + t_star, (g.classes(), t)
 
