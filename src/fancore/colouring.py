@@ -35,17 +35,37 @@ many colours no instance is ever stuck, so a larger k gives the same
 colouring, and the engine runs with min(k, 2 * Delta) colours whatever k
 is asked for.
 
+The engine's state costs what a call uses. fan_colouring builds one state
+per call: the instance endpoints, the class offsets, the vertices' instance
+lists and the at tables hold for any instance order, and each pass resets
+only the colours and the palettes. An at entry left from an earlier pass
+is stale like any other, and at is read only after a bit test of the
+palette. at[v] is a list of palette + 1 slots where 4 * deg(v) >= palette
+and a dict elsewhere, so reads and writes keep the one at[v][c] form while
+the lists together hold at most sum(4 * deg(v) + 1) = 8N + |V| slots (N
+instances) and a dict one entry per colour that has sat at v during the
+call; a palette-wide list at every vertex would cost O(|V| * Delta). A
+vertex's instance list is built from the class offsets the first time a
+fan is anchored there, so a call whose instances all take a common free
+colour builds none.
+
 Almost all of the engine's time below the Ore bound goes to stuck fans and
 the perturbations after them, so that path reads and writes the state's
 lists itself, with no helper call per step, and its tests are mask
 shortcuts that pick exactly what the plain tests pick:
 
-- The fan's instances are a mask of their colours. A candidate's colour is
-  free at a rim vertex, so it is not 0, the uncoloured e's colour, and
-  colours at x are distinct, so a coloured instance at x is in the fan
-  exactly when its colour is in the mask. For the same reason the fan is
-  stuck when no colour free at a rim vertex, outside the mask, is present
-  at x: one and of masks, not a scan of x's instances.
+- The colours that can extend the fan are one mask, grow: free at a rim
+  vertex, present at x and not yet in the fan. A candidate's colour is free
+  at a rim vertex, so it is not 0, the uncoloured e's colour, and colours
+  at x are distinct, so a colour names its instance at x and the fan is
+  stuck exactly when grow is empty: one mask test, not a scan of x's
+  instances. grow is kept up to date as the fan grows: a pick takes its
+  colour out, and a new rim vertex brings in the colours present at x that
+  it frees and no earlier rim vertex frees. The scan of x's instances for
+  the next fan edge resumes after the last pick and still picks the first
+  instance in x's order with a colour in grow: only a brought-in colour can
+  sit on an instance up to the last pick, so only then does the scan start
+  again from x's first instance.
 - The scan for a reduce partner runs only when the new rim vertex shares a
   free colour with the union of the earlier rim vertices' free colours, as
   a partner must share one with that union.
@@ -207,7 +227,12 @@ class _State:
     colour c is on an instance at v, so the free colours of v are the bits
     of full & ~used[v]. at[v][c] is that instance, for the Kempe walks; it
     is valid wherever bit c of used[v] is set, and unassign leaves stale
-    entries behind, so at is read only after a bit test.
+    entries behind, so at is read only after a bit test. at[v] is a list of
+    k + 1 slots where 4 * deg(v) >= k and a dict elsewhere.
+
+    incident[x] lists x's instances in instance order. It is None until
+    anchor(x) builds it from the class offsets in start, the first time a
+    fan is anchored at x.
     """
 
     def __init__(self, g: Multigraph, k: int):
@@ -216,14 +241,26 @@ class _State:
         self.ends = _instances(g)
         self.colour = [0] * len(self.ends)
         self.used = [0] * len(g.labels)
-        self.at: list[dict[int, int]] = [dict() for _ in g.labels]  # colour -> instance
-        self.incident: list[list[int]] = [[] for _ in g.labels]
+        self.at = [[0] * (k + 1) if 4 * d >= k else {} for d in g.deg]  # colour -> instance
+        self.incident: list[list[int] | None] = [None] * len(g.labels)
+        self.start: dict[tuple[int, int], int] = {}
         e = 0
         for i, j, m in g.index_classes:
-            self.incident[i] += range(e, e + m)
-            self.incident[j] += range(e, e + m)
+            self.start[i, j] = e
             e += m
         self.full = (1 << (k + 1)) - 2  # colours 1..k
+
+    def anchor(self, x: int) -> list[int]:
+        """List x's instances in instance order into incident[x], and return it.
+
+        adj[x] is in neighbour order, the order of x's classes among the
+        classes, so the instance indices come out ascending.
+        """
+        self.incident[x] = inc = []
+        for y, m in self.g.adj[x].items():
+            e = self.start[(y, x) if y < x else (x, y)]
+            inc += range(e, e + m)
+        return inc
 
     def assign(self, e: int, c: int) -> None:
         i, j = self.ends[e]
@@ -434,11 +471,15 @@ def _fan_attempt(st: _State, e: int, x: int) -> bool:
 
     The growth reads the state directly. grow is the set of colours that
     can extend the fan: free at a rim vertex (missing_union), on an
-    instance at x (used[x]) and not yet in the fan (fan_colours). When it is
-    empty no instance can join, since an instance at x joins exactly when
-    its colour is in grow: its colour is not 0, which is never free, and
-    colours at x are distinct, so the colour names the instance. Otherwise
-    the scan of x's instances takes the first one with a colour in grow.
+    instance at x (used[x]) and not yet in the fan. When it is empty no
+    instance can join, since an instance at x joins exactly when its colour
+    is in grow: its colour is not 0, which is never free, and colours at x
+    are distinct, so the colour names the instance. Otherwise the scan of
+    x's instances takes the first one with a colour in grow, from p, just
+    after the last pick. A pick takes its colour out of grow, and the new
+    rim vertex brings in new = fy & ux & ~missing_union (the fan's colours
+    are in missing_union already); the instances up to p stay out of grow
+    unless new is not empty, and then p goes back to 0.
     The search for a reduce partner runs only if fy meets missing_union,
     the union of the earlier rim vertices' free colours: a partner's free
     colours are part of that union, so if fy misses it there is none. The
@@ -446,23 +487,22 @@ def _fan_attempt(st: _State, e: int, x: int) -> bool:
     colour with fy is ynew itself, reached before by a parallel instance.
     """
     ends, used, colour, full = st.ends, st.used, st.colour, st.full
+    inc = st.incident[x] or st.anchor(x)
     i, j = ends[e]
     y0 = j if x == i else i
     fan = [e]
     rim = [y0]
-    fan_colours = 0
     missing_union = full & ~used[y0]
     ux = used[x]
     fx = full & ~ux
-    while True:
-        grow = missing_union & ux & ~fan_colours
-        if not grow:
-            return False
-        for nxt in st.incident[x]:
-            if grow >> colour[nxt] & 1:
-                break
+    grow = missing_union & ux
+    p = 0
+    while grow:
+        while not grow >> colour[inc[p]] & 1:
+            p += 1
+        nxt = inc[p]
         fan.append(nxt)
-        fan_colours |= 1 << colour[nxt]
+        grow ^= 1 << colour[nxt]
         i, j = ends[nxt]
         ynew = j if x == i else i
         rim.append(ynew)
@@ -475,7 +515,11 @@ def _fan_attempt(st: _State, e: int, x: int) -> bool:
                 if rim[idx] != ynew and fy & ~used[rim[idx]]:
                     _reduce(st, x, fan, rim, idx)
                     return True
+        new = fy & ux & ~missing_union
+        grow |= new
+        p = 0 if new else p + 1
         missing_union |= fy
+    return False
 
 
 def _perturb(st: _State, e: int, attempt: int) -> None:
@@ -524,25 +568,41 @@ def _colour_edge(st: _State, e: int) -> bool:
     return False
 
 
-def _run_pass(g: Multigraph, k: int, order: list[int]) -> _State | None:
-    st = _State(g, k)
-    ends, used, full, colour, at = st.ends, st.used, st.full, st.colour, st.at
+def _run_pass(st: _State, order: list[int]) -> bool:
+    """Colour st's instances in order, starting from none; False when one is stuck.
+
+    Only colour and used start afresh: the rest of st holds for any order,
+    and at's entries left from an earlier pass are read only after a bit
+    test of used.
+    """
+    st.colour = colour = [0] * len(st.ends)
+    st.used = used = [0] * len(st.used)
+    ends, full, at = st.ends, st.full, st.at
+    last = None
     for e in order:
         # Almost every instance has a colour free at both ends. Taking the
         # lowest one here is _colour_edge's own first step, so the colouring
         # is the same, but skips that call and its budget and anchor set-up.
-        # The assignment is st.assign's, inline.
-        i, j = ends[e]
-        common = full & ~(used[i] | used[j])
+        # The assignment is st.assign's, inline. A copy of the class just
+        # coloured here (copies share one ends tuple) has that class's
+        # common mask less the colour taken.
+        ij = ends[e]
+        i, j = ij
+        if ij is not last:
+            common = full & ~(used[i] | used[j])
         if common:
             bit = common & -common
             colour[e] = c = bit.bit_length() - 1
             at[i][c] = at[j][c] = e
             used[i] |= bit
             used[j] |= bit
-        elif not _colour_edge(st, e):
-            return None
-    return st
+            common ^= bit
+            last = ij
+        else:
+            last = None
+            if not _colour_edge(st, e):
+                return False
+    return True
 
 
 def _pass_orders(total: int):
@@ -567,17 +627,17 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
     Requires k >= max_degree(g). An instance with no colour free at both
     ends fails only when its fan is stuck; it is then perturbed and retried,
     up to |V| * palette fan attempts, and a pass with an instance that exhausts
-    them is retried from scratch with the instance order rotated (forward
-    and reversed starts). None is returned only after every pass fails. No
-    fan is stuck for k >= max over v of degree(v) + vertex_mult(v), so
-    success is guaranteed there, on the first pass; below that bound the
-    engine is a deterministic best-effort search. Deterministic throughout:
-    identical inputs give identical colourings.
+    them is retried from no colour at all, on the same state, with the
+    instance order rotated (forward and reversed starts). None is returned
+    only after every pass fails. No fan is stuck for k >= max over v of
+    degree(v) + vertex_mult(v), so success is guaranteed there, on the first
+    pass; below that bound the engine is a deterministic best-effort search.
+    Deterministic throughout: identical inputs give identical colourings.
 
     A call that fails is the costly one: each of its 2N passes, N the
     instance count, spends up to |V| * palette fan attempts on a stuck
     instance. At k = max_degree = 4, doubled odd cycles of 51, 101 and 201
-    vertices give None after 0.5-0.7, 3.5-4.3 and 25-30 s (a shared 2-vCPU
+    vertices give None after 0.4-0.5, 3.3-3.5 and 23.5-24 s (a shared 2-vCPU
     Intel Xeon VM, Python 3.11.7, whose speed drifts between runs), roughly
     the cube of the size.
 
@@ -593,12 +653,8 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
     if k < g.max_degree():
         raise GraphError(f"{k} colours is below the maximum degree {g.max_degree()}")
     palette = min(k, 2 * g.max_degree())
-    st = None
-    for order in _pass_orders(g.total_instances()):
-        st = _run_pass(g, palette, order)
-        if st is not None:
-            break
-    if st is None:
+    st = _State(g, palette)
+    if not any(_run_pass(st, order) for order in _pass_orders(g.total_instances())):
         return None
     if not _proper(palette, st.ends, st.colour):  # internal soundness guard
         raise RuntimeError("fan engine produced an improper colouring")

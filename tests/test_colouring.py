@@ -166,11 +166,11 @@ class TestFanColouring:
         # a colour changed behind the engine's palette tables is caught
         real = colouring._run_pass
 
-        def corrupted(g, k, order):
-            st = real(g, k, order)
+        def corrupted(st, order):
+            done = real(st, order)
             e = next(e for e in range(1, len(st.ends)) if st.ends[e] == st.ends[e - 1])
-            st.colour[e] = {"repeat": st.colour[e - 1], "uncoloured": 0, "above-k": k + 1}[corrupt]
-            return st
+            st.colour[e] = {"repeat": st.colour[e - 1], "uncoloured": 0, "above-k": st.k + 1}[corrupt]
+            return done
 
         monkeypatch.setattr(colouring, "_run_pass", corrupted)
         g = fixture("fat-triangle-t1.graph")
@@ -263,6 +263,59 @@ class TestFanColouring:
         assert colouring._fan_attempt(st, 0, 0) is True
         assert st.colour == [6, 2, 5, 3, 4, 4, 3, 1, 2, 1]
 
+    def test_fan_scan_restarts_when_a_new_rim_vertex_frees_an_earlier_colour(self, monkeypatch):
+        # x's instances are x-a (uncoloured), x-b (1), x-c (2), x-d (3). The
+        # fan from x-a takes x-c, whose colour 2 is free at a. Its rim vertex
+        # c frees colour 1, which sits on x-b, before x-c at x, so the scan
+        # starts again from x's first instance and takes x-b, not x-d (colour
+        # 3, also free at a and after x-c). The fan folds at b, where colour
+        # 4 is free at both b and x.
+        g = Multigraph(["x", "a", "b", "c", "d", "p", "r"], [("x", "a", 1), ("x", "b", 1), ("x", "c", 1), ("x", "d", 1), ("a", "c", 1), ("a", "p", 1), ("c", "r", 1)])
+        st = colouring._State(g, 4)
+        for e, c in enumerate([0, 1, 2, 3, 4, 1, 3]):
+            if c:
+                st.assign(e, c)
+        folded = []
+        real = colouring._fold
+
+        def fold(st, x, fan, rim):
+            folded.append((list(fan), list(rim)))
+            real(st, x, fan, rim)
+
+        monkeypatch.setattr(colouring, "_fold", fold)
+        assert colouring._fan_attempt(st, 0, 0) is True
+        assert folded == [([0, 2, 1], [1, 3, 2])]
+        assert st.colour == [2, 4, 1, 3, 4, 1, 3]
+
+    def test_one_palette_state_across_passes(self, engine_calls, monkeypatch):
+        # every pass resets the colours and palettes of the one state; the
+        # instance tables and anchor lists hold for any instance order
+        built = []
+
+        class Counted(colouring._State):
+            def __init__(self, g, k):
+                built.append(k)
+                super().__init__(g, k)
+
+        monkeypatch.setattr(colouring, "_State", Counted)
+        g = fixture("fat-triangle-t0.graph")
+        assert fan_colouring(g, g.max_degree()) is None
+        assert engine_calls["_run_pass"] == 8 and built == [3]
+
+    def test_star_tables_stay_linear(self):
+        # at k = Delta a palette-wide table at each of the 2,001 vertices
+        # would take about 32 MB here, and O(|V| * Delta) in general; only
+        # the centre, with 4 * deg >= k, gets one
+        g = Multigraph(edges=[("hub", f"leaf{i}", 1) for i in range(2000)])
+        tracemalloc.start()
+        try:
+            c = fan_colouring(g, g.max_degree())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c is not None and verify_colouring(c)
+        assert peak < 4 * 2**20
+
     def test_retry_orders_are_made_lazily(self):
         # all 2N pass orders held at once take O(N^2) memory: about 110 MB
         # on this 2,662-instance witness, against about 1.5 MB for one pass
@@ -332,10 +385,10 @@ class TestFanColouring:
 
 # sha256 of fan_colouring(g, k).as_text(), None where the engine returns
 # None, for every fixture, the 2,662-instance double-edge/t0 and the
-# 10,049-instance fig1-h/t0 witnesses at both bounds, and the 27,536-instance
-# multiforest-path/t4 witness at the Ore bound (at the maximum degree it
-# takes over a second). The engine is deterministic, so a changed digest
-# means it now picks other colours.
+# 10,049-instance fig1-h/t0 and the 27,536-instance multiforest-path/t4
+# witnesses at both bounds (the last at the maximum degree makes 2,258 fan
+# attempts). The engine is deterministic, so a changed digest means it now
+# picks other colours.
 ENGINE_DIGESTS = [
     ("c3.graph", "ore_bound", '8453af3afcd1d4c16924a97e95d8b91a1bd986c77d5440ce0cdc725c0e4ed926'),
     ("c3.graph", "max_degree", None),
@@ -370,6 +423,7 @@ ENGINE_DIGESTS = [
     ("fig1-h/t0", "ore_bound", 'ea0f3316a839d484359ddcd58239b831bafe15311fee6d0164bc2bc19f10eeb7'),
     ("fig1-h/t0", "max_degree", '3b42e2c69383efaadb46cbaaf76bd0ae8cdbd46e23c338d31a83e1dc9af3c20d'),
     ("multiforest-path/t4", "ore_bound", '5d91893eaafdf2a3d4b59d0579b19b4df55463cc4770798b48bea61550266499'),
+    ("multiforest-path/t4", "max_degree", '3aad3e3fdf8347bd64a77237f5d8d4f0156fe0782ed42188a5a17106ad8648ae'),
 ]
 
 
