@@ -76,9 +76,26 @@ the first candidate that survives. Its minimum is at least v*, so it is
 a maximiser, and every candidate before it in the whole space either
 keeps a class outside the core or was dropped, so none of them is: it is
 the first maximiser. The reported pair is the candidate's first pair
-whose test at v* fails, the first pair attaining the minimum. The value
-takes O(log d) probes; the witness search may still walk most of the
-core's box before its first maximiser, a cost only the reports pay.
+whose test at v* fails, the first pair attaining the minimum.
+
+The search starts at the first maximiser's highest class. Colex order
+puts a vector whose highest class is lower first, and a maximiser whose
+highest class is the core's class h lies in the core of the core's
+classes 0..h, since it qualifies there. That prefix core is itself a
+maximiser, and prefix cores nest, so the first maximiser's highest class
+is the smallest h whose prefix core is nonempty, h*, bisected in about
+log2 C peels at v* - 1 for a core of C classes. The search box is that
+prefix core: every maximiser of highest class h* lies in it, and its
+last class is h*, as the prefix before h* has an empty core. The walk
+starts at the last vector before h*'s block, every class below h* at its
+top value and h* at 0, so it visits only the box's vectors that keep h*,
+in the whole space's relative order, and finds the same survivor, pair
+and certifying set. On dense hosts, whose core is the whole host, that
+about halves the walk. Where the core's vector space, the product of 2
+(corefan) or of m + 1 (fan_number) over its classes, is at most C², the
+peels cost more than the walk they save, so the whole core is walked
+from its first vector. The value takes O(log d) probes; the walk over
+the top class's block remains, a cost only the reports pay.
 
 Enumeration order is pinned for reproducible witnesses. Classes are sorted
 by dense endpoint pair, and candidates are multiplicity vectors in
@@ -121,7 +138,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from math import inf
+from math import inf, prod
 from typing import Optional, Union
 
 from .errors import GraphError, ResourceLimitError, check_cap
@@ -425,16 +442,20 @@ def _class_cap(classes, cap: int, op: str) -> None:
         raise ResourceLimitError(f"{op}: {len(classes)} parallel classes exceed the cap of {cap}")
 
 
-def _selections(classes, full_only: bool):
+def _selections(classes, full_only: bool, vec: Optional[list[int]] = None):
     """Yield the nonempty multiplicity vectors over classes in colex order.
 
     Class 0 is the fastest digit. A class of multiplicity m takes every
     value 0..m, or only 0 and m when full_only is set. One list is yielded
     throughout, updated in place, together with the highest class it
-    changed: every class below that one was reset to 0.
+    changed: every class below that one was reset to 0. The walk starts
+    after vec, all zeros by default, and runs to the last vector, every
+    class at its top value; _max_min passes the last vector before the
+    last class's block, every other class at its top value and the last
+    at 0, to walk that block alone.
     """
     n = len(classes)
-    vec = [0] * n
+    vec = [0] * n if vec is None else vec
     while True:
         pos = 0
         while pos < n and vec[pos] == classes[pos][2]:
@@ -456,7 +477,7 @@ def _selection(g: Multigraph, vec) -> SubgraphSelection:
     return SubgraphSelection._derived(g, _kept(g.index_classes, vec))
 
 
-def _max_min(n: int, classes, full_only: bool, exceeds, floor: Optional[int] = None):
+def _max_min(n: int, classes, full_only: bool, exceeds, floor: Optional[int] = None, top: bool = False):
     """Maximum over selections of classes of the minimum degree over ordered pairs.
 
     classes are index classes (i, j, m) of a graph on n vertices, the box
@@ -478,13 +499,26 @@ def _max_min(n: int, classes, full_only: bool, exceeds, floor: Optional[int] = N
     most value + 1 candidates survive. Either way the reported pair is the
     first whose level is not above the value. A dropped candidate costs its
     update and about one pair test, a pass over one adjacency dict.
+
+    The walk starts at the first vector, or, with top set, at the last
+    vector before the last class's block: every other class at its top
+    value, in deg and adj as well, and the last at 0. Only the vectors that
+    keep the last class are then visited, in the same relative order, and
+    the first step resets every class below the last from its top value,
+    as the update expects.
     """
     first = floor is not None
     floor = floor if first else -1
     deg = [0] * n
     adj: list[dict[int, int]] = [{} for _ in range(n)]
+    vec = [0] * len(classes)
+    for c, (i, j, m) in enumerate(classes[:-1] if top else ()):
+        vec[c] = m
+        deg[i] += m
+        deg[j] += m
+        adj[i][j] = adj[j][i] = m
     best = None
-    for vec, changed in _selections(classes, full_only):
+    for vec, changed in _selections(classes, full_only, vec):
         for c in range(changed):  # each was at its top value and is reset to 0
             i, j, m = classes[c]
             deg[i] -= m
@@ -569,15 +603,24 @@ def _value(g: Multigraph, exceeds) -> tuple[int, list[tuple[int, int, int]]]:
 def _report(kind: str, g: Multigraph, full_only: bool, exceeds) -> FanReport:
     """The FanReport of g's first maximiser; the trivial one for no class.
 
-    The value and its core come from _value. The witness search is
-    _max_min over that core at the fixed floor v* - 1, whose first
-    survivor is the first maximiser; a core with no survivor is an error
-    in the peel, raised, not reported. The reported pair's level is the
-    value itself, so its certifying set is read at the value without
-    another bisection.
+    The value and its core come from _value. The witness search is _max_min
+    over that core at the fixed floor v* - 1, whose first survivor is the
+    first maximiser. Unless the core's vector space is at most C² for C
+    classes, the first maximiser's highest class h* is bisected first, and
+    the search runs over the core of the core's classes 0..h* from the last
+    vector before h*'s block (see the module docstring); where h* is the
+    core's last class, the core is that box already and is not peeled again.
+    A core with no survivor is an error in the peel, raised, not reported.
+    The reported pair's level is the value itself, so its certifying set is
+    read at the value without another bisection.
     """
     value, core = _value(g, exceeds)
-    best = _max_min(len(g.labels), core, full_only, exceeds, value - 1) if core else (0, [], None)
+    n = len(g.labels)
+    top = len(core) ** 2 < prod(2 if full_only else m + 1 for _, _, m in core)
+    if core and top:  # the core of the shortest prefix of the core whose own core is nonempty
+        h = bisect_left(range(len(core) - 1), True, key=lambda h: bool(_core(n, core[:h + 1], exceeds, value - 1)))
+        core = _core(n, core[:h + 1], exceeds, value - 1) if h < len(core) - 1 else core
+    best = _max_min(n, core, full_only, exceeds, value - 1, top) if core else (0, [], None)
     if best is None:
         raise RuntimeError(f"no selection of the {value}-core attains {value}")
     _, kept, pair = best

@@ -556,13 +556,13 @@ class TestPinnedReports:
         assert digest.hexdigest() == "ac1043e00391a7de2a547d173c8188404458cddbe18517642e8c588852722e09"
 
 
-def exhaustive_report(g, kind):
-    """(value, witness classes, pair, zset) of the running-floor search over the whole space."""
-    n, classes = len(g.labels), g.index_classes
-    if kind == "fan":
-        best = fanmetrics._max_min(n, classes, False, fanmetrics._fan_exceeds)
-    else:
-        best = fanmetrics._max_min(n, classes, True, partial(fanmetrics._cfan_exceeds, g.deg))
+def pair_test(g, kind):
+    """The invariant's pair test on g's index space, as _report uses it."""
+    return fanmetrics._fan_exceeds if kind == "fan" else partial(fanmetrics._cfan_exceeds, g.deg)
+
+
+def as_report(g, kind, best):
+    """(value, witness classes, pair, zset) of a _max_min result on g; the trivial one for None."""
     if best is None:
         return 0, (), None, frozenset()
     value, kept, (x, y) = best
@@ -570,6 +570,26 @@ def exhaustive_report(g, kind):
     x, y = g.labels[x], g.labels[y]
     zset = fan_degree(sel, x, y)[1] if kind == "fan" else cfan_degree(g, sel, x, y)[1]
     return value, sel.classes(), (x, y), zset
+
+
+def exhaustive_report(g, kind):
+    """(value, witness classes, pair, zset) of the running-floor search over the whole space."""
+    best = fanmetrics._max_min(len(g.labels), g.index_classes, kind == "corefan", pair_test(g, kind))
+    return as_report(g, kind, best)
+
+
+def unskipped_report(g, kind):
+    """The report of the first-hit walk over the whole value core from its first vector, and its side.
+
+    The side is True where _report bisects the core's top class first: where
+    the core's vector space, a product of 2 (corefan) or of m + 1 (fan) over
+    its C classes, exceeds C².
+    """
+    exceeds, full_only = pair_test(g, kind), kind == "corefan"
+    value, core = fanmetrics._value(g, exceeds)
+    best = fanmetrics._max_min(len(g.labels), core, full_only, exceeds, value - 1) if core else None
+    space = math.prod(2 if full_only else m + 1 for _, _, m in core)
+    return as_report(g, kind, best), len(core) ** 2 < space
 
 
 def canonical(g):
@@ -631,23 +651,82 @@ class TestPeel:
         assert members == 1908 and proper and len(by_form) < members
 
     def test_reports_match_the_exhaustive_search(self):
+        # the whole-space search and the walk over the value's whole core
+        # from its first vector both give the reported value, witness, pair
+        # and zset, on both sides of the rule that picks the top-class start
         rng = random.Random(1515)
         graphs = late = sub_multiplicity = 0
+        sides = set()
         while graphs < 2000:
             g = random_multigraph(rng, rng.randint(2, 8), 14, 3)
             if math.prod(m + 1 for _, _, m in g.index_classes) > 1 << 14:
                 continue
             graphs += 1
             for kind, report in (("fan", fan_number(g)), ("corefan", corefan(g))):
-                want = exhaustive_report(g, kind)
+                unskipped, top = unskipped_report(g, kind)
                 got = (report.value, report.witness.classes(), report.pair, report.zset)
-                assert got == want, (kind, g.classes())
+                assert got == exhaustive_report(g, kind) == unskipped, (kind, g.classes())
+                sides.add((kind, top))
                 late += len(report.witness.index_classes) > 1
                 sub_multiplicity += kind == "fan" and any(
                     m < g.mult(u, v) for u, v, m in report.witness.classes())
         # a witness of two or more classes is not the first candidate, and
         # fan_number's witness is not always at host multiplicity
         assert late and sub_multiplicity
+        assert sides == {(kind, top) for kind in ("fan", "corefan") for top in (False, True)}
+
+    @pytest.mark.parametrize("kind,hosts,classes,cap", [
+        ("corefan", 190, (10, 13), None),
+        ("corefan", 10, (14, 16), None),
+        ("fan", 100, (10, 12), 1 << 14),
+    ], ids=["corefan-10-13", "corefan-14-16", "fan-10-12"])
+    def test_dense_reports_match_the_unskipped_walk(self, kind, hosts, classes, cap):
+        # dense hosts of 6-8 vertices and multiplicity at most 3, whose core
+        # is most of the host and whose first maximiser comes late: the top
+        # class is bisected and only its block is walked, with the same
+        # report as the walk over the whole core (fan hosts are kept within
+        # 2^14 candidates, as the unskipped walk is the slow side)
+        rng = random.Random(1616)
+        report_of = fan_number if kind == "fan" else corefan
+        skipped = 0
+        for _ in range(hosts):
+            while True:
+                n, k = rng.randint(6, 8), rng.randint(*classes)
+                pairs = sorted(rng.sample(list(itertools.combinations(range(n), 2)), min(k, n * (n - 1) // 2)))
+                g = Multigraph._derived([f"v{i}" for i in range(n)], [(i, j, rng.randint(1, 3)) for i, j in pairs])
+                if cap is None or math.prod(m + 1 for _, _, m in g.index_classes) <= cap:
+                    break
+            report = report_of(g)
+            unskipped, top = unskipped_report(g, kind)
+            assert (report.value, report.witness.classes(), report.pair, report.zset) == unskipped, g.classes()
+            skipped += top and report.witness.index_classes[-1] != g.index_classes[-1]
+        # the skip is exercised below the last class, not only at it
+        assert skipped
+
+    def test_k6_walks_the_top_class_block_only(self, monkeypatch):
+        # simple K6: the first maximiser keeps classes 0-13 of 15, so the
+        # whole-core walk makes 2^14 - 1 = 16,383 steps to it; bisecting its
+        # top class, 13, starts the walk at vector 2^13 - 1 and reaches it
+        # in 2^13 = 8,192 steps
+        g = Multigraph(edges=[(u, v, 1) for u, v in itertools.combinations("abcdef", 2)])
+        calls = {"_selections": 0, "_cfan_exceeds": 0}
+        selections, test = fanmetrics._selections, fanmetrics._cfan_exceeds
+
+        def counting_selections(*args):
+            for step in selections(*args):
+                calls["_selections"] += 1
+                yield step
+
+        def counting_test(*args):
+            calls["_cfan_exceeds"] += 1
+            return test(*args)
+
+        monkeypatch.setattr(fanmetrics, "_selections", counting_selections)
+        monkeypatch.setattr(fanmetrics, "_cfan_exceeds", counting_test)
+        report = corefan(g)
+        assert (report.value, report.witness.classes()) == (1, g.classes()[:14])
+        assert calls["_selections"] <= 8192
+        assert calls["_cfan_exceeds"] <= 8600
 
     def test_a_deletion_fails_classes_that_only_neighbour_it(self):
         # at level 7 only (3, 4) fails at first. Deleting it lowers d(3),

@@ -292,6 +292,13 @@ class TestConstructAndVerify:
         assert not ok
         assert any(d.startswith("plan") for d in diags)
 
+    def test_a_vertexless_graph_reads_max_degree_zero(self):
+        # the maximum over no degree is 0, and the message says so
+        h = fixture("double-edge.graph")
+        _, plan = construct_witness(h, 0)
+        ok, diags = verify_witness(h, 0, Multigraph(), plan)
+        assert not ok and diags[0] == "degree: max degree is 0, expected D=140"
+
     def test_negative_level_plan_is_diagnosed_not_crashed(self):
         # D + t below 0 fails the degree checks; every edge still clears it
         h = fixture("double-edge.graph")
