@@ -6,6 +6,14 @@ colourings, B-queue orders) sit between 'begin <name>' and 'end <name>'
 markers so harnesses can cut them out and re-verify them with the library.
 Output is deterministic byte for byte for identical inputs.
 
+construct's two output files are written in place (multigraph.write_text):
+opened without truncation and, when regular files, truncated at the end
+of the new text, so an existing file keeps its inode and mode and is left
+holding exactly the new bytes. A non-regular target such as /dev/null or a
+FIFO is written and not truncated. A rewritten output is not
+crash-consistent: a process killed mid-write can leave the old file's tail
+after the new bytes, and a power loss a mix of old and new bytes.
+
 Exit codes: 0 ok, 1 domain error, 2 usage error, 3 a size cap exceeded.
 """
 
@@ -37,10 +45,9 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    """Write an output file; an unwritable path is a domain error, like an unreadable one."""
+    """Write an output file in place (multigraph.write_text); an unwritable path is a domain error."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        mg.write_text(path, text)
     except OSError as exc:
         raise GraphError(f"cannot write {path}: {exc.strerror}") from None
 

@@ -94,8 +94,10 @@ and certifying set. On dense hosts, whose core is the whole host, that
 about halves the walk. Where the core's vector space, the product of 2
 (corefan) or of m + 1 (fan_number) over its classes, is at most C², the
 peels cost more than the walk they save, so the whole core is walked
-from its first vector. The value takes O(log d) probes; the walk over
-the top class's block remains, a cost only the reports pay.
+from its first vector; so it is at value 0, where every vector is a
+maximiser and the first one is the witness. The value takes O(log d)
+probes; the walk over the top class's block remains, a cost only the
+reports pay.
 
 Enumeration order is pinned for reproducible witnesses. Classes are sorted
 by dense endpoint pair, and candidates are multiplicity vectors in
@@ -605,18 +607,19 @@ def _report(kind: str, g: Multigraph, full_only: bool, exceeds) -> FanReport:
 
     The value and its core come from _value. The witness search is _max_min
     over that core at the fixed floor v* - 1, whose first survivor is the
-    first maximiser. Unless the core's vector space is at most C² for C
-    classes, the first maximiser's highest class h* is bisected first, and
-    the search runs over the core of the core's classes 0..h* from the last
-    vector before h*'s block (see the module docstring); where h* is the
-    core's last class, the core is that box already and is not peeled again.
+    first maximiser. Unless the value is 0 (every vector is a maximiser)
+    or the core's vector space is at most C² for C classes, the first
+    maximiser's highest class h* is bisected first, and the search runs
+    over the core of the core's classes 0..h* from the last vector before
+    h*'s block (see the module docstring); where h* is the core's last
+    class, the core is that box already and is not peeled again.
     A core with no survivor is an error in the peel, raised, not reported.
     The reported pair's level is the value itself, so its certifying set is
     read at the value without another bisection.
     """
     value, core = _value(g, exceeds)
     n = len(g.labels)
-    top = len(core) ** 2 < prod(2 if full_only else m + 1 for _, _, m in core)
+    top = value > 0 and len(core) ** 2 < prod(2 if full_only else m + 1 for _, _, m in core)
     if core and top:  # the core of the shortest prefix of the core whose own core is nonempty
         h = bisect_left(range(len(core) - 1), True, key=lambda h: bool(_core(n, core[:h + 1], exceeds, value - 1)))
         core = _core(n, core[:h + 1], exceeds, value - 1) if h < len(core) - 1 else core

@@ -32,7 +32,9 @@ checked again.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from operator import lt
 from typing import Iterable, Optional
 
@@ -525,6 +527,40 @@ def load(path) -> Multigraph:
         return parse(fh.read())
 
 
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8, in place: the package's one file writer.
+
+    The file is opened without O_TRUNC (created with mode 0o666 less the
+    umask) and, when fstat says it is a regular file, truncated at the end
+    of what was written, also after a failed write. So a rewrite leaves the
+    same bytes, inode and mode as open(path, "w") does, without first
+    truncating to zero, which ext4 (auto_da_alloc) answers by flushing the
+    file on close. The gain is only on rewriting an existing, non-empty
+    file; a new path costs the same either way. A non-regular target
+    (/dev/null, a FIFO) is written and left untruncated, as truncating it
+    fails. An OSError propagates.
+
+    The trade-off: no crash consistency for a rewritten file. After a power
+    loss it may hold old bytes, new bytes or a mix, cut to either length;
+    a process killed between the last write and the truncate leaves the new
+    bytes followed by the old file's tail.
+    """
+    data = memoryview(text.encode("utf-8"))
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as fh:
+        try:
+            while data:  # a raw write may be short
+                data = data[fh.write(data):]
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def dump(g: Multigraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(g))
+    """Write serialize(g) to path in place, through write_text.
+
+    The file is opened without truncation and, when it is a regular file,
+    truncated at the end of the new text; a non-regular target such as
+    /dev/null or a FIFO is written and left untruncated. A rewrite is not
+    crash-consistent (see write_text).
+    """
+    write_text(path, serialize(g))

@@ -1,10 +1,13 @@
 """CLI behaviour: payload shape, re-verifiable blocks, exit codes, determinism."""
 
+import errno
 import hashlib
 import io
+import os
 import runpy
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -23,6 +26,7 @@ from fancore import (
     verify_colouring,
     verify_witness,
 )
+from fancore import multigraph
 from fancore.cli import main, run
 from helpers import FIXTURES, fixture
 
@@ -347,6 +351,101 @@ class TestConstruct:
         code, out = cli(*argv)
         assert code == 1 and out == ""
         assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: not UTF-8 text")
+
+
+class TestOutputFiles:
+    """construct's outputs are rewritten in place: same bytes, inode and mode as a fresh write."""
+
+    @staticmethod
+    def fresh(host: str, tmp_path) -> tuple[bytes, bytes]:
+        """The graph and plan bytes construct writes for host at t = 0 into a new file."""
+        out_path = tmp_path / "fresh" / "w.graph"
+        out_path.parent.mkdir(exist_ok=True)
+        assert cli("construct", fx(host), "--t", 0, "-o", out_path)[0] == 0
+        return out_path.read_bytes(), (tmp_path / "fresh" / "w.graph.plan").read_bytes()
+
+    def test_a_shorter_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        graph, plan = self.fresh("double-edge.graph", tmp_path)
+        out_path, plan_path = tmp_path / "w.graph", tmp_path / "w.graph.plan"
+        out_path.write_bytes(b"x y 1\n" * 20000)
+        plan_path.write_bytes(b"#" * 100000)
+        assert cli("construct", fx("double-edge.graph"), "--t", 0, "-o", out_path)[0] == 0
+        assert (out_path.read_bytes(), plan_path.read_bytes()) == (graph, plan)
+
+    def test_a_hard_link_sees_the_new_bytes(self, tmp_path):
+        graph, _ = self.fresh("double-edge.graph", tmp_path)
+        out_path, link = tmp_path / "w.graph", tmp_path / "link.graph"
+        assert cli("construct", fx("fig1-h.graph"), "--t", 0, "-o", out_path)[0] == 0
+        assert len(out_path.read_bytes()) > len(graph)
+        os.link(out_path, link)
+        assert cli("construct", fx("double-edge.graph"), "--t", 0, "-o", out_path)[0] == 0
+        assert link.read_bytes() == out_path.read_bytes() == graph
+        assert os.stat(link).st_ino == os.stat(out_path).st_ino
+
+    def test_a_new_file_gets_0o666_less_the_umask_and_a_rewrite_keeps_the_mode(self, tmp_path):
+        out_path = tmp_path / "w.graph"
+        old = os.umask(0o027)
+        try:
+            multigraph.write_text(out_path, "a b 1\n")
+        finally:
+            os.umask(old)
+        assert os.stat(out_path).st_mode & 0o777 == 0o640
+        os.chmod(out_path, 0o600)
+        multigraph.write_text(out_path, "vertex a\n")
+        assert os.stat(out_path).st_mode & 0o777 == 0o600
+        assert out_path.read_text() == "vertex a\n"
+
+    def test_a_rewrite_opens_without_o_trunc(self, tmp_path, monkeypatch):
+        out_path = tmp_path / "w.graph"
+        assert cli("construct", fx("double-edge.graph"), "--t", 0, "-o", out_path)[0] == 0
+        opened, real_open = [], os.open
+
+        def recording(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        assert cli("construct", fx("double-edge.graph"), "--t", 0, "-o", out_path)[0] == 0
+        writes = [(path, flags) for path, flags in opened if path.startswith(str(out_path))]
+        assert [path for path, _ in writes] == [str(out_path), f"{out_path}.plan"]
+        assert all(flags & os.O_TRUNC == 0 and flags & os.O_CREAT for _, flags in writes)
+
+    def test_devnull_is_written_and_not_truncated(self):
+        multigraph.write_text(os.devnull, "a b 1\n" * 1000)
+        multigraph.dump(fixture("double-edge.graph"), os.devnull)
+
+    def test_a_fifo_is_written_and_not_truncated(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        text = "a b 1\n" * 50000  # more than a pipe buffer holds
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()))
+        reader.start()
+        try:
+            multigraph.write_text(fifo, text)
+        finally:
+            reader.join(10)
+        assert got == [text]
+
+    def test_a_write_failing_part_way_leaves_no_old_bytes_after_the_new(self, tmp_path, monkeypatch, capsys):
+        graph, _ = self.fresh("double-edge.graph", tmp_path)
+        out_path = tmp_path / "w.graph"
+        out_path.write_bytes(b"x y 1\n" * 20000)
+
+        class FullDisk(io.FileIO):
+            """Takes half of the first write, then fails as a full disk does."""
+
+            def write(self, data):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data[:len(data) // 2])
+
+        monkeypatch.setattr(multigraph, "open", lambda fd, mode, buffering: FullDisk(fd, "w"), raising=False)
+        code, out = cli("construct", fx("double-edge.graph"), "--t", 0, "-o", out_path)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"error: cannot write {out_path}: {os.strerror(errno.ENOSPC)}\n"
+        assert out_path.read_bytes() == graph[:len(graph) // 2]
+        assert not (tmp_path / "w.graph.plan").exists()
 
 
 class TestProcessLevel:

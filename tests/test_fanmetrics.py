@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from functools import partial
 
 import pytest
@@ -727,6 +728,31 @@ class TestPeel:
         assert (report.value, report.witness.classes()) == (1, g.classes()[:14])
         assert calls["_selections"] <= 8192
         assert calls["_cfan_exceeds"] <= 8600
+
+    @pytest.mark.parametrize("report", [corefan, fan_number], ids=["corefan", "fan"])
+    @pytest.mark.parametrize("host", ["path-value-0", "triangle-8-vectors"])
+    def test_only_the_value_peels_at_value_0_or_within_the_c2_rule(self, host, report, monkeypatch):
+        # a 12-class simple path has value 0, so every vector is a maximiser
+        # and the first, class 0 alone, is the witness: its 2^12 vectors are
+        # above the C² rule, yet no top class is bisected; a simple triangle's
+        # 2^3 vectors are within the rule, so its whole core is walked
+        if host == "path-value-0":
+            g = Multigraph(edges=[(f"p{i}", f"p{i + 1}", 1) for i in range(12)])
+            expected = (0, ("p0", "p1"), frozenset({"p1"}), (("p0", "p1", 1),))
+        else:
+            g = Multigraph(edges=[("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
+            expected = (1 if report is corefan else 3, ("a", "b"), frozenset("bc"), g.classes())
+        callers, peel = [], fanmetrics._core
+
+        def recording(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return peel(*args)
+
+        monkeypatch.setattr(fanmetrics, "_core", recording)
+        r = report(g)
+        assert callers and set(callers) == {"_value"}
+        assert (r.value, r.pair, r.zset, r.witness.classes()) == expected
+        assert r.witness.vertices() == g.labels
 
     def test_a_deletion_fails_classes_that_only_neighbour_it(self):
         # at level 7 only (3, 4) fails at first. Deleting it lowers d(3),

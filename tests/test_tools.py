@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,3 +59,48 @@ def test_unexecuted_lists_only_the_body_of_the_uncalled_function(tmp_path):
         "  13: raise ValueError(a)\n"
         "  14: return math.sqrt(a)\n"
     )
+
+
+def test_mutants_counts_killed_timed_out_and_survived_on_a_toy_package(tmp_path):
+    # four sites, as the '|' of an annotation is none: the known-equivalent
+    # '<' of multigraph.py is left out; the loop's '>' -> '>=' fails the
+    # check, its '-=' -> '+=' never ends, and clamp's '>' -> '>=' is
+    # equivalent, so it survives; the check runs in well under a second, so
+    # the timeout is the 1-s floor
+    package = tmp_path / "toy"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "multigraph.py").write_text(
+        "def order(iu: int | bool, iv: int) -> tuple[int, int]:\n"
+        "    key = (iu, iv) if iu < iv else (iv, iu)\n"
+        "    return key\n"
+        "\n"
+        "\n"
+        "def clamp(x, hi):\n"
+        "    return hi if x > hi else x\n"
+        "\n"
+        "\n"
+        "def down(n, step):\n"
+        "    while n > step:\n"
+        "        n -= step\n"
+        "    return n\n"
+    )
+    (tmp_path / "check.py").write_text(
+        "from toy.multigraph import clamp, down, order\n"
+        "assert order(2, 1) == (1, 2) and clamp(5, 3) == 3 and clamp(2, 3) == 2\n"
+        "assert down(6, 3) == 3\n"
+    )
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "mutants.py"), "--seed", "1", "--sample", "10", "toy",
+         "--", sys.executable, "check.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert time.perf_counter() - start < 3
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[0] == "sites 3 in 1 modules (1 known equivalent left out); sampled 3 with seed 1"
+    assert result.stdout.splitlines()[2:] == [
+        "killed 1, timed out 1, survived 1",
+        "survived multigraph.py:7 '>' -> '>=': return hi if x > hi else x",
+        "timed out multigraph.py:12 '-=' -> '+=': n -= step",
+    ]
