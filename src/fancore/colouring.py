@@ -50,9 +50,9 @@ fan is anchored there, so a call whose instances all take a common free
 colour builds none.
 
 Almost all of the engine's time below the Ore bound goes to stuck fans and
-the perturbations after them, so that path reads and writes the state's
-lists itself, with no helper call per step, and its tests are mask
-shortcuts that pick exactly what the plain tests pick:
+the perturbations after them, so that path and the fold read and write the
+state's lists themselves, with no helper call per step, and their tests are
+mask shortcuts that pick exactly what the plain tests pick:
 
 - The colours that can extend the fan are one mask, grow: free at a rim
   vertex, present at x and not yet in the fan. A candidate's colour is free
@@ -66,9 +66,12 @@ shortcuts that pick exactly what the plain tests pick:
   instance in x's order with a colour in grow: only a brought-in colour can
   sit on an instance up to the last pick, so only then does the scan start
   again from x's first instance.
-- The scan for a reduce partner runs only when the new rim vertex shares a
-  free colour with the union of the earlier rim vertices' free colours, as
-  a partner must share one with that union.
+- A reduce partner is looked for only at a rim vertex met for the first
+  time whose free colours meet the union of the earlier rim vertices' free
+  colours, and the partner is the first earlier rim vertex that misses one
+  of the new vertex's free colours. Invariant (D) of _fan_attempt makes
+  this exact, so the rim is scanned once, when the fan reduces, not at
+  every extension of a fan that may end stuck.
 - The perturbation's present colour is the n-th set bit of the vertex's
   palette, which is the n-th entry of its present colours listed in order.
 
@@ -397,18 +400,29 @@ def _fold(st: _State, x: int, fan: list[int], rim: list[int]) -> None:
       no fan edge has because c was free at x.
 
     The fan shrinks at every step, and the step on the first edge ends it.
+    A step pops the last fan edge and rim vertex and looks for old's rim
+    vertex only among those left, so a broken (F) runs off the rim and
+    raises IndexError instead of recolouring the same edge for ever.
     """
-    used = st.used
+    used, colour, at, full = st.used, st.colour, st.at, st.full
     while True:
-        c = _lowest(st.full & ~(used[x] | used[rim[-1]]))
-        last = fan[-1]
-        old = st.colour[last]
+        last = fan.pop()
+        y = rim.pop()
+        free = full & ~(used[x] | used[y])
+        bit = free & -free
+        old = colour[last]
+        colour[last] = c = bit.bit_length() - 1
+        at[x][c] = at[y][c] = last
         if not old:
-            st.assign(last, c)
+            used[x] |= bit
+            used[y] |= bit
             return
-        st.unassign(last)
-        st.assign(last, c)
-        idx = next(i for i in range(len(fan) - 1) if not used[rim[i]] >> old & 1)
+        bit |= 1 << old
+        used[x] ^= bit
+        used[y] ^= bit
+        idx = 0
+        while used[rim[idx]] >> old & 1:
+            idx += 1
         del fan[idx + 1:]
         del rim[idx + 1:]
 
@@ -480,11 +494,15 @@ def _fan_attempt(st: _State, e: int, x: int) -> bool:
     rim vertex brings in new = fy & ux & ~missing_union (the fan's colours
     are in missing_union already); the instances up to p stay out of grow
     unless new is not empty, and then p goes back to 0.
-    The search for a reduce partner runs only if fy meets missing_union,
-    the union of the earlier rim vertices' free colours: a partner's free
-    colours are part of that union, so if fy misses it there is none. The
-    scan can still find none, when every earlier rim vertex that shares a
-    colour with fy is ynew itself, reached before by a parallel instance.
+    A reduce partner is searched for only when fy meets missing_union, the
+    union of the earlier rim vertices' free colours, and ynew is in the rim
+    for the first time; it is then the first earlier rim vertex that misses
+    a colour of fy. (D) makes both tests exact, as it holds for the rim
+    before ynew. A rim vertex met again, reached before by a parallel
+    instance, is one of those vertices, so no other one shares a free
+    colour with it and it has no partner. A new one that meets the union
+    shares a colour with an earlier vertex, which is not ynew itself. So the
+    rim is scanned once, when the fan reduces, not at every extension.
     """
     ends, used, colour, full = st.ends, st.used, st.colour, st.full
     inc = st.incident[x] or st.anchor(x)
@@ -510,11 +528,9 @@ def _fan_attempt(st: _State, e: int, x: int) -> bool:
         if fx & fy:
             _fold(st, x, fan, rim)
             return True
-        if fy & missing_union:
-            for idx in range(len(rim) - 1):
-                if rim[idx] != ynew and fy & ~used[rim[idx]]:
-                    _reduce(st, x, fan, rim, idx)
-                    return True
+        if fy & missing_union and rim.index(ynew) == len(rim) - 1:
+            _reduce(st, x, fan, rim, next(idx for idx, y in enumerate(rim) if fy & ~used[y]))
+            return True
         new = fy & ux & ~missing_union
         grow |= new
         p = 0 if new else p + 1
@@ -637,7 +653,7 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
     A call that fails is the costly one: each of its 2N passes, N the
     instance count, spends up to |V| * palette fan attempts on a stuck
     instance. At k = max_degree = 4, doubled odd cycles of 51, 101 and 201
-    vertices give None after 0.4-0.5, 3.3-3.5 and 23.5-24 s (a shared 2-vCPU
+    vertices give None after 0.5, 2.9-3.1 and 22.7-23.4 s (a shared 2-vCPU
     Intel Xeon VM, Python 3.11.7, whose speed drifts between runs), roughly
     the cube of the size.
 

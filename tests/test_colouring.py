@@ -251,10 +251,10 @@ class TestFanColouring:
     def test_fan_grows_past_a_repeated_rim_vertex(self):
         # x's fan from the uncoloured x-a takes x-b (colour 6, free at a),
         # then x-b's copy (colour 5): b comes back as the new rim vertex. Its
-        # free colour 2 is in the rim's free union, so the partner scan runs,
-        # but the only rim vertex missing 2 is b itself, so the fan neither
-        # reduces nor stops: it takes x-c (colour 2, free at b) and folds at
-        # c, where colour 4 is free at both c and x.
+        # free colour 2 is in the rim's free union, but the only rim vertex
+        # missing 2 is b itself, so b, met again, has no reduce partner and
+        # the fan neither reduces nor stops: it takes x-c (colour 2, free at
+        # b) and folds at c, where colour 4 is free at both c and x.
         g = Multigraph(["x", "a", "b", "c", "d"], [("x", "a", 1), ("x", "b", 2), ("x", "c", 2), ("a", "b", 3), ("a", "d", 1), ("c", "d", 1)])
         st = colouring._State(g, 6)
         for e, c in enumerate([0, 6, 5, 3, 2, 4, 3, 1, 2, 1]):
@@ -262,6 +262,43 @@ class TestFanColouring:
                 st.assign(e, c)
         assert colouring._fan_attempt(st, 0, 0) is True
         assert st.colour == [6, 2, 5, 3, 4, 4, 3, 1, 2, 1]
+
+    def test_reduce_partner_is_the_scan_over_every_earlier_rim_vertex(self, monkeypatch):
+        # The engine looks for a reduce partner only at a new rim vertex, by
+        # invariant (D). At every reduce, the partner it passes must be the
+        # one a scan of the whole rim before the swap picks: the first
+        # earlier rim vertex, other than the last, missing a colour that is
+        # free at the last. The last must also be in the rim once.
+        reduced = []
+        real = colouring._reduce
+
+        def checked(st, x, fan, rim, i):
+            fy = st.full & ~st.used[rim[-1]]
+            scan = next((idx for idx in range(len(rim) - 1) if rim[idx] != rim[-1] and fy & ~st.used[rim[idx]]), None)
+            assert (i, rim.count(rim[-1])) == (scan, 1)
+            reduced.append(i)
+            real(st, x, fan, rim, i)
+
+        monkeypatch.setattr(colouring, "_reduce", checked)
+        for g in all_small_multigraphs(4, 4, 3):
+            if g.class_count:
+                fan_colouring(g, g.max_degree())
+                fan_colouring(g, g.max_degree() + 1)
+        for host in ("double-edge", "fig1-h"):
+            g, _ = construct_witness(fixture(host + ".graph"), 0)
+            fan_colouring(g, g.max_degree())
+        assert reduced
+
+    def test_a_fold_with_a_broken_invariant_raises(self):
+        # (F) is broken: the fan edge x-b has colour 1, which no earlier rim
+        # vertex misses (a holds it on a-c). The fold looks for colour 1's
+        # rim vertex only before the last, so it raises instead of looping.
+        g = Multigraph(["x", "a", "b", "c"], [("x", "a", 1), ("x", "b", 1), ("a", "c", 1)])
+        st = colouring._State(g, 3)
+        st.assign(1, 1)
+        st.assign(2, 1)
+        with pytest.raises(IndexError):
+            colouring._fold(st, 0, [0, 1], [1, 2])
 
     def test_fan_scan_restarts_when_a_new_rim_vertex_frees_an_earlier_colour(self, monkeypatch):
         # x's instances are x-a (uncoloured), x-b (1), x-c (2), x-d (3). The
