@@ -105,11 +105,13 @@ colexicographic order, class 0 the fastest digit, each class taking every
 multiplicity 0..m (fan_number, corefan_bruteforce) or only 0 and m
 (corefan, full_multiplicity_criterion). Within a candidate, ordered pairs
 are tried class by class as (lo, hi) then (hi, lo). Colex counting
-changes fewer than two classes per step on average, so the candidate's
-degrees and adjacency are updated in place, not rebuilt. Candidates live
-in the host's dense index space as plain degree and adjacency lists; the
-witness subgraph, label pair and certifying set are built once, for the
-winner only.
+changes fewer than two classes per step on average, so one loop counts
+and keeps the candidate in place: it resets each class at its top value
+to 0 in the vector, the degrees and the adjacency in one step, raises
+the first class below its top, and tests pairs from that class up, with
+no generator and nothing rebuilt. Candidates live in the host's dense
+index space as plain degree and adjacency lists; the witness subgraph,
+label pair and certifying set are built once, for the winner only.
 
 corefan_bruteforce runs the same enumerator over the whole space with a
 floor that follows the best value so far, -1 at first, which every
@@ -140,6 +142,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice, product
 from math import inf, prod
 from typing import Optional, Union
 
@@ -148,6 +151,7 @@ from .multigraph import Multigraph, SubgraphSelection
 
 FAN_PRODUCT_CAP = 1 << 20
 COREFAN_CLASS_CAP = 20
+CRITERION_CLASS_CAP = 14  # 16,383 selections: 131 MB traced on a 14-class matching, the widest host
 BRUTEFORCE_PRODUCT_CAP = 1 << 16
 
 GraphLike = Union[Multigraph, SubgraphSelection]
@@ -429,10 +433,10 @@ class FanReport:
 
 def _assignment_space(classes, cap: int, op: str) -> None:
     check_cap("max_product", cap)
-    product = 1
+    space = 1
     for _, _, m in classes:
-        product *= m + 1
-        if product > cap:
+        space *= m + 1
+        if space > cap:
             raise ResourceLimitError(
                 f"{op}: assignment space exceeds the cap of {cap} candidates"
             )
@@ -444,39 +448,9 @@ def _class_cap(classes, cap: int, op: str) -> None:
         raise ResourceLimitError(f"{op}: {len(classes)} parallel classes exceed the cap of {cap}")
 
 
-def _selections(classes, full_only: bool, vec: Optional[list[int]] = None):
-    """Yield the nonempty multiplicity vectors over classes in colex order.
-
-    Class 0 is the fastest digit. A class of multiplicity m takes every
-    value 0..m, or only 0 and m when full_only is set. One list is yielded
-    throughout, updated in place, together with the highest class it
-    changed: every class below that one was reset to 0. The walk starts
-    after vec, all zeros by default, and runs to the last vector, every
-    class at its top value; _max_min passes the last vector before the
-    last class's block, every other class at its top value and the last
-    at 0, to walk that block alone.
-    """
-    n = len(classes)
-    vec = [0] * n if vec is None else vec
-    while True:
-        pos = 0
-        while pos < n and vec[pos] == classes[pos][2]:
-            vec[pos] = 0
-            pos += 1
-        if pos == n:
-            return
-        vec[pos] = classes[pos][2] if full_only else vec[pos] + 1
-        yield vec, pos
-
-
 def _kept(classes, vec) -> list[tuple[int, int, int]]:
     """The classes (i, j, m) that vec keeps, each at its multiplicity m in vec."""
     return [(i, j, m) for (i, j, _), m in zip(classes, vec) if m]
-
-
-def _selection(g: Multigraph, vec) -> SubgraphSelection:
-    """The subgraph of g keeping multiplicity vec[c] of its class c."""
-    return SubgraphSelection._derived(g, _kept(g.index_classes, vec))
 
 
 def _max_min(n: int, classes, full_only: bool, exceeds, floor: Optional[int] = None, top: bool = False):
@@ -489,50 +463,58 @@ def _max_min(n: int, classes, full_only: bool, exceeds, floor: Optional[int] = N
     its first minimizing pair, with x and y dense indices; None when no
     candidate has every pair above floor.
 
-    One deg and adj follow the enumeration, updated only on the classes
-    a step changed: those below the changed class drop from their top value
-    to 0, and the changed class rises. The classes are walked by index from
-    the changed one, as those below it are off, and a candidate is dropped
-    at its first pair whose level is not above floor. A candidate that
-    survives has its minimum above floor. A floor passed in stays fixed and
-    the first survivor is returned, its value floor + 1: the caller passes
-    one below the known maximum. Without one, floor starts at -1, the
-    minimum of every survivor is bisected and becomes the new floor, so at
-    most value + 1 candidates survive. Either way the reported pair is the
+    One loop counts the multiplicity vector in colex order and keeps deg
+    and adj in step with it: from class 0 up, each class at its top value
+    (tops) is reset to 0 in vec, deg and adj at once, and the first class
+    below its top rises by one, or to its top when full_only is set. Its
+    pairs and those of the classes above it are then tested, as every
+    class below it is off, and a candidate is dropped at its first pair
+    whose level is not above floor. The walk ends when every class is at
+    its top. A candidate that survives has its minimum above floor. A floor
+    passed in stays fixed and the first survivor is returned, its value
+    floor + 1: the caller passes one below the known maximum. Without one,
+    floor starts at -1, the minimum of every survivor is bisected and
+    becomes the new floor, so at most value + 1 candidates survive. Either way the reported pair is the
     first whose level is not above the value. A dropped candidate costs its
     update and about one pair test, a pass over one adjacency dict.
 
-    The walk starts at the first vector, or, with top set, at the last
-    vector before the last class's block: every other class at its top
+    The walk starts after the all-zero vector, or, with top set, after the
+    last vector before the last class's block: every other class at its top
     value, in deg and adj as well, and the last at 0. Only the vectors that
     keep the last class are then visited, in the same relative order, and
-    the first step resets every class below the last from its top value,
-    as the update expects.
+    the first step resets every class below the last from its top value.
     """
     first = floor is not None
     floor = floor if first else -1
     deg = [0] * n
     adj: list[dict[int, int]] = [{} for _ in range(n)]
-    vec = [0] * len(classes)
+    tops = [m for _, _, m in classes]
+    last = len(classes)
+    vec = [0] * last
     for c, (i, j, m) in enumerate(classes[:-1] if top else ()):
         vec[c] = m
         deg[i] += m
         deg[j] += m
         adj[i][j] = adj[j][i] = m
     best = None
-    for vec, changed in _selections(classes, full_only, vec):
-        for c in range(changed):  # each was at its top value and is reset to 0
-            i, j, m = classes[c]
+    while True:
+        low = 0
+        while low < last and vec[low] == tops[low]:  # at its top value: reset to 0
+            i, j, m = classes[low]
+            vec[low] = 0
             deg[i] -= m
             deg[j] -= m
             del adj[i][j], adj[j][i]
-        i, j, _ = classes[changed]
-        m = vec[changed]
-        step = m - adj[i].get(j, 0)
+            low += 1
+        if low == last:
+            return best
+        i, j, m = classes[low]
+        step = m if full_only else 1  # a full-only class below its top is at 0
+        vec[low] += step
         deg[i] += step
         deg[j] += step
-        adj[i][j] = adj[j][i] = m
-        for c in range(changed, len(classes)):
+        adj[i][j] = adj[j][i] = vec[low]
+        for c in range(low, last):
             if vec[c]:
                 i, j, _ = classes[c]
                 if not (exceeds(deg, adj, i, j, floor) and exceeds(deg, adj, j, i, floor)):
@@ -544,7 +526,6 @@ def _max_min(n: int, classes, full_only: bool, exceeds, floor: Optional[int] = N
             best = floor, kept, next(p for p in pairs if not exceeds(deg, adj, *p, floor))
             if first:
                 return best
-    return best
 
 
 def _core(n: int, box, exceeds, k: int) -> list[tuple[int, int, int]]:
@@ -716,22 +697,26 @@ def has_qualifying_edge(h: Multigraph, sel: SubgraphSelection) -> bool:
 
 
 def full_multiplicity_criterion(
-    h: Multigraph, max_classes: int = COREFAN_CLASS_CAP
+    h: Multigraph, max_classes: int = CRITERION_CLASS_CAP
 ) -> tuple[bool, list[tuple[SubgraphSelection, bool]]]:
     """Per-subgraph qualifying-edge check for constant-multiplicity graphs.
 
     Requires every class of h to carry the same multiplicity t+1. Reports,
     for each nonempty full-multiplicity subgraph K, whether a qualifying
     edge exists; the conjunction over all K holds iff corefan(h) <= t,
-    which the test suite checks against corefan directly.
+    which the test suite checks against corefan directly. The subgraphs
+    come in colex order, class 0 the fastest digit, all 2^C - 1 of them
+    for C classes, each a selection of its own, so the cap on the classes
+    is the result's size: CRITERION_CLASS_CAP, 14 classes, is 16,383
+    selections.
     """
     classes = h.index_classes
     if len({m for _, _, m in classes}) > 1:
         raise GraphError("the qualifying-edge criterion needs constant multiplicity")
     _class_cap(classes, max_classes, "full_multiplicity_criterion")
     results: list[tuple[SubgraphSelection, bool]] = []
-    for vec, _ in _selections(classes, True):
-        sel = _selection(h, vec)
+    for rev in islice(product(*[(0, m) for _, _, m in reversed(classes)]), 1, None):  # colex, class 0 fastest
+        sel = SubgraphSelection._derived(h, _kept(classes, rev[::-1]))
         results.append((sel, has_qualifying_edge(h, sel)))
     return all(ok for _, ok in results), results
 

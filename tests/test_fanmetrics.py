@@ -708,26 +708,23 @@ class TestPeel:
         # simple K6: the first maximiser keeps classes 0-13 of 15, so the
         # whole-core walk makes 2^14 - 1 = 16,383 steps to it; bisecting its
         # top class, 13, starts the walk at vector 2^13 - 1 and reaches it
-        # in 2^13 = 8,192 steps
+        # in 2^13 = 8,192 steps. The walk makes its steps in place, so they
+        # are counted through the pair test: the peels, the 8,192 steps and
+        # the winner's pairs make 8,510 calls, where a walk of the whole core
+        # from its first vector makes 16,727
         g = Multigraph(edges=[(u, v, 1) for u, v in itertools.combinations("abcdef", 2)])
-        calls = {"_selections": 0, "_cfan_exceeds": 0}
-        selections, test = fanmetrics._selections, fanmetrics._cfan_exceeds
-
-        def counting_selections(*args):
-            for step in selections(*args):
-                calls["_selections"] += 1
-                yield step
+        calls = 0
+        test = fanmetrics._cfan_exceeds
 
         def counting_test(*args):
-            calls["_cfan_exceeds"] += 1
+            nonlocal calls
+            calls += 1
             return test(*args)
 
-        monkeypatch.setattr(fanmetrics, "_selections", counting_selections)
         monkeypatch.setattr(fanmetrics, "_cfan_exceeds", counting_test)
         report = corefan(g)
         assert (report.value, report.witness.classes()) == (1, g.classes()[:14])
-        assert calls["_selections"] <= 8192
-        assert calls["_cfan_exceeds"] <= 8600
+        assert calls == 8510
 
     @pytest.mark.parametrize("report", [corefan, fan_number], ids=["corefan", "fan"])
     @pytest.mark.parametrize("host", ["path-value-0", "triangle-8-vectors"])
@@ -838,6 +835,28 @@ class TestReductions:
             assert holds and all(ok for _, ok in per_k)
         k2 = Multigraph(edges=[("x", "y", 1)])
         assert full_multiplicity_criterion(k2) == (True, [(SubgraphSelection.full(k2), True)])
+
+    def test_criterion_lists_the_subgraphs_in_colex_order(self):
+        # class 0 (a b) is the fastest digit, class 2 (b c) the slowest
+        h = Multigraph(edges=[("a", "b", 2), ("a", "c", 2), ("b", "c", 2)])
+        ab, ac, bc = ("a", "b", 2), ("a", "c", 2), ("b", "c", 2)
+        _, per_k = full_multiplicity_criterion(h)
+        assert [sel.classes() for sel, _ in per_k] == [
+            (ab,), (ac,), (ab, ac), (bc,), (ab, bc), (ac, bc), (ab, ac, bc),
+        ]
+
+    def test_criterion_refuses_one_class_over_its_cap_before_building(self, monkeypatch):
+        # 2^C - 1 selections for C classes: the cap is checked on the
+        # classes before the first selection is derived
+        cap = fanmetrics.CRITERION_CLASS_CAP
+        h = Multigraph(edges=[(f"p{i}", f"p{i + 1}", 2) for i in range(cap + 1)])
+
+        def derived(*args):
+            raise AssertionError("a selection was built")
+
+        monkeypatch.setattr(SubgraphSelection, "_derived", derived)
+        with pytest.raises(ResourceLimitError, match=f"{cap + 1} parallel classes exceed the cap of {cap}"):
+            full_multiplicity_criterion(h)
 
     def test_criterion_needs_constant_multiplicity(self):
         with pytest.raises(GraphError):

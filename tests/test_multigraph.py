@@ -19,7 +19,7 @@ from fancore import (
     serialize,
     t_core,
 )
-from fancore.fanmetrics import _selection
+from fancore.fanmetrics import _kept
 from fancore.multigraph import _parse_canonical
 from helpers import all_small_multigraphs, fixture, random_multigraph
 
@@ -417,7 +417,8 @@ class TestDerivedGraphFields:
 
             self.assert_selected_as(SubgraphSelection.full(g), classes)
             vec = [rng.randint(0, m) for _, _, m in classes]
-            self.assert_selected_as(_selection(g, vec), [(u, v, m) for (u, v, _), m in zip(classes, vec) if m])
+            derived = SubgraphSelection._derived(g, _kept(g.index_classes, vec))
+            self.assert_selected_as(derived, [(u, v, m) for (u, v, _), m in zip(classes, vec) if m])
             self.assert_selected_as(sel.strip_isolated(), selected, [x for u, v, _ in selected for x in (u, v)])
 
             for t in range(4):

@@ -104,3 +104,53 @@ def test_mutants_counts_killed_timed_out_and_survived_on_a_toy_package(tmp_path)
         "survived multigraph.py:7 '>' -> '>=': return hi if x > hi else x",
         "timed out multigraph.py:12 '-=' -> '+=': n -= step",
     ]
+
+
+def test_mutants_diff_keeps_only_the_sites_on_changed_lines(tmp_path):
+    # the toy module is committed, then one line is rewritten and a function
+    # added in the working tree: only the three sites on those lines run, all
+    # of them without a --sample, and the unchanged '<' line's site is left
+    # out; drop's '-' -> '+' still passes the check, so it survives
+    package = tmp_path / "toy"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    module = package / "shapes.py"
+    module.write_text(
+        "def below(x, hi):\n"
+        "    return x < hi\n"
+        "\n"
+        "\n"
+        "def twice(x):\n"
+        "    return x + x\n"
+    )
+    (tmp_path / "check.py").write_text(
+        "from toy import shapes\n"
+        "assert shapes.below(1, 2) and not shapes.below(2, 2) and shapes.twice(3) == 6\n"
+        "assert not hasattr(shapes, 'drop') or shapes.drop(3) > 1\n"
+    )
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run(git + ["add", "-A"], cwd=tmp_path, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "toy"], cwd=tmp_path, check=True)
+    module.write_text(module.read_text().replace("return x + x", "return 2 * x") + "\n\ndef drop(x):\n    return x - 1\n")
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "mutants.py"), "--diff", "HEAD", "toy",
+         "--", sys.executable, "check.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "sites 3 in 1 modules on lines changed since HEAD (0 known equivalent left out); sampled 3 with seed 2026"
+    assert lines[2] == "killed 2, timed out 0, survived 1"
+    assert lines[3:] == ["survived shapes.py:10 '-' -> '+': return x - 1"]
+
+
+def test_mutants_diff_refuses_a_revision_git_does_not_know(tmp_path):
+    (tmp_path / "toy").mkdir()
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "mutants.py"), "--diff", "no-such-rev", "toy"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert "git diff no-such-rev failed" in result.stderr

@@ -25,9 +25,14 @@ mutant is killed when the command fails, timed out when it runs past the
 timeout, and survived when it passes. The counts are printed, then each
 survivor and each timed-out mutant with its line; progress goes to stderr.
 
+With --diff REV only the sites on lines that 'git diff -U0 REV' reports
+as added or changed in the package's modules are kept, the working tree's
+uncommitted edits included, and every one of them runs unless --sample
+is given: the mutants of one change, in one command.
+
 Standard library only. Usage, from the repository root:
 
-    python tools/mutants.py [--seed N] [--sample K] [PACKAGE_DIR [-- COMMAND ...]]
+    python tools/mutants.py [--seed N] [--sample K] [--diff REV] [PACKAGE_DIR [-- COMMAND ...]]
 
 PACKAGE_DIR is relative to the current directory and defaults to
 src/fancore. COMMAND runs with the copy as its working directory and
@@ -123,6 +128,20 @@ def mutate(source: str, site: Site) -> str:
     return "".join(lines)
 
 
+def changed_lines(rev: str, package: Path) -> set[tuple[str, int]]:
+    """(module, line) of every line that git diff -U0 rev lists as added in package's modules."""
+    diff = subprocess.run(["git", "diff", "-U0", "--no-color", rev, "--", str(package)],
+                          capture_output=True, text=True, check=True).stdout
+    changed, module = set(), None
+    for line in diff.splitlines():
+        if line.startswith("+++ "):
+            module = Path(line[4:]).name if line[4:] != "/dev/null" else None
+        elif line.startswith("@@ ") and module:
+            start, _, count = line.split()[2][1:].partition(",")
+            changed.update((module, n) for n in range(int(start), int(start) + int(count or 1)))
+    return changed
+
+
 def copy_project(root: Path, dest: Path) -> None:
     listed = subprocess.run(["git", "-C", str(root), "ls-files", "-z", "-co", "--exclude-standard"],
                             capture_output=True, check=False)
@@ -159,7 +178,8 @@ def run_once(command: list[str], cwd: Path, env: dict, timeout: float | None) ->
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--sample", type=int, default=60, help="mutants to run (default 60)")
+    parser.add_argument("--sample", type=int, help="mutants to run (default 60, or every site with --diff)")
+    parser.add_argument("--diff", metavar="REV", help="only the sites on lines changed since REV")
     parser.add_argument("package", nargs="?", type=Path, default=Path("src") / "fancore")
     split = argv.index("--") if "--" in argv else len(argv)
     args = parser.parse_args(argv[1:split])
@@ -167,16 +187,24 @@ def main(argv: list[str]) -> int:
     if args.package.is_absolute() or ".." in args.package.parts:
         parser.error("PACKAGE_DIR must lie inside the current directory, which is the project copied")
 
+    try:
+        changed = changed_lines(args.diff, args.package) if args.diff else None
+    except subprocess.CalledProcessError as err:
+        parser.error(f"git diff {args.diff} failed: {err.stderr.strip()}")
     every, equivalent = [], 0
     for path in sorted(args.package.glob("*.py")):
         for site in sites(path.name, path.read_text(encoding="utf-8")):
+            if changed is not None and (site.module, site.line) not in changed:
+                continue
             if (site.module, site.source, site.old, site.new) in KNOWN_EQUIVALENT:
                 equivalent += 1
             else:
                 every.append(site)
     modules = len({site.module for site in every})
-    drawn = sorted(random.Random(args.seed).sample(every, min(args.sample, len(every))))
-    print(f"sites {len(every)} in {modules} modules ({equivalent} known equivalent left out); "
+    sample = args.sample if args.sample is not None else len(every) if args.diff else 60
+    drawn = sorted(random.Random(args.seed).sample(every, min(sample, len(every))))
+    scope = f" on lines changed since {args.diff}" if args.diff else ""
+    print(f"sites {len(every)} in {modules} modules{scope} ({equivalent} known equivalent left out); "
           f"sampled {len(drawn)} with seed {args.seed}")
 
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
