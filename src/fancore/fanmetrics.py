@@ -26,18 +26,25 @@ Each invariant has one pair test, "level of (x, y) above k", and every
 search, degree and certificate decides through it. The worst-set sum does
 not increase with the level, so the test is monotone in k: the searches
 compare a pair with a threshold, and a degree is bisected between 0 and
-d(x) + d(y), at or above either invariant's cap, in O(log d) tests. The
+the largest term of x, at which both tests fail, in O(log d) tests. The
 test is one pass over the adjacency of x with no container built: it
 adds up the positive contributions b_z - k over N(x), b_z being the term
-of z, and for the fan degree, whose Z needs two members, it also keeps
-the two largest terms. The worst sum of (x, y) is then the total less
-y's own positive part plus y's contribution, and, when no other positive
-term supplies Z's second member, the largest term other than y's: the
-largest unless y holds it, else the second, which equals it on a tie.
-The fan test checks condition (i), d_J(x) + d_J(y) - mult_J(x, y) <= k,
-before the pass. The cfan value needs no cap check: at or above the
-largest term no contribution is positive. Only a certifying set builds
-the terms into a dict, once per reported pair.
+of z. The fan term is d_J(z) + mult_J(x, z). The cfan searches store each
+vertex's deficit D(z) = d_K(z) - d_H(z) in place of its degree, updated
+by the same steps, so the cfan term D(z) + mult_K(x, z) has the same
+shape and the empty candidate starts from -d_H. Z may be {y} alone for
+the cfan degree, so its worst sum is closed: T + min(t, 0), T the
+positive total and t = b_y - k the contribution of y. The fan degree's Z
+needs two members, so its pass also keeps the second largest term. The
+worst sum of (x, y) is then the total less y's own positive part plus
+y's contribution, and, when no other positive term supplies Z's second
+member, the largest term other than y's less k. That sum can pass 1 only
+when y's contribution does, so when y holds the largest term, and its
+padding is then the second largest. The fan test checks condition
+(i), d_J(x) + d_J(y) - mult_J(x, y) <= k, before the pass. The cfan value
+needs no cap check: at or above the largest term no contribution is
+positive. Only a certifying set builds the terms into a dict, once per
+reported pair.
 
 Both invariants are a maximum over subgraphs J of the minimum over the
 classes c of J of p(c, J), the smaller of c's two ordered-pair degrees,
@@ -52,16 +59,27 @@ is the largest v with a nonempty v-core.
 The v-core is found by peeling whole classes. Inside a box, a class that
 fails either pair test at level v - 1 fails in every subgraph of the box
 that keeps it, at any multiplicity, since that subgraph lies in the box;
-so it is deleted whole, and sweeps over the box repeat until none fails.
-The survivors keep their box multiplicity. By the same monotonicity a
+so it is deleted whole. The peel is a worklist of anchors. One anchor
+pass decides every pair at x, by the rule of the certificate kernel below
+for the fan and by T + min(t, 0) for cfan, and the classes of x's failing
+pairs go at once. Each deletion of (x, y) queues the anchors whose pass
+read d(x), d(y) or mult(x, y): x and y where they keep a neighbour, and
+their remaining neighbours, unless they are queued already. The peel
+ends when the queue is empty, and one that deletes nothing returns its
+box as it is. An anchor is passed once at the start and once per
+deletion at or next to it, so a peel costs time linear in the box's
+classes plus its deleted classes times their degree. The survivors keep
+their box multiplicity. By the same monotonicity a
 subgraph whose every p is at least v keeps that property when each of
 its classes is raised to host multiplicity, so the largest value is
 attained by a subgraph of whole classes: the reason corefan may search
 full-multiplicity candidates only, and fan_number's value needs no
 partial class either. Cores nest as v grows, so v* is bisected between
-0, whose core is the host, and the largest d(i) + d(j) over classes,
-which no degree reaches; each probe peels the last nonempty core, in
-O(classes) pair tests per sweep. _value is that bisection and the one
+0, whose core is the host, and one above the host's largest term: a
+degree is at most its anchor's largest term, and terms grow with the
+subgraph. That is the largest d(z) + mult(x, z) for the fan and the
+largest multiplicity for cfan, whose deficits are 0 on the host. Each
+probe peels the last nonempty core. _value is that bisection and the one
 entry to the value: it returns v* and its core and searches no witness,
 so fan_bound reads it alone, and only a report (fan_number, corefan)
 goes on to the witness search below.
@@ -134,14 +152,14 @@ slack meets the cap, and the worst sum, which does not decrease as the
 term grows over one anchor's terms, is above 1 at the least term. Every
 vertex of a valid witness is such an anchor, so a certificate that holds
 makes no per-pair step; any other anchor decides its pairs one by one as
-above.
+above. The cfan rule keeps the least term for the same skip, and
+construct_witness checks its witness subgraph's pairs with it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice, product
 from math import inf, prod
 from typing import Optional, Union
@@ -168,36 +186,37 @@ GraphLike = Union[Multigraph, SubgraphSelection]
 # k exactly when both conditions fail at k itself.
 
 
-def _worst_sum(total: int, by: int, k: int, need_two: bool, first: int, second: int) -> int:
-    """The largest sum over admissible Z at level k, for the pair (x, y).
+def _worst_sum(total: int, by: int, k: int, second: int) -> int:
+    """The worst sum over admissible Z at level k for the fan pair (x, y), exact where it can pass 1.
 
     total is the sum of the positive contributions over N(x) at level k and
-    by the term of y, so the answer costs O(1) per pair. first and second,
-    the two largest terms of x, are read only when need_two is set and y
-    has no positive company: Z is then padded with the largest term other
-    than y's, first unless y holds it, else second (equal on a tie). second
-    is 0 when x has no second neighbour (every fan term is at least 2), and
-    then no Z is admissible; the sum is 0.
+    by the term of y, so the answer costs O(1) per pair. Z needs two
+    members. With positive company, Z is y and that company. Without it,
+    every other term is at most k, so the sum is at most y's contribution
+    and can pass 1 only when y holds the largest term; Z is then padded
+    with second, the second largest term of x, and the sum is exact. When
+    y does not hold it, the sum returned and the exact one are both at most
+    0. second is 0 when x has no second neighbour (every fan term is at
+    least 2), and then no Z is admissible; the sum is 0.
     """
     ty = by - k
     rest = total - (ty if ty > 0 else 0)  # all positive contributions but y's
-    if rest or not need_two:
+    if rest:
         return ty + rest
-    if by < first:
-        return ty + first - k
     return ty + second - k if second else 0
 
 
-def _fan_anchor(deg, adj, x: int, k: int) -> tuple[int, int, int, float, float]:
-    """The anchor pass of x at level k: (total, first, second, least, slack).
+def _fan_anchor(deg, adj, x: int, k: int) -> tuple[int, int, float, float]:
+    """The anchor pass of x at level k: (total, second, least, slack).
 
     One pass over adj[x] adds up the positive contributions b_z - k, the
-    term of neighbour z being b_z = d_J(z) + mult_J(x, z), and keeps the two
-    largest terms, second being 0 when x has one neighbour; _worst_sum reads
-    these three. It also keeps the least term and the least slack
+    term of neighbour z being b_z = d_J(z) + mult_J(x, z), and keeps the
+    second largest term, 0 when x has one neighbour; _worst_sum reads
+    these two. It also keeps the least term and the least slack
     d_J(z) - mult_J(x, z), both infinite when x has no neighbour, which
-    _failing_pairs reads. It depends on x and k only, so one pass decides
-    every pair anchored at x.
+    _fan_failures reads; over deficits, _cfan_failures reads the total and
+    the least term. It depends on x and k only, so one pass decides every
+    pair anchored at x.
     """
     total = first = second = 0
     least = slack = inf
@@ -215,7 +234,7 @@ def _fan_anchor(deg, adj, x: int, k: int) -> tuple[int, int, int, float, float]:
                 first, second = b, first
             else:
                 second = b
-    return total, first, second, least, slack
+    return total, second, least, slack
 
 
 def _fan_exceeds(deg, adj, x: int, y: int, k: int) -> bool:
@@ -232,61 +251,102 @@ def _fan_exceeds(deg, adj, x: int, y: int, k: int) -> bool:
     ax = adj[x]
     if k >= deg[x] + deg[y] - ax[y]:
         return False
-    total, first, second, _, _ = _fan_anchor(deg, adj, x, k)
-    return _worst_sum(total, deg[y] + ax[y], k, True, first, second) > 1
+    total, second, _, _ = _fan_anchor(deg, adj, x, k)
+    return _worst_sum(total, deg[y] + ax[y], k, second) > 1
 
 
-def _cfan_exceeds(hdeg, deg, adj, x: int, y: int, k: int) -> bool:
-    """Whether the cfan degree of the index pair (x, y) is above k.
+def _cfan_exceeds(deg, adj, x: int, y: int, k: int) -> bool:
+    """Whether the cfan degree of the index pair (x, y) is above k; deg holds deficits.
 
-    The term of neighbour z is the deficit d_K(z) - d_H(z) plus
-    mult_K(x, z), and Z may be {y} alone, so one pass over adj[x] collects
-    the positive total and nothing else. The largest term caps the value
-    without a check of its own: at or above it no contribution is positive
-    and no Z sums above 0.
+    The term of neighbour z is its deficit d_K(z) - d_H(z) plus
+    mult_K(x, z). Z may be {y} alone, so the worst sum is the positive
+    total T of one pass over adj[x] plus y's contribution t when t is
+    negative: T + min(t, 0). The largest term caps the value without a
+    check of its own: at or above it no contribution is positive and no Z
+    sums above 0.
     """
     if k < 0:
         return True
+    ax = adj[x]
     total = 0
-    for z, m in adj[x].items():
-        b = deg[z] - hdeg[z] + m
+    for z, m in ax.items():
+        b = deg[z] + m
         if b > k:
             total += b - k
-    return _worst_sum(total, deg[y] - hdeg[y] + adj[x][y], k, False, 0, 0) > 1
+    t = deg[y] + ax[y] - k
+    return total + (t if t < 0 else 0) > 1
+
+
+def _fan_failures(deg, adj, x: int, k: int) -> list[int]:
+    """The neighbours y of x whose fan pair (x, y) is not above level k, from one anchor pass.
+
+    Each pair fails when k >= d_J(x) + d_J(y) - mult_J(x, y) or its worst
+    sum is at most 1; a negative k fails none, as every level is at least
+    0. An anchor with no failing pair skips that per-pair loop, as every
+    vertex of a valid witness does. Its least slack d_J(y) - mult_J(x, y)
+    is above k - d_J(x), so no pair meets the cap, and the worst sum of its
+    least term is above 1, which is then true of every term: over the terms
+    of one anchor the worst sum does not decrease as the term b grows. A
+    lone neighbour's term is the only one. Otherwise, with a positive
+    total, b <= k sums to total + b - k, and b > k to the total, or, when
+    b is the only positive term, hence the largest, to total + second - k,
+    and every other term is at most second. With no positive total every b
+    sums to b + second - 2k.
+    """
+    total, second, least, slack = _fan_anchor(deg, adj, x, k)
+    cap = k - deg[x]
+    if slack > cap and _worst_sum(total, least, k, second) > 1:
+        return []
+    return [y for y, m in adj[x].items()
+            if deg[y] - m <= cap or k >= 0 and _worst_sum(total, deg[y] + m, k, second) <= 1]
+
+
+def _cfan_failures(deg, adj, x: int, k: int) -> list[int]:
+    """The neighbours y of x whose cfan pair (x, y) is not above level k; deg holds deficits.
+
+    The anchor pass (_fan_anchor) over deficits gives the positive total T
+    and the least term. (x, y) fails when T + min(t, 0) <= 1 for y's
+    contribution t = b_y - k: every pair fails when T <= 1, and otherwise
+    the pairs whose term b_y is at most k + 1 - T, none of them when the
+    least term is above it, which needs no second pass. k is at least 0,
+    as at every caller.
+    """
+    total, _, least, _ = _fan_anchor(deg, adj, x, k)
+    cut = k + 1 - total if total > 1 else inf
+    return [y for y, m in adj[x].items() if deg[y] + m <= cut] if least <= cut else []
 
 
 def _level(exceeds, deg, adj, x: int, y: int) -> int:
     """The degree of (x, y): the smallest k >= 0 at which exceeds(deg, adj, x, y, k) fails.
 
-    The test is monotone in k and fails at d(x) + d(y), which is at or
-    above either invariant's cap, so the level is bisected below it in
-    O(log d) pair tests.
+    The test is monotone in k and fails at the largest term of x, where no
+    contribution is positive and a padded Z sums to at most 0, so the level
+    is bisected below it, over plain integers, in O(log d) pair tests.
     """
-    return bisect_left(range(deg[x] + deg[y]), True, key=lambda k: not exceeds(deg, adj, x, y, k))
+    low, high = 0, max(deg[z] + m for z, m in adj[x].items())
+    while low < high:
+        mid = (low + high) // 2
+        if exceeds(deg, adj, x, y, mid):
+            low = mid + 1
+        else:
+            high = mid
+    return low
 
 
-def _cfan_level(h: Multigraph, k_sel: SubgraphSelection, x: int, y: int) -> int:
-    """The cfan degree of the index pair (x, y) of k_sel inside its host h."""
-    return _level(partial(_cfan_exceeds, h.deg), k_sel.deg, k_sel.adj, x, y)
+def _deficits(h: Multigraph, k_sel: SubgraphSelection) -> list[int]:
+    """Each vertex's deficit d_K(z) - d_H(z) for the selection k_sel inside its host h."""
+    return [d - hd for d, hd in zip(k_sel.deg, h.deg)]
 
 
-def _fan_terms(deg, adj, x: int) -> dict[int, int]:
-    """Each neighbour z of x mapped to its fan term d_J(z) + mult_J(x, z)."""
-    return {z: deg[z] + m for z, m in adj[x].items()}
+def _worst_set(deg, adj, x: int, y: int, k: int, need_two: bool) -> list[int]:
+    """The Z attaining the worst sum of (x, y) at level k, unordered; just y when none is admissible.
 
-
-def _cfan_terms(hdeg, deg, adj, x: int) -> dict[int, int]:
-    """Each neighbour z of x mapped to its cfan term d_K(z) - d_H(z) + mult_K(x, z)."""
-    return {z: deg[z] - hdeg[z] + m for z, m in adj[x].items()}
-
-
-def _worst_set(terms: dict[int, int], y: int, k: int, need_two: bool) -> list[int]:
-    """The Z attaining _worst_sum, unordered; just y when none is admissible.
-
-    Only certificates need the set, built once per report from the terms
-    dict, so the pair tests read _worst_sum alone. The padding neighbour is
-    the one of largest term, the smallest index winning a tie.
+    Only certificates need the set, built once per report from a dict of
+    x's terms deg[z] + mult(x, z) (fan terms over degrees, cfan terms over
+    deficits), so the pair tests read the sum alone. The padding neighbour
+    is the one of largest term, the smallest index winning a tie.
     """
+    terms = {z: deg[z] + m for z, m in adj[x].items()}
     zset = [y] + [z for z, b in terms.items() if b > k and z != y]
     if need_two and len(zset) == 1:
         others = [z for z in terms if z != y]
@@ -295,9 +355,9 @@ def _worst_set(terms: dict[int, int], y: int, k: int, need_two: bool) -> list[in
     return zset
 
 
-def _certified(labels, value: int, terms: dict[int, int], y: int, need_two: bool) -> tuple[int, frozenset[str]]:
-    """value plus the certifying set described in fan_degree, as labels."""
-    zset = _worst_set(terms, y, value - 1, need_two) if value else (y,)
+def _certified(labels, value: int, deg, adj, x: int, y: int, need_two: bool) -> tuple[int, frozenset[str]]:
+    """value plus the certifying set of (x, y) described in fan_degree, as labels."""
+    zset = _worst_set(deg, adj, x, y, value - 1, need_two) if value else (y,)
     return value, frozenset(labels[z] for z in zset)
 
 
@@ -312,14 +372,14 @@ def fan_degree(j: GraphLike, x: str, y: str) -> tuple[int, frozenset[str]]:
     """Fan degree of the ordered pair (x, y) plus a certifying vertex set.
 
     The value is the smallest k at which (i) holds or the worst-Z sum drops
-    to at most 1, bisected between 0 and d_J(x) + d_J(y). For a positive
-    value the returned set is the worst Z at k = value - 1, the explicit
-    violator showing the value cannot be smaller; for value 0 it
+    to at most 1, bisected between 0 and the largest term of x. For a
+    positive value the returned set is the worst Z at k = value - 1, the
+    explicit violator showing the value cannot be smaller; for value 0 it
     degenerates to {y}.
     """
     xi, yi = _pair_indices(j, x, y)
     deg, adj = j.deg, j.adj
-    return _certified(j.labels, _level(_fan_exceeds, deg, adj, xi, yi), _fan_terms(deg, adj, xi), yi, True)
+    return _certified(j.labels, _level(_fan_exceeds, deg, adj, xi, yi), deg, adj, xi, yi, True)
 
 
 def fan_pair_exceeds(j: GraphLike, x: str, y: str, k: int) -> tuple[bool, Optional[frozenset[str]]]:
@@ -339,7 +399,18 @@ def fan_pair_exceeds(j: GraphLike, x: str, y: str, k: int) -> tuple[bool, Option
     xi, yi = _pair_indices(j, x, y)
     if not _fan_exceeds(j.deg, j.adj, xi, yi, k):
         return False, None
-    return True, frozenset(j.labels[z] for z in _worst_set(_fan_terms(j.deg, j.adj, xi), yi, k, True))
+    return True, frozenset(j.labels[z] for z in _worst_set(j.deg, j.adj, xi, yi, k, True))
+
+
+def _failing(deg, adj, anchors, k: int, failures) -> list[tuple[int, int]]:
+    """The ordered pairs (x, y) at the anchors x whose level is not above k, in class order.
+
+    failures(deg, adj, x, k) is the invariant's anchor rule, _fan_failures
+    or _cfan_failures, one pass per anchor with a pair. The pairs come
+    class by class as (lo, hi) then (hi, lo) in index pair order.
+    """
+    bad = ((x, y) for x in anchors if adj[x] for y in failures(deg, adj, x, k))
+    return sorted(bad, key=lambda p: (min(p), max(p), p[0] > p[1]))
 
 
 def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
@@ -348,43 +419,18 @@ def _failing_pairs(g: Multigraph, members, k: int) -> list[tuple[int, int]]:
     members are distinct vertex indices of g. J is read on g in place: a
     member with a neighbour outside J gets a filtered copy of its adjacency
     and the degree that copy sums to, every other member keeps g's. Each
-    anchor x gets one pass, _fan_anchor, and each of its pairs (x, y) is
-    decided from it by _fan_exceeds' rule: it fails when k >= d_J(x) +
-    d_J(y) - mult_J(x, y) or its worst sum is at most 1. The worst sum reads
-    y only through its term d_J(y) + mult_J(x, y) and costs O(1) from the
-    pass, so the kernel is linear in J's classes on every input.
-    A negative k fails no pair, as every level is at least 0. The pairs,
-    indices of g, come class by class as (lo, hi) then (hi, lo) in index
-    pair order, which is J's.
-
-    An anchor with no failing pair skips that per-pair loop, as every
-    vertex of a valid witness does. Its least slack d_J(y) - mult_J(x, y)
-    is above k - d_J(x), so no pair meets the cap, and the worst sum of its
-    least term is above 1, which is then true of every term: over the terms
-    of one anchor the worst sum does not decrease as the term b grows. A
-    lone neighbour's term is the only one. Otherwise second is at least
-    every term but the largest, first. With a positive total, b <= k sums
-    to total + b - k, and b > k to the total, or, when b is the only
-    positive term, hence first, to total + second - k. With no positive
-    total, b < first sums to b + first - 2k, and first to first + second -
-    2k.
+    anchor x gets one pass, and each of its pairs (x, y) is decided from it
+    by _fan_exceeds' rule (_fan_failures). The worst sum reads y only
+    through its term d_J(y) + mult_J(x, y) and costs O(1) from the pass, so
+    the kernel is linear in J's classes on every input. A negative k fails
+    no pair. The pairs, indices of g, come in J's class order (_failing).
     """
     deg, adj, inside = list(g.deg), list(g.adj), set(members)
     for x in inside:
         if not all(map(inside.__contains__, adj[x])):
             adj[x] = a = {z: m for z, m in adj[x].items() if z in inside}
             deg[x] = sum(a.values())
-    bad = []
-    for x in filter(adj.__getitem__, inside):  # an isolated member has no pair
-        total, first, second, least, slack = _fan_anchor(deg, adj, x, k)
-        cap = k - deg[x]
-        if slack > cap and _worst_sum(total, least, k, True, first, second) > 1:
-            continue
-        for y, m in adj[x].items():  # a negative k fails no pair: every level is at least 0
-            if deg[y] - m <= cap or k >= 0 and _worst_sum(total, deg[y] + m, k, True, first, second) <= 1:
-                bad.append((x, y))
-    bad.sort(key=lambda p: (min(p), max(p), p[0] > p[1]))
-    return bad
+    return _failing(deg, adj, inside, k, _fan_failures)
 
 
 def cfan_degree(h: Multigraph, k_sel: SubgraphSelection, x: str, y: str) -> tuple[int, frozenset[str]]:
@@ -396,8 +442,8 @@ def cfan_degree(h: Multigraph, k_sel: SubgraphSelection, x: str, y: str) -> tupl
     """
     k_sel._check_host(h)
     xi, yi = _pair_indices(k_sel, x, y)
-    terms = _cfan_terms(h.deg, k_sel.deg, k_sel.adj, xi)
-    return _certified(h.labels, _cfan_level(h, k_sel, xi, yi), terms, yi, False)
+    deg, adj = _deficits(h, k_sel), k_sel.adj
+    return _certified(h.labels, _level(_cfan_exceeds, deg, adj, xi, yi), deg, adj, xi, yi, False)
 
 
 # -- the subgraph max-min -------------------------------------------------
@@ -448,20 +494,31 @@ def _class_cap(classes, cap: int, op: str) -> None:
         raise ResourceLimitError(f"{op}: {len(classes)} parallel classes exceed the cap of {cap}")
 
 
+def _loaded(base, classes):
+    """(deg, adj) of the subgraph made of classes (i, j, m) on base, the empty subgraph's degree vector."""
+    deg, adj = list(base), [{} for _ in base]
+    for i, j, m in classes:
+        deg[i] += m
+        deg[j] += m
+        adj[i][j] = adj[j][i] = m
+    return deg, adj
+
+
 def _kept(classes, vec) -> list[tuple[int, int, int]]:
     """The classes (i, j, m) that vec keeps, each at its multiplicity m in vec."""
     return [(i, j, m) for (i, j, _), m in zip(classes, vec) if m]
 
 
-def _max_min(n: int, classes, full_only: bool, exceeds, floor: Optional[int] = None, top: bool = False):
+def _max_min(base, classes, full_only: bool, exceeds, floor: Optional[int] = None, top: bool = False):
     """Maximum over selections of classes of the minimum degree over ordered pairs.
 
-    classes are index classes (i, j, m) of a graph on n vertices, the box
-    searched; exceeds(deg, adj, x, y, k) is the invariant's pair test,
-    "level of (x, y) above k", in the index space of the candidate. Returns
-    (value, kept classes, (x, y)) for the first maximizing selection and
-    its first minimizing pair, with x and y dense indices; None when no
-    candidate has every pair above floor.
+    classes are index classes (i, j, m) of a graph on len(base) vertices,
+    the box searched, and base is the degree vector of the empty candidate
+    (zeros for fan, -d_H for cfan); exceeds(deg, adj, x, y, k) is the
+    invariant's pair test, "level of (x, y) above k", in the index space of
+    the candidate. Returns (value, kept classes, (x, y)) for the first
+    maximizing selection and its first minimizing pair, with x and y dense
+    indices; None when no candidate has every pair above floor.
 
     One loop counts the multiplicity vector in colex order and keeps deg
     and adj in step with it: from class 0 up, each class at its top value
@@ -486,16 +543,10 @@ def _max_min(n: int, classes, full_only: bool, exceeds, floor: Optional[int] = N
     """
     first = floor is not None
     floor = floor if first else -1
-    deg = [0] * n
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    deg, adj = _loaded(base, classes[:-1] if top else ())
     tops = [m for _, _, m in classes]
     last = len(classes)
-    vec = [0] * last
-    for c, (i, j, m) in enumerate(classes[:-1] if top else ()):
-        vec[c] = m
-        deg[i] += m
-        deg[j] += m
-        adj[i][j] = adj[j][i] = m
+    vec = tops[:-1] + [0] if top else [0] * last
     best = None
     while True:
         low = 0
@@ -528,54 +579,57 @@ def _max_min(n: int, classes, full_only: bool, exceeds, floor: Optional[int] = N
                 return best
 
 
-def _core(n: int, box, exceeds, k: int) -> list[tuple[int, int, int]]:
-    """The classes of the largest subgraph of box whose every class passes both pair tests at k.
+def _peel(box, base, k: int, failures) -> list[tuple[int, int, int]]:
+    """The classes of the largest subgraph of box whose every pair is above level k.
 
-    box is a list of index classes (i, j, m) of a graph on n vertices,
-    each at its multiplicity in the box. A class whose pair test fails
-    fails in every subgraph of the box that keeps it, at any multiplicity,
-    as the degree is monotone in the subgraph (see the module docstring),
-    so whole classes are deleted, in sweeps over the box until one deletes
-    nothing, and the survivors keep their box multiplicity. Which failing
-    class goes first does not change the result.
+    box is a list of index classes (i, j, m), each at its multiplicity in
+    the box, base the degree vector of the empty subgraph (zeros for fan,
+    -d_H for cfan) and failures the invariant's anchor rule, _fan_failures
+    or _cfan_failures. A FIFO of anchors, a list read in order as it
+    grows, with a pending flag per vertex, starts with every endpoint in
+    the box. A popped anchor x deletes the classes of its failing pairs
+    whole (see the module docstring); then x and each deleted neighbour y
+    are queued where they keep a neighbour, and so are their remaining
+    neighbours, unless pending. The survivors keep their box multiplicity,
+    in box order; a peel that deletes nothing returns box itself. Which
+    failing class goes first does not change the result.
     """
-    deg = [0] * n
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for i, j, m in box:
-        deg[i] += m
-        deg[j] += m
-        adj[i][j] = adj[j][i] = m
-    while True:
-        kept = []
-        for c in box:
-            i, j, m = c
-            if exceeds(deg, adj, i, j, k) and exceeds(deg, adj, j, i, k):
-                kept.append(c)
-            else:
-                deg[i] -= m
-                deg[j] -= m
-                del adj[i][j], adj[j][i]
-        if len(kept) == len(box):
-            return kept
-        box = kept
+    deg, adj = _loaded(base, box)
+    queue = [x for x, a in enumerate(adj) if a]
+    pending = [bool(a) for a in adj]
+    for x in queue:
+        pending[x] = False
+        bad = failures(deg, adj, x, k) if adj[x] else ()
+        for y in bad:
+            m = adj[x].pop(y)
+            del adj[y][x]
+            deg[x] -= m
+            deg[y] -= m
+        for w in [x, *bad] if bad else ():  # x, each y and their remaining neighbours
+            for z in [w, *adj[w]] if adj[w] else ():
+                if not pending[z]:
+                    pending[z] = True
+                    queue.append(z)
+    kept = [c for c in box if c[1] in adj[c[0]]]
+    return box if len(kept) == len(box) else kept
 
 
-def _value(g: Multigraph, exceeds) -> tuple[int, list[tuple[int, int, int]]]:
+def _value(g: Multigraph, base, failures) -> tuple[int, list[tuple[int, int, int]]]:
     """The peeled value v* of g and its v*-core, as index classes; (0, []) for no class.
 
-    The v-core, _core at level v - 1, is nonempty exactly when some
+    The v-core, _peel at level v - 1, is nonempty exactly when some
     subgraph has every pair degree at least v, and cores nest, so v* is
-    bisected: the 0-core is g, no core exists at the largest d(i) + d(j)
-    over classes, which no degree reaches, and each probe peels the last
-    nonempty core. No witness is searched; every maximiser lies in the
-    returned core. With no class there is nothing to bisect and the core
-    is empty.
+    bisected: the 0-core is g, no core exists one above the host's largest
+    term, base plus degree plus multiplicity, which no degree reaches, and
+    each probe peels the last nonempty core. No witness is searched; every
+    maximiser lies in the returned core. With no class there is nothing to
+    bisect and the core is empty.
     """
-    n, deg, core = len(g.labels), g.deg, list(g.index_classes)
-    low, high = 0, max((deg[i] + deg[j] for i, j, _ in core), default=0)
+    top, core = [d + b for d, b in zip(g.deg, base)], list(g.index_classes)
+    low, high = 0, max((m + max(top[i], top[j]) for i, j, m in core), default=-1) + 1
     while high - low > 1:
         mid = (low + high) // 2
-        inner = _core(n, core, exceeds, mid - 1)
+        inner = _peel(core, base, mid - 1, failures)
         if inner:
             low, core = mid, inner
         else:
@@ -583,7 +637,7 @@ def _value(g: Multigraph, exceeds) -> tuple[int, list[tuple[int, int, int]]]:
     return low, core
 
 
-def _report(kind: str, g: Multigraph, full_only: bool, exceeds) -> FanReport:
+def _report(kind: str, g: Multigraph, full_only: bool) -> FanReport:
     """The FanReport of g's first maximiser; the trivial one for no class.
 
     The value and its core come from _value. The witness search is _max_min
@@ -598,13 +652,15 @@ def _report(kind: str, g: Multigraph, full_only: bool, exceeds) -> FanReport:
     The reported pair's level is the value itself, so its certifying set is
     read at the value without another bisection.
     """
-    value, core = _value(g, exceeds)
-    n = len(g.labels)
+    fan = kind == "fan"
+    base = [0] * len(g.labels) if fan else [-d for d in g.deg]
+    exceeds, failures = (_fan_exceeds, _fan_failures) if fan else (_cfan_exceeds, _cfan_failures)
+    value, core = _value(g, base, failures)
     top = value > 0 and len(core) ** 2 < prod(2 if full_only else m + 1 for _, _, m in core)
-    if core and top:  # the core of the shortest prefix of the core whose own core is nonempty
-        h = bisect_left(range(len(core) - 1), True, key=lambda h: bool(_core(n, core[:h + 1], exceeds, value - 1)))
-        core = _core(n, core[:h + 1], exceeds, value - 1) if h < len(core) - 1 else core
-    best = _max_min(n, core, full_only, exceeds, value - 1, top) if core else (0, [], None)
+    if top:  # the core of the shortest prefix of the core whose own core is nonempty
+        h = bisect_left(range(len(core) - 1), True, key=lambda h: bool(_peel(core[:h + 1], base, value - 1, failures)))
+        core = _peel(core[:h + 1], base, value - 1, failures) if h < len(core) - 1 else core
+    best = _max_min(base, core, full_only, exceeds, value - 1, top) if core else (0, [], None)
     if best is None:
         raise RuntimeError(f"no selection of the {value}-core attains {value}")
     _, kept, pair = best
@@ -612,9 +668,7 @@ def _report(kind: str, g: Multigraph, full_only: bool, exceeds) -> FanReport:
     if pair is None:
         return FanReport(kind=kind, value=value, witness=sel, pair=None, zset=frozenset())
     x, y = pair
-    fan = kind == "fan"
-    terms = _fan_terms(sel.deg, sel.adj, x) if fan else _cfan_terms(g.deg, sel.deg, sel.adj, x)
-    _, zset = _certified(g.labels, value, terms, y, fan)
+    _, zset = _certified(g.labels, value, sel.deg if fan else _deficits(g, sel), sel.adj, x, y, fan)
     return FanReport(kind=kind, value=value, witness=sel, pair=(g.labels[x], g.labels[y]), zset=zset)
 
 
@@ -627,7 +681,7 @@ def fan_number(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> FanReport:
     classes.
     """
     _assignment_space(g.index_classes, max_product, "fan_number")
-    return _report("fan", g, False, _fan_exceeds)
+    return _report("fan", g, False)
 
 
 def fan_bound(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> int:
@@ -635,11 +689,11 @@ def fan_bound(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> int:
 
     fan is read from the peel alone (_value): no report is built and no
     witness searched. The cap on prod(mult + 1) over parallel classes is
-    fan_number's, refusing the same inputs; here it bounds the peel, whose
-    sweeps can go quadratic in the classes.
+    fan_number's, so both refuse the same inputs; the peel itself is
+    linear in the classes per probe, and O(log d) probes make the value.
     """
     _assignment_space(g.index_classes, max_product, "fan_bound")
-    return max(g.max_degree(), _value(g, _fan_exceeds)[0])
+    return max(g.max_degree(), _value(g, [0] * len(g.labels), _fan_failures)[0])
 
 
 def corefan(h: Multigraph, max_classes: int = COREFAN_CLASS_CAP) -> FanReport:
@@ -652,7 +706,7 @@ def corefan(h: Multigraph, max_classes: int = COREFAN_CLASS_CAP) -> FanReport:
     searched inside the value's core. Guarded by a cap on the classes.
     """
     _class_cap(h.index_classes, max_classes, "corefan")
-    return _report("corefan", h, True, partial(_cfan_exceeds, h.deg))
+    return _report("corefan", h, True)
 
 
 def corefan_bruteforce(h: Multigraph, max_product: int = BRUTEFORCE_PRODUCT_CAP) -> int:
@@ -662,7 +716,7 @@ def corefan_bruteforce(h: Multigraph, max_product: int = BRUTEFORCE_PRODUCT_CAP)
     peeling; returns the value only.
     """
     _assignment_space(h.index_classes, max_product, "corefan_bruteforce")
-    best = _max_min(len(h.labels), h.index_classes, False, partial(_cfan_exceeds, h.deg))
+    best = _max_min([-d for d in h.deg], h.index_classes, False, _cfan_exceeds)
     return best[0] if best else 0
 
 

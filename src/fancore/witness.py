@@ -45,7 +45,7 @@ from itertools import islice
 
 from .core import check_t, t_core
 from .errors import GraphError, ResourceLimitError
-from .fanmetrics import _cfan_level, _failing_pairs, corefan
+from .fanmetrics import _cfan_failures, _deficits, _failing, _failing_pairs, cfan_degree, corefan
 from .multigraph import Multigraph, SubgraphSelection, _is_int, _split_lines
 
 # The most classes construct_witness builds: some 220 MB of graph at the
@@ -123,14 +123,14 @@ def _validate_witness_subgraph(h: Multigraph, k_sel: SubgraphSelection, t: int) 
     if k_sel.mask != {x for i, j, _ in classes for x in (i, j)}:
         raise GraphError("witness subgraph must have no isolated vertices")
     labels = h.labels
-    for i, j, _ in classes:
-        for x, y in ((i, j), (j, i)):
-            value = _cfan_level(h, k_sel, x, y)
-            if value <= t:
-                raise GraphError(
-                    f"witness subgraph has cfan degree {value} <= t on "
-                    f"({labels[x]!r},{labels[y]!r}); it certifies nothing"
-                )
+    bad = _failing(_deficits(h, k_sel), k_sel.adj, k_sel.mask, t, _cfan_failures)
+    if bad:  # the first failing pair in class order
+        x, y = bad[0]
+        value = cfan_degree(h, k_sel, labels[x], labels[y])[0]
+        raise GraphError(
+            f"witness subgraph has cfan degree {value} <= t on "
+            f"({labels[x]!r},{labels[y]!r}); it certifies nothing"
+        )
 
 
 def choose_params(h: Multigraph, t: int, k_sel: SubgraphSelection) -> ConstructionPlan:

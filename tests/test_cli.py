@@ -277,6 +277,20 @@ class TestConstruct:
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["host.graph"]
 
+    def test_a_multiplicity_past_2_to_the_63_is_refused_by_the_cap(self, tmp_path, capsys):
+        # the witness check bisects the cfan degree 10^20 - 2 over plain
+        # integers, where a range of that length raised OverflowError, so
+        # the plan's class count is what refuses the host
+        host = tmp_path / "host.graph"
+        host.write_text("a b 99999999999999999999\n")
+        code, out = cli("construct", host, "--t", 0, "-o", tmp_path / "w.graph")
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == (
+            "resource error: construct_witness capped at 1048576 classes, "
+            "the plan for t=0 makes 40000000000000000006200000000000000000241\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["host.graph"]
+
     def test_failed_verification_reports_diagnostics(self, tmp_path):
         out_path = tmp_path / "w.graph"
         assert cli("construct", fx("double-edge.graph"), "--t", 0, "-o", out_path)[0] == 0

@@ -104,6 +104,31 @@ class TestExactChromaticIndex:
         assert (g.max_degree(), value) == (delta, chi) and verify_colouring(c)
         assert len(built) == 1
 
+    @pytest.mark.parametrize("name,steps", [("c5", 9), ("petersen", 54)])
+    def test_backtracking_steps_where_the_first_k_fails(self, name, steps, monkeypatch):
+        # C5 and the Petersen graph are class 2: k = Delta fails, and Delta
+        # + 1 colours them. Each colour given, a step forward or a retry
+        # after backing up, is one _State.assign; the first instance of
+        # every k opens colour 1 alone, as no colour is on the instances
+        # before it, which is where the search refuses symmetric branches
+        if name == "c5":
+            g = fixture("c5.graph")
+        else:
+            g = Multigraph(edges=[(f"o{i}", f"o{(i + 1) % 5}", 1) for i in range(5)]
+                           + [(f"i{i}", f"i{(i + 2) % 5}", 1) for i in range(5)]
+                           + [(f"o{i}", f"i{i}", 1) for i in range(5)])
+        assigned = []
+        assign = colouring._State.assign
+
+        def counting(state, e, c):
+            assigned.append(c)
+            assign(state, e, c)
+
+        monkeypatch.setattr(colouring._State, "assign", counting)
+        value, c = chromatic_index_exact(g)
+        assert (g.max_degree(), value) == (value - 1, value) and verify_colouring(c)
+        assert len(assigned) == steps
+
     def test_cap(self):
         g = Multigraph(edges=[(f"a{i}", f"b{i}", 5) for i in range(5)])
         with pytest.raises(ResourceLimitError):

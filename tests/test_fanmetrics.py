@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 import sys
-from functools import partial
 
 import pytest
 
@@ -214,6 +213,16 @@ class TestCertificateKernel:
         bad = _failing_pairs(g, range(leaves + 1), 17)
         assert bad == [p for i in range(1, leaves + 1) for p in ((0, i), (i, 0))]
         assert calls == {"_fan_anchor": leaves + 1, "_fan_exceeds": 0}
+
+    def test_an_anchor_whose_least_term_sums_to_2_makes_no_per_pair_step(self, monkeypatch):
+        # K3 at level 2: every term is 3, each slack 1 is above the cap 0,
+        # and the worst sum at the least term is (3 - 2) + (3 - 2) = 2, above
+        # 1, so each of the 3 anchors is passed on that one worst sum
+        g = Multigraph(edges=[("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
+        sums, worst_sum = [], fanmetrics._worst_sum
+        monkeypatch.setattr(fanmetrics, "_worst_sum", lambda *args: sums.append(args) or worst_sum(*args))
+        assert _failing_pairs(g, range(3), 2) == []
+        assert len(sums) == 3
 
 
 class TestFanNumber:
@@ -523,6 +532,14 @@ class TestLevelIsBisected:
         bits = max(g.deg[i] + g.deg[j] for i, j, _ in g.index_classes).bit_length()
         assert len(levels) <= 3 * g.class_count * bits
 
+    def test_degrees_past_2_to_the_63(self):
+        # a level is bisected over plain integers: a range of the length
+        # d(x) + d(y) would not fit an index past sys.maxsize
+        g = parse("a b 99999999999999999999")
+        assert fan_degree(g, "a", "b") == (0, {"b"})
+        assert cfan_degree(g, full(g), "a", "b") == (99999999999999999998, {"b"})
+        assert corefan(g).value == 99999999999999999998
+
     def test_construct_refuses_a_heavy_class_after_few_pair_tests(self, monkeypatch):
         levels = self.counted(monkeypatch, "_cfan_exceeds")
         with pytest.raises(ResourceLimitError):
@@ -557,9 +574,15 @@ class TestPinnedReports:
         assert digest.hexdigest() == "ac1043e00391a7de2a547d173c8188404458cddbe18517642e8c588852722e09"
 
 
-def pair_test(g, kind):
-    """The invariant's pair test on g's index space, as _report uses it."""
-    return fanmetrics._fan_exceeds if kind == "fan" else partial(fanmetrics._cfan_exceeds, g.deg)
+def rules(g, kind):
+    """(base, pair test, anchor rule) of the invariant on g's index space, as _report uses them.
+
+    base is the empty subgraph's degree vector: zeros for fan, -d_H for the
+    cfan deficits.
+    """
+    if kind == "fan":
+        return [0] * len(g.labels), fanmetrics._fan_exceeds, fanmetrics._fan_failures
+    return [-d for d in g.deg], fanmetrics._cfan_exceeds, fanmetrics._cfan_failures
 
 
 def as_report(g, kind, best):
@@ -575,7 +598,8 @@ def as_report(g, kind, best):
 
 def exhaustive_report(g, kind):
     """(value, witness classes, pair, zset) of the running-floor search over the whole space."""
-    best = fanmetrics._max_min(len(g.labels), g.index_classes, kind == "corefan", pair_test(g, kind))
+    base, exceeds, _ = rules(g, kind)
+    best = fanmetrics._max_min(base, g.index_classes, kind == "corefan", exceeds)
     return as_report(g, kind, best)
 
 
@@ -586,9 +610,9 @@ def unskipped_report(g, kind):
     the core's vector space, a product of 2 (corefan) or of m + 1 (fan) over
     its C classes, exceeds C².
     """
-    exceeds, full_only = pair_test(g, kind), kind == "corefan"
-    value, core = fanmetrics._value(g, exceeds)
-    best = fanmetrics._max_min(len(g.labels), core, full_only, exceeds, value - 1) if core else None
+    (base, exceeds, failures), full_only = rules(g, kind), kind == "corefan"
+    value, core = fanmetrics._value(g, base, failures)
+    best = fanmetrics._max_min(base, core, full_only, exceeds, value - 1) if core else None
     space = math.prod(2 if full_only else m + 1 for _, _, m in core)
     return as_report(g, kind, best), len(core) ** 2 < space
 
@@ -639,11 +663,10 @@ class TestPeel:
                 rep = Multigraph._derived(g.labels, form)
                 by_form[form] = oracle_cores(rep, kind)
             cores = by_form[form]
-            n, deg = len(g.labels), g.deg
-            exceeds = fanmetrics._fan_exceeds if kind == "fan" else partial(fanmetrics._cfan_exceeds, deg)
+            deg, (base, _, failures) = g.deg, rules(g, kind)
             top = max(deg[i] + deg[j] for i, j, _ in g.index_classes)
             for v in range(top + 1):
-                core = fanmetrics._core(n, list(g.index_classes), exceeds, v - 1)
+                core = fanmetrics._peel(list(g.index_classes), base, v - 1, failures)
                 assert set(core) <= set(g.index_classes)  # each class at host multiplicity
                 got = {tuple(sorted((perm[i], perm[j]))): m for i, j, m in core}
                 assert got == cores.get(v, {}), (g.classes(), v)
@@ -709,22 +732,92 @@ class TestPeel:
         # whole-core walk makes 2^14 - 1 = 16,383 steps to it; bisecting its
         # top class, 13, starts the walk at vector 2^13 - 1 and reaches it
         # in 2^13 = 8,192 steps. The walk makes its steps in place, so they
-        # are counted through the pair test: the peels, the 8,192 steps and
-        # the winner's pairs make 8,510 calls, where a walk of the whole core
-        # from its first vector makes 16,727
+        # are counted through the pair test: the 8,192 steps and the
+        # winner's pairs make 8,349 tests, where a walk of the whole core
+        # from its first vector makes 16,566. The peels make no pair test:
+        # they decide through the anchor rule, in 28 anchor passes
         g = Multigraph(edges=[(u, v, 1) for u, v in itertools.combinations("abcdef", 2)])
-        calls = 0
-        test = fanmetrics._cfan_exceeds
-
-        def counting_test(*args):
-            nonlocal calls
-            calls += 1
-            return test(*args)
-
-        monkeypatch.setattr(fanmetrics, "_cfan_exceeds", counting_test)
+        calls = {"_cfan_exceeds": 0, "_cfan_failures": 0}
+        for name in calls:
+            def counting(*args, name=name, test=getattr(fanmetrics, name)):
+                calls[name] += 1
+                return test(*args)
+            monkeypatch.setattr(fanmetrics, name, counting)
         report = corefan(g)
         assert (report.value, report.witness.classes()) == (1, g.classes()[:14])
-        assert calls == 8510
+        assert calls == {"_cfan_exceeds": 8349, "_cfan_failures": 28}
+
+    @pytest.mark.parametrize("kind,edges,tests,passes", [
+        ("corefan", [("v0", "v1", 2), ("v0", "v2", 1), ("v0", "v3", 1), ("v1", "v3", 2), ("v2", "v3", 1)], 11, 20),
+        ("fan", [("a", "b", 1), ("a", "c", 1), ("b", "c", 2)], 14, 9),
+        ("fan", [("a", "b", 1), ("a", "c", 1), ("b", "c", 1)], 13, 6),
+    ], ids=["corefan-prefix-peeled", "fan-above-c2", "fan-within-c2"])
+    def test_pair_tests_of_a_report(self, kind, edges, tests, passes, monkeypatch):
+        # corefan-prefix-peeled: value 1 and the core is the host; the first
+        # maximiser's top class is 3, and the prefix box of classes 0-3
+        # loses v0v2 when peeled at the value less one, so the walk covers
+        # only the 2^2 vectors of v0v1 and v0v3 below v1v3, where peeling at
+        # a lower level would keep v0v2 and walk twice as many. The fan
+        # triangles sit on both sides of the C² rule: (1 + 1)(1 + 1)(2 + 1)
+        # = 12 vectors are above 3², so the top class is bisected, and the
+        # simple triangle's 8 are within it, so its whole core is walked.
+        # The walk counts pair tests, the peels anchor passes; the bisected
+        # triangle's top class is its core's last, so its core is not peeled
+        # once more, which would take 3 passes
+        g = Multigraph(edges=edges)
+        rule = "_fan" if kind == "fan" else "_cfan"
+        calls = {rule + "_exceeds": 0, rule + "_failures": 0}
+        for name in calls:
+            def counting(*args, name=name, test=getattr(fanmetrics, name)):
+                calls[name] += 1
+                return test(*args)
+            monkeypatch.setattr(fanmetrics, name, counting)
+        report = fan_number(g) if kind == "fan" else corefan(g)
+        if kind == "corefan":
+            assert (report.value, report.witness.classes()) == (1, (edges[0], edges[2], edges[3]))
+        else:
+            assert (report.value, report.witness.classes()) == (2 + edges[2][2], g.classes())
+        assert calls == {rule + "_exceeds": tests, rule + "_failures": passes}
+
+    @pytest.mark.parametrize("report,value", [(corefan, 1), (fan_number, 3)], ids=["corefan", "fan"])
+    def test_a_space_of_exactly_c2_walks_the_whole_core(self, report, value, monkeypatch):
+        # C4 is the C² rule's boundary for both invariants: 4 classes and
+        # 2^4 = (1 + 1)^4 = 16 = 4² vectors, so the whole core is walked
+        # from its first vector in 23 pair tests; bisecting the top class
+        # first would make 16
+        g = Multigraph(edges=[("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("a", "d", 1)])
+        calls = []
+        for name in ("_fan_exceeds", "_cfan_exceeds"):
+            def counting(*args, test=getattr(fanmetrics, name)):
+                calls.append(args[-1])
+                return test(*args)
+            monkeypatch.setattr(fanmetrics, name, counting)
+        r = report(g)
+        assert (r.value, r.pair, r.zset, r.witness.classes()) == (value, ("a", "b"), frozenset("bd"), g.classes())
+        assert len(calls) == 23
+
+    def test_a_tail_peels_in_linear_work(self, monkeypatch):
+        # a triangle with a path of L classes hanging from it, peeled for the
+        # fan degree at level 0: only the leaf fails at first, and each
+        # deletion makes the next tail vertex the leaf, back toward the
+        # triangle, which survives. Every vertex is passed once at the start
+        # and each tail vertex once more when its outer class goes: 2L + 5
+        # anchor passes and 3L + 11 adjacency steps, where index-order
+        # sweeps took one sweep per tail class
+        passes, steps, rule = [], [], fanmetrics._fan_failures
+
+        def counting(deg, adj, x, k):
+            passes.append(x)
+            steps.append(len(adj[x]))
+            return rule(deg, adj, x, k)
+
+        monkeypatch.setattr(fanmetrics, "_fan_failures", counting)
+        for tail in (800, 3200):
+            box = [(0, 1, 1), (0, 2, 1), (1, 2, 1)] + [(i, i + 1, 1) for i in range(2, tail + 2)]
+            passes.clear()
+            steps.clear()
+            assert fanmetrics._peel(box, [0] * (tail + 3), 0, fanmetrics._fan_failures) == box[:3]
+            assert (len(passes), sum(steps)) == (2 * tail + 5, 3 * tail + 11)
 
     @pytest.mark.parametrize("report", [corefan, fan_number], ids=["corefan", "fan"])
     @pytest.mark.parametrize("host", ["path-value-0", "triangle-8-vectors"])
@@ -739,13 +832,13 @@ class TestPeel:
         else:
             g = Multigraph(edges=[("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
             expected = (1 if report is corefan else 3, ("a", "b"), frozenset("bc"), g.classes())
-        callers, peel = [], fanmetrics._core
+        callers, peel = [], fanmetrics._peel
 
         def recording(*args):
             callers.append(sys._getframe(1).f_code.co_name)
             return peel(*args)
 
-        monkeypatch.setattr(fanmetrics, "_core", recording)
+        monkeypatch.setattr(fanmetrics, "_peel", recording)
         r = report(g)
         assert callers and set(callers) == {"_value"}
         assert (r.value, r.pair, r.zset, r.witness.classes()) == expected
@@ -767,13 +860,13 @@ class TestPeel:
 
         assert [c for c in box if not passes(g, *c[:2])] == [(3, 4, 3)]
         assert passes(rest, 0, 3) and passes(rest, 2, 3) and not passes(rest, 0, 2)
-        assert fanmetrics._core(5, box, fanmetrics._fan_exceeds, 7) == []
+        assert fanmetrics._peel(box, [0] * 5, 7, fanmetrics._fan_failures) == []
         assert oracle_cores(g, "fan").get(8, {}) == {}
 
     def test_a_search_that_finds_no_maximiser_raises(self, monkeypatch):
         # the value's core holds every maximiser; a value one too high has none
-        core = fanmetrics._core
-        monkeypatch.setattr(fanmetrics, "_core", lambda n, box, exceeds, k: core(n, box, exceeds, k - 1))
+        peel = fanmetrics._peel
+        monkeypatch.setattr(fanmetrics, "_peel", lambda box, base, k, failures: peel(box, base, k - 1, failures))
         with pytest.raises(RuntimeError, match="attains"):
             corefan(fixture("fig1-h.graph"))
 
@@ -921,7 +1014,7 @@ class TestTheoremChains:
             small = core.class_count <= 20
             if forest_core_condition(g, t)[0] or bqueue_core_condition(g, t)[0] or small and corefan(core).value <= t:
                 held += 1
-                fan = max(g.max_degree(), fanmetrics._value(g, fanmetrics._fan_exceeds)[0])
+                fan = max(g.max_degree(), fanmetrics._value(g, [0] * len(g.labels), fanmetrics._fan_failures)[0])
                 assert fan <= g.max_degree() + t, (g.classes(), t)
         assert held == 84
 
@@ -933,7 +1026,7 @@ class TestTheoremChains:
         g, base = cycle_with_pendants_host(n, t)
         assert t_core(g, t) == base
         assert not forest_core_condition(g, t)[0] and bqueue_core_condition(g, t)[0]
-        fan = max(g.max_degree(), fanmetrics._value(g, fanmetrics._fan_exceeds)[0])
+        fan = max(g.max_degree(), fanmetrics._value(g, [0] * len(g.labels), fanmetrics._fan_failures)[0])
         assert fan == 3 * (t + 1) <= g.max_degree() + t
 
 

@@ -145,6 +145,68 @@ def test_mutants_diff_keeps_only_the_sites_on_changed_lines(tmp_path):
     assert lines[3:] == ["survived shapes.py:10 '-' -> '+': return x - 1"]
 
 
+def test_mutants_diff_takes_every_line_of_a_touched_function(tmp_path):
+    # twice's body is rewritten around its 'n = x + 1' line, which moves
+    # verbatim, so git diff -U0 lists only the new 'return n - 1'; drop
+    # loses a line and gains none. Both functions are touched, so all five
+    # of their sites are kept, among them the '+' and '1' of the moved line
+    # and the '2' of drop's kept line, and the untouched below's '<' is
+    # left out
+    package = tmp_path / "toy"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    module = package / "shapes.py"
+    module.write_text(
+        "def below(x, hi):\n"
+        "    return x < hi\n"
+        "\n"
+        "\n"
+        "def twice(x):\n"
+        "    n = x + 1\n"
+        "    return n + n\n"
+        "\n"
+        "\n"
+        "def drop(x):\n"
+        "    x = x - 1\n"
+        "    return x * 2\n"
+    )
+    (tmp_path / "check.py").write_text("")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run(git + ["add", "-A"], cwd=tmp_path, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "toy"], cwd=tmp_path, check=True)
+    module.write_text(module.read_text().replace("return n + n", "return n - 1").replace("    x = x - 1\n", ""))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "mutants.py"), "--diff", "HEAD", "--sample", "0", "toy",
+         "--", sys.executable, "check.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[0] == (
+        "sites 5 in 1 modules on lines changed since HEAD (0 known equivalent left out); sampled 0 with seed 2026")
+
+
+def test_mutants_with_nothing_to_try_never_runs_the_command(tmp_path):
+    # --sample 0 draws no site: the counts are printed at once, with no
+    # unmutated baseline run, here a command that would leave a file
+    package = tmp_path / "toy"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "shapes.py").write_text("def below(x, hi):\n    return x < hi\n")
+    (tmp_path / "check.py").write_text("open('ran', 'w').close()\n")
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "mutants.py"), "--seed", "1", "--sample", "0", "toy",
+         "--", sys.executable, "check.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines() == [
+        "sites 1 in 1 modules (0 known equivalent left out); sampled 0 with seed 1",
+        "killed 0, timed out 0, survived 0",
+    ]
+    assert not (tmp_path / "ran").exists()
+
+
 def test_mutants_diff_refuses_a_revision_git_does_not_know(tmp_path):
     (tmp_path / "toy").mkdir()
     subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)

@@ -134,11 +134,13 @@ class TestChooseParams:
             choose_params(reordered, 0, k_sel)
 
     def test_rejects_weak_witness(self):
-        # a witness whose cfan degree is not above t certifies nothing
+        # a witness whose cfan degree is not above t certifies nothing; both
+        # pairs of uv fail, and the message names the first in class order
         h = fixture("fig1-h.graph")
         weak = SubgraphSelection(h, [("u", "v", 1)], vertices=["u", "v"])
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError) as exc:
             choose_params(h, 0, weak)
+        assert str(exc.value) == "witness subgraph has cfan degree 0 <= t on ('u','v'); it certifies nothing"
 
     @pytest.mark.parametrize("entry", ["choose_params", "construct_witness"])
     @pytest.mark.parametrize("t", [-1, 1.0, "1", True, None], ids=repr)
@@ -485,11 +487,11 @@ WITNESS_FAN = {
 def test_witness_fan_is_pinned_from_both_sides(name, t):
     g, plan = construct_witness(fixture(name), t)
     v = WITNESS_FAN[name, t]
-    n, classes = len(g.labels), list(g.index_classes)
+    base, classes = [0] * len(g.labels), list(g.index_classes)
     assert g.max_degree() == plan.D and plan.D + t < v
     # some subgraph has every pair degree at least v, and none has all above v
-    assert fanmetrics._core(n, classes, fanmetrics._fan_exceeds, v - 1)
-    assert not fanmetrics._core(n, classes, fanmetrics._fan_exceeds, v)
+    assert fanmetrics._peel(classes, base, v - 1, fanmetrics._fan_failures)
+    assert not fanmetrics._peel(classes, base, v, fanmetrics._fan_failures)
 
 
 def test_witness_fan_sits_between_the_two_bounds():
@@ -508,7 +510,7 @@ def test_witness_fan_sits_between_the_two_bounds():
                 pass
     for g, t in cases[:100]:
         delta = g.max_degree()
-        fan = max(delta, fanmetrics._value(g, fanmetrics._fan_exceeds)[0])  # Fan(G), peeled
+        fan = max(delta, fanmetrics._value(g, [0] * len(g.labels), fanmetrics._fan_failures)[0])  # Fan(G), peeled
         t_star = next(s for s in itertools.count(t) if corefan(t_core(g, s)).value <= s)
         assert delta + t < fan <= delta + t_star, (g.classes(), t)
 

@@ -25,10 +25,16 @@ mutant is killed when the command fails, timed out when it runs past the
 timeout, and survived when it passes. The counts are printed, then each
 survivor and each timed-out mutant with its line; progress goes to stderr.
 
-With --diff REV only the sites on lines that 'git diff -U0 REV' reports
-as added or changed in the package's modules are kept, the working tree's
-uncommitted edits included, and every one of them runs unless --sample
-is given: the mutants of one change, in one command.
+With --diff REV only the sites of one change are kept: those on lines
+that 'git diff -U0 REV' reports as added or changed in the package's
+modules, the working tree's uncommitted edits included, and those on
+every line of a function that holds such a line or a deletion, from the
+function's ast span, since a line moved verbatim inside a rewritten
+function is not reported as added. Every one of them runs unless
+--sample is given: the mutants of one change, in one command.
+
+A run with no site to try prints its zero counts without running the
+command at all.
 
 Standard library only. Usage, from the repository root:
 
@@ -129,16 +135,31 @@ def mutate(source: str, site: Site) -> str:
 
 
 def changed_lines(rev: str, package: Path) -> set[tuple[str, int]]:
-    """(module, line) of every line that git diff -U0 rev lists as added in package's modules."""
+    """(module, line) of the lines of package's modules that git diff -U0 rev touches.
+
+    Those are the lines it lists as added, and every line of a function,
+    decorators included, that holds an added line or a deletion: a hunk
+    that adds nothing after line s deleted lines between s and s + 1.
+    """
     diff = subprocess.run(["git", "diff", "-U0", "--no-color", rev, "--", str(package)],
                           capture_output=True, text=True, check=True).stdout
-    changed, module = set(), None
+    added, cuts, module = set(), set(), None
     for line in diff.splitlines():
         if line.startswith("+++ "):
             module = Path(line[4:]).name if line[4:] != "/dev/null" else None
         elif line.startswith("@@ ") and module:
             start, _, count = line.split()[2][1:].partition(",")
-            changed.update((module, n) for n in range(int(start), int(start) + int(count or 1)))
+            added.update((module, n) for n in range(int(start), int(start) + int(count or 1)))
+            if count == "0":
+                cuts.add((module, int(start)))
+    changed = set(added)
+    for module in {module for module, _ in added | cuts if (package / module).is_file()}:
+        for node in ast.walk(ast.parse((package / module).read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                span = range(first, node.end_lineno + 1)
+                if any((module, n) in added or (module, n) in cuts and n < node.end_lineno for n in span):
+                    changed.update((module, n) for n in span)
     return changed
 
 
@@ -206,6 +227,9 @@ def main(argv: list[str]) -> int:
     scope = f" on lines changed since {args.diff}" if args.diff else ""
     print(f"sites {len(every)} in {modules} modules{scope} ({equivalent} known equivalent left out); "
           f"sampled {len(drawn)} with seed {args.seed}")
+    if not drawn:  # nothing to try: the baseline would only cost a whole run
+        print("killed 0, timed out 0, survived 0")
+        return 0
 
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
