@@ -586,17 +586,16 @@ def _peel(box, base, k: int, failures) -> list[tuple[int, int, int]]:
     the box, base the degree vector of the empty subgraph (zeros for fan,
     -d_H for cfan) and failures the invariant's anchor rule, _fan_failures
     or _cfan_failures. A FIFO of anchors, a list read in order as it
-    grows, with a pending flag per vertex, starts with every endpoint in
-    the box. A popped anchor x deletes the classes of its failing pairs
-    whole (see the module docstring); then x and each deleted neighbour y
-    are queued where they keep a neighbour, and so are their remaining
-    neighbours, unless pending. The survivors keep their box multiplicity,
+    grows, with a pending flag per vertex, starts with every vertex; an
+    anchor with no neighbour is skipped. A popped anchor x deletes the
+    classes of its failing pairs whole (see the module docstring); then x
+    and each deleted neighbour y are queued where they keep a neighbour,
+    and so are their remaining neighbours, unless pending. The survivors keep their box multiplicity,
     in box order; a peel that deletes nothing returns box itself. Which
     failing class goes first does not change the result.
     """
     deg, adj = _loaded(base, box)
-    queue = [x for x, a in enumerate(adj) if a]
-    pending = [bool(a) for a in adj]
+    queue, pending = list(range(len(adj))), [True] * len(adj)
     for x in queue:
         pending[x] = False
         bad = failures(deg, adj, x, k) if adj[x] else ()

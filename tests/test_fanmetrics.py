@@ -819,6 +819,23 @@ class TestPeel:
             assert fanmetrics._peel(box, [0] * (tail + 3), 0, fanmetrics._fan_failures) == box[:3]
             assert (len(passes), sum(steps)) == (2 * tail + 5, 3 * tail + 11)
 
+    @pytest.mark.parametrize("kind,edges,value,levels", [
+        ("fan", list(itertools.combinations("abcd", 2)), 4, [1, 2, 3]),
+        ("corefan", list(itertools.combinations("abcd", 2)), 1, [0]),
+        ("fan", [], 0, []),
+    ], ids=["k4-fan", "k4-corefan", "edgeless"])
+    def test_the_value_is_bisected_below_one_above_the_largest_term(self, kind, edges, value, levels, monkeypatch):
+        # K4's largest fan term is d(z) + 1 = 4 and its largest cfan term 1,
+        # as the deficits are 0 on the host, so v* is bisected in [0, 5) and
+        # [0, 2), each probe peeling at its level less one; with no class
+        # there is nothing to peel
+        g = Multigraph(["a", "b", "c", "d"], [(u, v, 1) for u, v in edges])
+        base, _, failures = rules(g, kind)
+        probed, peel = [], fanmetrics._peel
+        monkeypatch.setattr(fanmetrics, "_peel", lambda box, b, k, f: probed.append(k) or peel(box, b, k, f))
+        assert fanmetrics._value(g, base, failures)[0] == value
+        assert probed == levels
+
     @pytest.mark.parametrize("report", [corefan, fan_number], ids=["corefan", "fan"])
     @pytest.mark.parametrize("host", ["path-value-0", "triangle-8-vectors"])
     def test_only_the_value_peels_at_value_0_or_within_the_c2_rule(self, host, report, monkeypatch):
