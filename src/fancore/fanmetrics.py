@@ -65,11 +65,11 @@ for the fan and by T + min(t, 0) for cfan, and the classes of x's failing
 pairs go at once. Each deletion of (x, y) queues the anchors whose pass
 read d(x), d(y) or mult(x, y): x and y where they keep a neighbour, and
 their remaining neighbours, unless they are queued already. The peel
-ends when the queue is empty, and one that deletes nothing returns its
-box as it is. An anchor is passed once at the start and once per
-deletion at or next to it, so a peel costs time linear in the box's
-classes plus its deleted classes times their degree. The survivors keep
-their box multiplicity. By the same monotonicity a
+ends when the queue is empty and returns its survivors in a list of
+their own, in box order, each at its box multiplicity. An anchor is
+passed once at the start and once per deletion at or next to it, so a
+peel costs time linear in the box's classes plus its deleted classes
+times their degree. By the same monotonicity a
 subgraph whose every p is at least v keeps that property when each of
 its classes is raised to host multiplicity, so the largest value is
 attained by a subgraph of whole classes: the reason corefan may search
@@ -79,7 +79,9 @@ partial class either. Cores nest as v grows, so v* is bisected between
 degree is at most its anchor's largest term, and terms grow with the
 subgraph. That is the largest d(z) + mult(x, z) for the fan and the
 largest multiplicity for cfan, whose deficits are 0 on the host. Each
-probe peels the last nonempty core. _value is that bisection and the one
+probe peels the last nonempty core. One helper, _bisect, makes each
+monotone search of the module: this value, a pair's degree, the prefix
+below and corefan_bruteforce's value. _value is that bisection and the one
 entry to the value: it returns v* and its core and searches no witness,
 so fan_bound reads it alone, and only a report (fan_number, corefan)
 goes on to the witness search below.
@@ -93,8 +95,9 @@ first pair whose level is not above the fixed floor v* - 1 and stops at
 the first candidate that survives. Its minimum is at least v*, so it is
 a maximiser, and every candidate before it in the whole space either
 keeps a class outside the core or was dropped, so none of them is: it is
-the first maximiser. The reported pair is the candidate's first pair
-whose test at v* fails, the first pair attaining the minimum.
+the first maximiser. The reported pair is read on that witness after
+the walk: its first pair whose test at v* fails, the first pair attaining
+the minimum.
 
 The search starts at the first maximiser's highest class. Colex order
 puts a vector whose highest class is lower first, and a maximiser whose
@@ -102,8 +105,10 @@ highest class is the core's class h lies in the core of the core's
 classes 0..h, since it qualifies there. That prefix core is itself a
 maximiser, and prefix cores nest, so the first maximiser's highest class
 is the smallest h whose prefix core is nonempty, h*, bisected in about
-log2 C peels at v* - 1 for a core of C classes. The search box is that
-prefix core: every maximiser of highest class h* lies in it, and its
+log2 C peels at v* - 1 for a core of C classes, as the most classes that
+can be dropped from the core's end. The search box is that prefix core,
+the bisection's last nonempty peel, or the core itself where nothing can
+be dropped: every maximiser of highest class h* lies in it, and its
 last class is h*, as the prefix before h* has an empty core. The walk
 starts at the last vector before h*'s block, every class below h* at its
 top value and h* at 0, so it visits only the box's vectors that keep h*,
@@ -131,14 +136,11 @@ no generator and nothing rebuilt. Candidates live in the host's dense
 index space as plain degree and adjacency lists; the witness subgraph,
 label pair and certifying set are built once, for the winner only.
 
-corefan_bruteforce runs the same enumerator over the whole space with a
-floor that follows the best value so far, -1 at first, which every
-degree exceeds. A candidate is dropped at its first pair whose degree is
-not above the floor, as its minimum cannot then exceed it; a survivor
-beats the best strictly, gets its exact minimum, and raises the floor, so
-the first candidate attaining the maximum is the one kept, at most
-value + 1 candidates survive, and a dropped one costs about one pair
-test.
+corefan_bruteforce runs the same enumerator over the whole space, with
+no peel, at fixed floors: some assignment has every pair above v - 1
+exactly when the value is at least v, so the value is bisected below one
+above the largest multiplicity, each probe a walk to its first survivor.
+A dropped candidate costs about one pair test.
 
 The certificate kernel behind verify_witness, _failing_pairs, shares the
 fan test's rule and its pass: one anchor pass per vertex of J gives the
@@ -158,7 +160,6 @@ construct_witness checks its witness subgraph's pairs with it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, product
 from math import inf, prod
@@ -316,21 +317,36 @@ def _cfan_failures(deg, adj, x: int, k: int) -> list[int]:
     return [y for y, m in adj[x].items() if deg[y] + m <= cut] if least <= cut else []
 
 
+def _bisect(high: int, probe, found):
+    """The largest v in [0, high) whose probe(v, last) is truthy, with that probe's result.
+
+    probe is monotone, truthy at v only if truthy at every smaller v; found
+    is its result at 0, taken as truthy, and last is the result at the
+    largest v known so far to be truthy, which a probe may search inside.
+    The search is over plain integers, so past 2^63 too, in about
+    log2(high) probes.
+    """
+    low = 0
+    while high - low > 1:
+        mid = (low + high) // 2
+        got = probe(mid, found)
+        if got:
+            low, found = mid, got
+        else:
+            high = mid
+    return low, found
+
+
 def _level(exceeds, deg, adj, x: int, y: int) -> int:
     """The degree of (x, y): the smallest k >= 0 at which exceeds(deg, adj, x, y, k) fails.
 
-    The test is monotone in k and fails at the largest term of x, where no
-    contribution is positive and a padded Z sums to at most 0, so the level
-    is bisected below it, over plain integers, in O(log d) pair tests.
+    That is the largest v whose test at v - 1 holds, as every level is
+    above -1. The test is monotone in k and fails at the largest term of
+    x, where no contribution is positive and a padded Z sums to at most 0,
+    so the level is bisected at or below it in O(log d) pair tests.
     """
-    low, high = 0, max(deg[z] + m for z, m in adj[x].items())
-    while low < high:
-        mid = (low + high) // 2
-        if exceeds(deg, adj, x, y, mid):
-            low = mid + 1
-        else:
-            high = mid
-    return low
+    top = max(deg[z] + m for z, m in adj[x].items())
+    return _bisect(top + 1, lambda v, _: exceeds(deg, adj, x, y, v - 1), True)[0]
 
 
 def _deficits(h: Multigraph, k_sel: SubgraphSelection) -> list[int]:
@@ -509,16 +525,16 @@ def _kept(classes, vec) -> list[tuple[int, int, int]]:
     return [(i, j, m) for (i, j, _), m in zip(classes, vec) if m]
 
 
-def _max_min(base, classes, full_only: bool, exceeds, floor: Optional[int] = None, top: bool = False):
-    """Maximum over selections of classes of the minimum degree over ordered pairs.
+def _max_min(base, classes, full_only: bool, exceeds, floor: int, top: bool = False):
+    """The kept classes of the first selection of classes whose every pair is above floor; None for none.
 
     classes are index classes (i, j, m) of a graph on len(base) vertices,
     the box searched, and base is the degree vector of the empty candidate
     (zeros for fan, -d_H for cfan); exceeds(deg, adj, x, y, k) is the
     invariant's pair test, "level of (x, y) above k", in the index space of
-    the candidate. Returns (value, kept classes, (x, y)) for the first
-    maximizing selection and its first minimizing pair, with x and y dense
-    indices; None when no candidate has every pair above floor.
+    the candidate. The kept classes are (i, j, m), each at its multiplicity
+    in the selection. A caller that passes one below the maximum gets the
+    first maximiser.
 
     One loop counts the multiplicity vector in colex order and keeps deg
     and adj in step with it: from class 0 up, each class at its top value
@@ -526,14 +542,10 @@ def _max_min(base, classes, full_only: bool, exceeds, floor: Optional[int] = Non
     below its top rises by one, or to its top when full_only is set. Its
     pairs and those of the classes above it are then tested, as every
     class below it is off, and a candidate is dropped at its first pair
-    whose level is not above floor. The walk ends when every class is at
-    its top. A candidate that survives has its minimum above floor. A floor
-    passed in stays fixed and the first survivor is returned, its value
-    floor + 1: the caller passes one below the known maximum. Without one,
-    floor starts at -1, the minimum of every survivor is bisected and
-    becomes the new floor, so at most value + 1 candidates survive. Either way the reported pair is the
-    first whose level is not above the value. A dropped candidate costs its
-    update and about one pair test, a pass over one adjacency dict.
+    whose level is not above floor. The walk ends at the first candidate
+    that survives, or when every class is at its top. A dropped candidate
+    costs its update and about one pair test, a pass over one adjacency
+    dict.
 
     The walk starts after the all-zero vector, or, with top set, after the
     last vector before the last class's block: every other class at its top
@@ -541,13 +553,10 @@ def _max_min(base, classes, full_only: bool, exceeds, floor: Optional[int] = Non
     keep the last class are then visited, in the same relative order, and
     the first step resets every class below the last from its top value.
     """
-    first = floor is not None
-    floor = floor if first else -1
     deg, adj = _loaded(base, classes[:-1] if top else ())
     tops = [m for _, _, m in classes]
     last = len(classes)
     vec = tops[:-1] + [0] if top else [0] * last
-    best = None
     while True:
         low = 0
         while low < last and vec[low] == tops[low]:  # at its top value: reset to 0
@@ -558,7 +567,7 @@ def _max_min(base, classes, full_only: bool, exceeds, floor: Optional[int] = Non
             del adj[i][j], adj[j][i]
             low += 1
         if low == last:
-            return best
+            return None
         i, j, m = classes[low]
         step = m if full_only else 1  # a full-only class below its top is at 0
         vec[low] += step
@@ -571,12 +580,7 @@ def _max_min(base, classes, full_only: bool, exceeds, floor: Optional[int] = Non
                 if not (exceeds(deg, adj, i, j, floor) and exceeds(deg, adj, j, i, floor)):
                     break
         else:
-            kept = _kept(classes, vec)
-            pairs = [(x, y) for i, j, _ in kept for x, y in ((i, j), (j, i))]
-            floor = floor + 1 if first else min(_level(exceeds, deg, adj, x, y) for x, y in pairs)
-            best = floor, kept, next(p for p in pairs if not exceeds(deg, adj, *p, floor))
-            if first:
-                return best
+            return _kept(classes, vec)
 
 
 def _peel(box, base, k: int, failures) -> list[tuple[int, int, int]]:
@@ -590,9 +594,10 @@ def _peel(box, base, k: int, failures) -> list[tuple[int, int, int]]:
     anchor with no neighbour is skipped. A popped anchor x deletes the
     classes of its failing pairs whole (see the module docstring); then x
     and each deleted neighbour y are queued where they keep a neighbour,
-    and so are their remaining neighbours, unless pending. The survivors keep their box multiplicity,
-    in box order; a peel that deletes nothing returns box itself. Which
-    failing class goes first does not change the result.
+    and so are their remaining neighbours, unless pending. The survivors
+    are returned in a new list, in box order, each at its box
+    multiplicity. Which failing class goes first does not change the
+    result.
     """
     deg, adj = _loaded(base, box)
     queue, pending = list(range(len(adj))), [True] * len(adj)
@@ -609,8 +614,7 @@ def _peel(box, base, k: int, failures) -> list[tuple[int, int, int]]:
                 if not pending[z]:
                     pending[z] = True
                     queue.append(z)
-    kept = [c for c in box if c[1] in adj[c[0]]]
-    return box if len(kept) == len(box) else kept
+    return [c for c in box if c[1] in adj[c[0]]]
 
 
 def _value(g: Multigraph, base, failures) -> tuple[int, list[tuple[int, int, int]]]:
@@ -618,56 +622,50 @@ def _value(g: Multigraph, base, failures) -> tuple[int, list[tuple[int, int, int
 
     The v-core, _peel at level v - 1, is nonempty exactly when some
     subgraph has every pair degree at least v, and cores nest, so v* is
-    bisected: the 0-core is g, no core exists one above the host's largest
-    term, base plus degree plus multiplicity, which no degree reaches, and
-    each probe peels the last nonempty core. No witness is searched; every
-    maximiser lies in the returned core. With no class there is nothing to
-    bisect and the core is empty.
+    bisected (_bisect): the 0-core is g, no core exists one above the
+    host's largest term, base plus degree plus multiplicity, which no
+    degree reaches, and each probe peels the last nonempty core. No witness
+    is searched; every maximiser lies in the returned core. With no class
+    there is nothing to bisect and the core is empty.
     """
-    top, core = [d + b for d, b in zip(g.deg, base)], list(g.index_classes)
-    low, high = 0, max((m + max(top[i], top[j]) for i, j, m in core), default=-1) + 1
-    while high - low > 1:
-        mid = (low + high) // 2
-        inner = _peel(core, base, mid - 1, failures)
-        if inner:
-            low, core = mid, inner
-        else:
-            high = mid
-    return low, core
+    top, classes = [d + b for d, b in zip(g.deg, base)], list(g.index_classes)
+    high = max((m + max(top[i], top[j]) for i, j, m in classes), default=-1) + 1
+    return _bisect(high, lambda v, core: _peel(core, base, v - 1, failures), classes)
 
 
 def _report(kind: str, g: Multigraph, full_only: bool) -> FanReport:
-    """The FanReport of g's first maximiser; the trivial one for no class.
+    """The FanReport of g's first maximiser; the trivial one, returned first, for no class.
 
     The value and its core come from _value. The witness search is _max_min
     over that core at the fixed floor v* - 1, whose first survivor is the
     first maximiser. Unless the value is 0 (every vector is a maximiser)
     or the core's vector space is at most C² for C classes, the first
-    maximiser's highest class h* is bisected first, and the search runs
-    over the core of the core's classes 0..h* from the last vector before
-    h*'s block (see the module docstring); where h* is the core's last
-    class, the core is that box already and is not peeled again.
-    A core with no survivor is an error in the peel, raised, not reported.
-    The reported pair's level is the value itself, so its certifying set is
-    read at the value without another bisection.
+    maximiser's highest class h* is bisected first, as the most classes
+    that can be dropped from the core's end with a nonempty core left, and
+    the search runs over that last nonempty core, of the core's classes
+    0..h*, from the last vector before h*'s block (see the module
+    docstring). A core with no survivor is an error in the peel, raised,
+    not reported. The reported pair is the witness's first pair whose test
+    at the value fails, its level the value itself, so its certifying set
+    is read at the value without another bisection.
     """
     fan = kind == "fan"
     base = [0] * len(g.labels) if fan else [-d for d in g.deg]
     exceeds, failures = (_fan_exceeds, _fan_failures) if fan else (_cfan_exceeds, _cfan_failures)
     value, core = _value(g, base, failures)
+    if not core:
+        return FanReport(kind=kind, value=0, witness=SubgraphSelection._derived(g, []), pair=None, zset=frozenset())
     top = value > 0 and len(core) ** 2 < prod(2 if full_only else m + 1 for _, _, m in core)
     if top:  # the core of the shortest prefix of the core whose own core is nonempty
-        h = bisect_left(range(len(core) - 1), True, key=lambda h: bool(_peel(core[:h + 1], base, value - 1, failures)))
-        core = _peel(core[:h + 1], base, value - 1, failures) if h < len(core) - 1 else core
-    best = _max_min(base, core, full_only, exceeds, value - 1, top) if core else (0, [], None)
-    if best is None:
+        c = len(core)
+        core = _bisect(c, lambda drop, _: _peel(core[:c - drop], base, value - 1, failures), core)[1]
+    kept = _max_min(base, core, full_only, exceeds, value - 1, top)
+    if kept is None:
         raise RuntimeError(f"no selection of the {value}-core attains {value}")
-    _, kept, pair = best
     sel = SubgraphSelection._derived(g, kept)
-    if pair is None:
-        return FanReport(kind=kind, value=value, witness=sel, pair=None, zset=frozenset())
-    x, y = pair
-    _, zset = _certified(g.labels, value, sel.deg if fan else _deficits(g, sel), sel.adj, x, y, fan)
+    deg, adj = sel.deg if fan else _deficits(g, sel), sel.adj
+    x, y = next(p for i, j, _ in kept for p in ((i, j), (j, i)) if not exceeds(deg, adj, *p, value))
+    _, zset = _certified(g.labels, value, deg, adj, x, y, fan)
     return FanReport(kind=kind, value=value, witness=sel, pair=(g.labels[x], g.labels[y]), zset=zset)
 
 
@@ -711,12 +709,17 @@ def corefan(h: Multigraph, max_classes: int = COREFAN_CLASS_CAP) -> FanReport:
 def corefan_bruteforce(h: Multigraph, max_product: int = BRUTEFORCE_PRODUCT_CAP) -> int:
     """corefan(h) by enumerating every sub-multiplicity assignment.
 
-    Oracle counterpart of corefan, by the running-floor search and no
-    peeling; returns the value only.
+    Oracle counterpart of corefan, with no peeling; returns the value
+    only. The value v* is the largest v for which some assignment has every
+    pair above v - 1, bisected (_bisect) over whole-space walks at those
+    fixed floors (_max_min). It is at most the largest multiplicity: a
+    degree is at most its anchor's largest term, and a term, a deficit of
+    at most 0 plus a multiplicity, is at most that.
     """
-    _assignment_space(h.index_classes, max_product, "corefan_bruteforce")
-    best = _max_min([-d for d in h.deg], h.index_classes, False, _cfan_exceeds)
-    return best[0] if best else 0
+    classes, base = h.index_classes, [-d for d in h.deg]
+    _assignment_space(classes, max_product, "corefan_bruteforce")
+    high = max((m for _, _, m in classes), default=0) + 1
+    return _bisect(high, lambda v, _: _max_min(base, classes, False, _cfan_exceeds, v - 1), True)[0]
 
 
 # -- constant-multiplicity criterion --------------------------------------

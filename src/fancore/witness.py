@@ -289,15 +289,15 @@ def verify_witness(
     Five checks, none of which enumerate subgraphs: (1) max_degree(g) = D,
     attained exactly on V(h); (2) the t-core of g equals h, multiplicities
     included; (3) the S vertices hit their exact degree targets; (4) the
-    plan's other keys describe g: reg_k = (D + t)/(r - 1) - 2, K vertex i
-    has a_r[i] classes of multiplicity r into S_r and a_rm1[i] of
-    multiplicity r - 1 into S_{r-1}, each matching pair is a class of
-    multiplicity r - 3, no vertex is listed twice in k_vertices and S or in
-    the matching, and S_r and S_{r-1} have sum(a_r) and sum(a_rm1)
-    vertices; (5) on the subgraph J induced by V(K) and S, both
-    fan-degree conditions fail at level D + t for every ordered pair on an
-    edge, so every edge of J has fan degree above D + t and hence fan(g) >
-    max_degree(g) + t.
+    plan's other keys describe g: its t is the t checked, reg_k =
+    (D + t)/(r - 1) - 2, K vertex i has a_r[i] classes of multiplicity r
+    into S_r and a_rm1[i] of multiplicity r - 1 into S_{r-1}, each
+    matching pair is a class of multiplicity r - 3, no vertex is listed
+    twice in k_vertices and S or in the matching, and S_r and S_{r-1} have
+    sum(a_r) and sum(a_rm1) vertices; (5) on the subgraph J induced by
+    V(K) and S, both fan-degree conditions fail at level D + t for every
+    ordered pair on an edge, so every edge of J has fan degree above D + t
+    and hence fan(g) > max_degree(g) + t.
 
     One pass over g's degrees gives the maximum and the degree-D set; the
     t-core is the only graph built. J is never built: the certificates are
@@ -348,6 +348,8 @@ def _diagnostics(h: Multigraph, t: int, g: Multigraph, plan: ConstructionPlan):
             if deg[index[v]] != want:
                 yield f"s-degrees: {v} has degree {deg[index[v]]}, expected {want}"
 
+    if plan.t != t:
+        yield f"plan: t={plan.t} is not the t={t} checked"
     if (plan.reg_k + 2) * (r - 1) != D + t:
         yield f"plan: reg_k={plan.reg_k} is not (D+t)/(r-1) - 2"
     s_r = {index[v] for v in plan.s_r_vertices}

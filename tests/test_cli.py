@@ -303,11 +303,12 @@ class TestConstruct:
         assert any(line.startswith("diagnostic ") for line in out.splitlines())
 
     @pytest.mark.parametrize("old,new,diagnostic", [
+        ("t=0\nD=", "t=7\nD=", "plan: t=7 is not the t=0 checked"),
         ("reg_k=18", "reg_k=4", "plan: reg_k=4 is not (D+t)/(r-1) - 2"),
         ("a_r=5 5", "a_r=999 5", "plan: x has 5 classes of multiplicity r into S_r"),
         ("a_rm1=14 14", "a_rm1=14 13", "plan: y has 5 classes of multiplicity r into S_r"),
         ("matching=sr0 sr1", "matching=sr1 sr2", "plan: matching pair sr1 sr2 has multiplicity 7"),
-    ], ids=["reg_k", "a_r", "a_rm1", "matching"])
+    ], ids=["t", "reg_k", "a_r", "a_rm1", "matching"])
     def test_plan_key_contradicting_the_graph_fails_verification(self, old, new, diagnostic, tmp_path):
         out_path = tmp_path / "w.graph"
         plan_path = tmp_path / "w.graph.plan"

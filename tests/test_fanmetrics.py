@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import math
 import random
-import sys
 
 import pytest
 
@@ -474,6 +473,24 @@ class TestFirstMaximiser:
                 continue
             assert corefan_bruteforce(g) == first_maximiser(g, "corefan", False)[0], g.classes()
 
+    @pytest.mark.parametrize("text,value,floors", [
+        ("x y 2", 1, [0, 1]),
+        ("x y 3", 2, [1, 2]),
+        ("a b 2\nb c 2\na c 2", 2, [0, 1]),
+        (None, 0, []),
+    ], ids=["double", "triple", "double-triangle", "edgeless"])
+    def test_bruteforce_value_is_bisected_below_one_above_the_largest_multiplicity(
+            self, text, value, floors, monkeypatch):
+        # a cfan degree is at most its anchor's largest term, and a term at
+        # most a multiplicity, so the value is bisected in [0, M + 1) for the
+        # largest multiplicity M, each probe v a whole-space walk at the
+        # fixed floor v - 1; with no class nothing is walked
+        g = parse(text) if text else Multigraph(vertices=["a"])
+        walked, walk = [], fanmetrics._max_min
+        monkeypatch.setattr(fanmetrics, "_max_min", lambda *args: walked.append(args[4]) or walk(*args))
+        assert corefan_bruteforce(g) == value
+        assert walked == floors
+
 
 def triangle_behind_a_matching(count):
     """A triple triangle whose classes come after those of a matching of count single edges."""
@@ -505,10 +522,16 @@ class TestLevelIsBisected:
         assert min(levels) >= 0 and max(levels) < 2_000_000
 
     def test_fan_degree_of_a_heavy_triangle(self, monkeypatch):
+        # the largest term of a is 3,000,000, so the degree v is the largest
+        # in [0, 3,000,001) whose test at v - 1 holds: each probe tests one
+        # below the midpoint, and every test below the degree holds
         levels = self.counted(monkeypatch, "_fan_exceeds")
         g = parse("a b 1000000\nb c 1000000\na c 1000000")
         assert fan_degree(g, "a", "b") == (3_000_000, {"b", "c"})
-        assert len(levels) <= 23
+        assert levels == [
+            1499999, 2249999, 2624999, 2812499, 2906249, 2953124, 2976562, 2988281, 2994140, 2997070, 2998535,
+            2999267, 2999633, 2999816, 2999908, 2999954, 2999977, 2999988, 2999994, 2999997, 2999998, 2999999,
+        ]
 
     @pytest.mark.parametrize("kind,edges,witness", [
         ("corefan", [(f"p{i}", f"p{i + 1}", 1) for i in range(20)], "first"),
@@ -585,22 +608,36 @@ def rules(g, kind):
     return [-d for d in g.deg], fanmetrics._cfan_exceeds, fanmetrics._cfan_failures
 
 
-def as_report(g, kind, best):
-    """(value, witness classes, pair, zset) of a _max_min result on g; the trivial one for None."""
-    if best is None:
+def as_report(g, kind, value, kept):
+    """(value, witness classes, pair, zset) of the classes kept on g; the trivial one for None.
+
+    The pair is read on the witness by degree: its first ordered pair, (lo,
+    hi) before (hi, lo) class by class, whose degree is the value.
+    """
+    if kept is None:
         return 0, (), None, frozenset()
-    value, kept, (x, y) = best
     sel = SubgraphSelection._derived(g, kept)
-    x, y = g.labels[x], g.labels[y]
-    zset = fan_degree(sel, x, y)[1] if kind == "fan" else cfan_degree(g, sel, x, y)[1]
-    return value, sel.classes(), (x, y), zset
+
+    def degree(x, y):
+        return fan_degree(sel, x, y) if kind == "fan" else cfan_degree(g, sel, x, y)
+
+    pairs = [(g.labels[x], g.labels[y]) for i, j, _ in kept for x, y in ((i, j), (j, i))]
+    pair, zset = next((p, d[1]) for p in pairs if (d := degree(*p))[0] == value)
+    return value, sel.classes(), pair, zset
 
 
 def exhaustive_report(g, kind):
-    """(value, witness classes, pair, zset) of the running-floor search over the whole space."""
+    """(value, witness classes, pair, zset) of whole-space walks at fixed floors, with no peel.
+
+    The floor rises by one from -1 while some candidate has every pair
+    above it; the value is one above the last such floor, and the witness
+    the first survivor at that floor.
+    """
     base, exceeds, _ = rules(g, kind)
-    best = fanmetrics._max_min(base, g.index_classes, kind == "corefan", exceeds)
-    return as_report(g, kind, best)
+    v, kept = 0, None
+    while (survivor := fanmetrics._max_min(base, g.index_classes, kind == "corefan", exceeds, v - 1)) is not None:
+        v, kept = v + 1, survivor
+    return as_report(g, kind, v - 1, kept)
 
 
 def unskipped_report(g, kind):
@@ -612,9 +649,9 @@ def unskipped_report(g, kind):
     """
     (base, exceeds, failures), full_only = rules(g, kind), kind == "corefan"
     value, core = fanmetrics._value(g, base, failures)
-    best = fanmetrics._max_min(base, core, full_only, exceeds, value - 1) if core else None
+    kept = fanmetrics._max_min(base, core, full_only, exceeds, value - 1) if core else None
     space = math.prod(2 if full_only else m + 1 for _, _, m in core)
-    return as_report(g, kind, best), len(core) ** 2 < space
+    return as_report(g, kind, value, kept), len(core) ** 2 < space
 
 
 def canonical(g):
@@ -735,7 +772,9 @@ class TestPeel:
         # are counted through the pair test: the 8,192 steps and the
         # winner's pairs make 8,349 tests, where a walk of the whole core
         # from its first vector makes 16,566. The peels make no pair test:
-        # they decide through the anchor rule, in 28 anchor passes
+        # they decide through the anchor rule, in 22 anchor passes, and the
+        # prefix bisection's last nonempty peel is the search box, not
+        # peeled a second time
         g = Multigraph(edges=[(u, v, 1) for u, v in itertools.combinations("abcdef", 2)])
         calls = {"_cfan_exceeds": 0, "_cfan_failures": 0}
         for name in calls:
@@ -745,14 +784,15 @@ class TestPeel:
             monkeypatch.setattr(fanmetrics, name, counting)
         report = corefan(g)
         assert (report.value, report.witness.classes()) == (1, g.classes()[:14])
-        assert calls == {"_cfan_exceeds": 8349, "_cfan_failures": 28}
+        assert calls == {"_cfan_exceeds": 8349, "_cfan_failures": 22}
 
-    @pytest.mark.parametrize("kind,edges,tests,passes", [
-        ("corefan", [("v0", "v1", 2), ("v0", "v2", 1), ("v0", "v3", 1), ("v1", "v3", 2), ("v2", "v3", 1)], 11, 20),
-        ("fan", [("a", "b", 1), ("a", "c", 1), ("b", "c", 2)], 14, 9),
-        ("fan", [("a", "b", 1), ("a", "c", 1), ("b", "c", 1)], 13, 6),
+    @pytest.mark.parametrize("kind,edges,tests,passes,peels", [
+        ("corefan", [("v0", "v1", 2), ("v0", "v2", 1), ("v0", "v3", 1), ("v1", "v3", 2), ("v2", "v3", 1)], 11, 14,
+         [(5, 0), (5, 1), (3, 0), (4, 0)]),
+        ("fan", [("a", "b", 1), ("a", "c", 1), ("b", "c", 2)], 14, 9, [(3, 2), (3, 3), (3, 4), (2, 3)]),
+        ("fan", [("a", "b", 1), ("a", "c", 1), ("b", "c", 1)], 13, 6, [(3, 1), (3, 2)]),
     ], ids=["corefan-prefix-peeled", "fan-above-c2", "fan-within-c2"])
-    def test_pair_tests_of_a_report(self, kind, edges, tests, passes, monkeypatch):
+    def test_pair_tests_of_a_report(self, kind, edges, tests, passes, peels, monkeypatch):
         # corefan-prefix-peeled: value 1 and the core is the host; the first
         # maximiser's top class is 3, and the prefix box of classes 0-3
         # loses v0v2 when peeled at the value less one, so the walk covers
@@ -761,9 +801,11 @@ class TestPeel:
         # triangles sit on both sides of the C² rule: (1 + 1)(1 + 1)(2 + 1)
         # = 12 vectors are above 3², so the top class is bisected, and the
         # simple triangle's 8 are within it, so its whole core is walked.
-        # The walk counts pair tests, the peels anchor passes; the bisected
-        # triangle's top class is its core's last, so its core is not peeled
-        # once more, which would take 3 passes
+        # The walk counts pair tests, the peels anchor passes. peels lists
+        # each peel's box length and level: the value's probes on the whole
+        # host, then the prefix bisection's, which drops 2 and then 1 of the
+        # corefan core's 5 classes, and 1 of the bisected triangle's 3; its
+        # last nonempty prefix is the search box, peeled no second time
         g = Multigraph(edges=edges)
         rule = "_fan" if kind == "fan" else "_cfan"
         calls = {rule + "_exceeds": 0, rule + "_failures": 0}
@@ -772,12 +814,15 @@ class TestPeel:
                 calls[name] += 1
                 return test(*args)
             monkeypatch.setattr(fanmetrics, name, counting)
+        peeled, peel = [], fanmetrics._peel
+        monkeypatch.setattr(fanmetrics, "_peel", lambda box, b, k, f: peeled.append((len(box), k)) or peel(box, b, k, f))
         report = fan_number(g) if kind == "fan" else corefan(g)
         if kind == "corefan":
             assert (report.value, report.witness.classes()) == (1, (edges[0], edges[2], edges[3]))
         else:
             assert (report.value, report.witness.classes()) == (2 + edges[2][2], g.classes())
         assert calls == {rule + "_exceeds": tests, rule + "_failures": passes}
+        assert peeled == peels
 
     @pytest.mark.parametrize("report,value", [(corefan, 1), (fan_number, 3)], ids=["corefan", "fan"])
     def test_a_space_of_exactly_c2_walks_the_whole_core(self, report, value, monkeypatch):
@@ -849,15 +894,19 @@ class TestPeel:
         else:
             g = Multigraph(edges=[("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
             expected = (1 if report is corefan else 3, ("a", "b"), frozenset("bc"), g.classes())
-        callers, peel = [], fanmetrics._peel
+        peeled, peel = [], fanmetrics._peel
 
-        def recording(*args):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return peel(*args)
+        def recording(box, base, k, failures):
+            peeled.append((list(box), list(base), k, failures))
+            return peel(box, base, k, failures)
 
         monkeypatch.setattr(fanmetrics, "_peel", recording)
         r = report(g)
-        assert callers and set(callers) == {"_value"}
+        by_report = peeled[:]
+        peeled.clear()
+        base, _, failures = rules(g, "fan" if report is fan_number else "corefan")
+        fanmetrics._value(g, base, failures)
+        assert peeled and by_report == peeled
         assert (r.value, r.pair, r.zset, r.witness.classes()) == expected
         assert r.witness.vertices() == g.labels
 

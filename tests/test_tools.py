@@ -106,6 +106,37 @@ def test_mutants_counts_killed_timed_out_and_survived_on_a_toy_package(tmp_path)
     ]
 
 
+def test_mutants_known_equivalent_tells_like_tokens_on_one_line_apart(tmp_path):
+    # fanmetrics.py's closed-form cfan line has two '0' -> '1' mutants and
+    # only the first, 't < 1', is listed as equivalent: it and the listed
+    # '<' -> '<=' are left out, so 4 of the line's 6 sites run. The check
+    # kills '+', '>' and the '1' but not 'else 1', which survives, printed
+    # as the line's second '0'
+    package = tmp_path / "toy"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "fanmetrics.py").write_text(
+        "def closed(total, t):\n"
+        "    return total + (t if t < 0 else 0) > 1\n"
+    )
+    (tmp_path / "check.py").write_text(
+        "from toy.fanmetrics import closed\n"
+        "assert not closed(1, -1) and not closed(2, -1) and closed(2, 5)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "mutants.py"), "--seed", "1", "toy",
+         "--", sys.executable, "check.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "sites 4 in 1 modules (2 known equivalent left out); sampled 4 with seed 1"
+    assert lines[2:] == [
+        "killed 3, timed out 0, survived 1",
+        "survived fanmetrics.py:2 '0'[1] -> '1': return total + (t if t < 0 else 0) > 1",
+    ]
+
+
 def test_mutants_diff_keeps_only_the_sites_on_changed_lines(tmp_path):
     # the toy module is committed, then one line is rewritten and a function
     # added in the working tree: only the three sites on those lines run, all

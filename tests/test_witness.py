@@ -294,6 +294,17 @@ class TestConstructAndVerify:
         assert not ok
         assert any(d.startswith("plan") for d in diags)
 
+    def test_a_degree_set_mismatch_names_at_most_three_vertices_each_way(self):
+        # the c5/t0 witness keeps its five host vertices at degree D = 140,
+        # as does the double-edge/t0 one its two: each checked against the
+        # other's host, three of the five are named, extra or missing
+        de, c5 = fixture("double-edge.graph"), fixture("c5.graph")
+        (g_de, plan_de), (g_c5, plan_c5) = construct_witness(de, 0), construct_witness(c5, 0)
+        assert verify_witness(de, 0, g_c5, plan_c5)[1][0] == (
+            "degree: degree-D vertex set mismatch (extra=['x0', 'x1', 'x2'], missing=['x', 'y'])")
+        assert verify_witness(c5, 0, g_de, plan_de)[1][0] == (
+            "degree: degree-D vertex set mismatch (extra=['x', 'y'], missing=['x0', 'x1', 'x2'])")
+
     def test_a_vertexless_graph_reads_max_degree_zero(self):
         # the maximum over no degree is 0, and the message says so
         h = fixture("double-edge.graph")
@@ -354,6 +365,7 @@ class TestConstructAndVerify:
         assert full == [d for d in full if not d.startswith("edge-certificate")] + reference
 
     @pytest.mark.parametrize("old,new,expected", [
+        ("t=0\nD=", "t=7\nD=", ["plan: t=7 is not the t=0 checked"]),
         ("reg_k=18", "reg_k=4", ["plan: reg_k=4 is not (D+t)/(r-1) - 2"]),
         ("a_r=5 5", "a_r=999 5", [
             "plan: x has 5 classes of multiplicity r into S_r and 14 of multiplicity r-1 into S_r-1, "
@@ -369,15 +381,33 @@ class TestConstructAndVerify:
             "plan: matching pair sr0 sr2 has multiplicity 7, expected r-3=5",
             "plan: matching pair sr1 sr3 has multiplicity 7, expected r-3=5",
         ]),
-    ], ids=["reg_k", "a_r", "a_rm1", "matching"])
+        ("matching=sr0 sr1", "matching=sr0 sq0", ["plan: matching pair sr0 sq0 has multiplicity 0, expected r-3=5"]),
+    ], ids=["t", "reg_k", "a_r", "a_rm1", "matching", "matching-without-a-class"])
     def test_plan_keys_that_contradict_the_graph_fail(self, old, new, expected):
         # the double-edge/t0 witness: D = 140, r = 8, reg_k = 18, K = {x, y}
         # with a_r = (5, 5) and a_rm1 = (14, 14), matching sr0-sr1, sr2-sr3, ...
+        # sr0 and sq0 share no class
         h = fixture("double-edge.graph")
         g, plan = construct_witness(h, 0)
         text = plan_to_text(plan)
         assert old in text
         assert verify_witness(h, 0, g, plan_from_text(text.replace(old, new))) == (False, expected)
+
+    def test_a_split_counts_only_classes_of_its_multiplicity_into_its_set(self):
+        # sr9 and sq27 trade lists, so J keeps its vertices: y's class of
+        # multiplicity r into sr9 and its class of multiplicity r - 1 into
+        # sq27 each leave their set, and y is one short on both counts
+        h = fixture("double-edge.graph")
+        g, plan = construct_witness(h, 0)
+        assert (plan.s_r_vertices[-1], plan.s_rm1_vertices[-1]) == ("sr9", "sq27")
+        swapped = dataclasses.replace(plan, s_r_vertices=plan.s_r_vertices[:-1] + ("sq27",),
+                                      s_rm1_vertices=plan.s_rm1_vertices[:-1] + ("sr9",))
+        assert verify_witness(h, 0, g, swapped) == (False, [
+            "s-degrees: sr9 has degree 132, expected 133",
+            "s-degrees: sq27 has degree 133, expected 132",
+            "plan: y has 4 classes of multiplicity r into S_r and 13 of multiplicity r-1 into S_r-1, "
+            "expected a_r=5 and a_rm1=14",
+        ])
 
     def test_plan_key_checks_stop_at_the_cap(self):
         # both K vertices' splits and all five matching pairs contradict the

@@ -9,8 +9,10 @@ A site is one token of a package module that has a one-token mutant:
 
 Tokens inside annotations are not sites: with postponed evaluation they
 never run. KNOWN_EQUIVALENT lists mutants that no test can kill, keyed by
-module name, the stripped source line and the token change, each with its
-reason; they are left out before the sample is drawn.
+module name, the stripped source line, the token's occurrence among like
+tokens on that line (0 for the first) and the token change, each with its
+reason; they are left out before the sample is drawn. A site prints its
+occurrence in brackets after the token where it is not the first.
 
 The project, the current directory, is copied once to a temporary
 directory: the files git lists (tracked, and untracked ones it does not
@@ -61,6 +63,7 @@ import sys
 import tempfile
 import time
 import tokenize
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -74,10 +77,32 @@ SWAP = {
     "+=": "-=", "-=": "+=", "&=": "|=", "|=": "&=",
 }
 
-# (module, stripped source line, token, mutant): reason
+# (module, stripped source line, occurrence of the token on it, token, mutant): reason
 KNOWN_EQUIVALENT = {
-    ("multigraph.py", "key = (iu, iv) if iu < iv else (iv, iu)", "<", "<="):
+    ("multigraph.py", "key = (iu, iv) if iu < iv else (iv, iu)", 0, "<", "<="):
         "iu == iv is refused as a loop on the line above",
+    ("fanmetrics.py", "rest = total - (ty if ty > 0 else 0)  # all positive contributions but y's", 0, ">", ">="):
+        "at ty == 0 both sides subtract 0",
+    ("fanmetrics.py", "return ty + second - k if second else 0", 0, "0", "1"):
+        "the sum is read only as > 1 or <= 1, and 0 and 1 fall on the same side",
+    ("fanmetrics.py", "if b < least:", 0, "<", "<="):
+        "a tie keeps the same least term",
+    ("fanmetrics.py", "if d - m < slack:", 0, "<", "<="):
+        "a tie keeps the same least slack",
+    ("fanmetrics.py", "if b > k:", 0, ">", ">="):
+        "at b == k the contribution added is 0",
+    ("fanmetrics.py", "if b > second:", 0, ">", ">="):
+        "a tie keeps the same two largest terms",
+    ("fanmetrics.py", "if b > first:", 0, ">", ">="):
+        "a tie keeps the same two largest terms",
+    ("fanmetrics.py", "return total + (t if t < 0 else 0) > 1", 0, "<", "<="):
+        "at t == 0 both branches add 0",
+    ("fanmetrics.py", "return total + (t if t < 0 else 0) > 1", 0, "0", "1"):
+        "t < 1 and t < 0 differ only at t == 0, where both branches add 0",
+    ("fanmetrics.py", "return sorted(bad, key=lambda p: (min(p), max(p), p[0] > p[1]))", 0, ">", ">="):
+        "a pair's two ends differ, so p[0] == p[1] never occurs",
+    ("fanmetrics.py", "high = max((m + max(top[i], top[j]) for i, j, m in classes), default=-1) + 1", 0, "1", "2"):
+        "with no class, a bound of 0 or -1 leaves nothing to bisect either way",
 }
 
 
@@ -88,9 +113,11 @@ class Site(NamedTuple):
     old: str
     new: str
     source: str
+    nth: int  # occurrence among the like tokens on the line
 
     def __str__(self) -> str:
-        return f"{self.module}:{self.line} {self.old!r} -> {self.new!r}: {self.source}"
+        nth = f"[{self.nth}]" if self.nth else ""
+        return f"{self.module}:{self.line} {self.old!r}{nth} -> {self.new!r}: {self.source}"
 
 
 def _annotations(tree: ast.AST, lines: list[str]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -112,7 +139,7 @@ def sites(module: str, source: str) -> list[Site]:
     """Every mutable token of one module, in source order."""
     lines = source.splitlines()
     notes = _annotations(ast.parse(source), lines)
-    found = []
+    found, seen = [], Counter()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NUMBER and len(tok.string) == 1:
             new = str(int(tok.string) + 1)
@@ -122,7 +149,9 @@ def sites(module: str, source: str) -> list[Site]:
             continue
         if any(start <= tok.start < end for start, end in notes):
             continue
-        found.append(Site(module, tok.start[0], tok.start[1], tok.string, new, lines[tok.start[0] - 1].strip()))
+        line = tok.start[0]
+        found.append(Site(module, line, tok.start[1], tok.string, new, lines[line - 1].strip(), seen[line, tok.string]))
+        seen[line, tok.string] += 1
     return found
 
 
@@ -217,7 +246,7 @@ def main(argv: list[str]) -> int:
         for site in sites(path.name, path.read_text(encoding="utf-8")):
             if changed is not None and (site.module, site.line) not in changed:
                 continue
-            if (site.module, site.source, site.old, site.new) in KNOWN_EQUIVALENT:
+            if (site.module, site.source, site.nth, site.old, site.new) in KNOWN_EQUIVALENT:
                 equivalent += 1
             else:
                 every.append(site)
