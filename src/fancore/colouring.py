@@ -100,6 +100,7 @@ from .errors import GraphError, ResourceLimitError, check_cap
 from .multigraph import Multigraph
 
 INSTANCE_CAP = 24
+COLOUR_INSTANCE_CAP = 1 << 20  # 300-450 bytes an instance; the widest fixture witness has 28,090
 
 
 @dataclass(frozen=True)
@@ -288,13 +289,15 @@ def _lowest(mask: int) -> int:
 
 
 def chromatic_index_exact(g: Multigraph, max_instances: int = INSTANCE_CAP) -> tuple[int, EdgeColouring]:
-    """Exact chromatic index plus an optimal colouring, by backtracking."""
+    """Exact chromatic index plus an optimal colouring, by backtracking.
+
+    Refused above max_instances edge instances, and above
+    COLOUR_INSTANCE_CAP whatever max_instances is: no larger state is built.
+    """
     check_cap("max_instances", max_instances)
-    total = g.total_instances()
-    if total > max_instances:
-        raise ResourceLimitError(
-            f"chromatic_index_exact capped at {max_instances} edge instances, got {total}"
-        )
+    total, cap = g.total_instances(), min(max_instances, COLOUR_INSTANCE_CAP)
+    if total > cap:
+        raise ResourceLimitError(f"chromatic_index_exact capped at {cap} edge instances, got {total}")
     # One state serves every k: _extend cuts the palette to 1..k itself and
     # hands the state back uncoloured when it fails. k = total always
     # succeeds (give every instance its own colour), so the loop terminates
@@ -663,14 +666,22 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
     no colour above 2 * Delta - 1 is used: the colouring is the same for
     every such k, and a call costs the same time and memory at any k above
     2 * Delta. The returned colouring's k is the k asked for.
+
+    A graph of more than COLOUR_INSTANCE_CAP (2^20) edge instances is
+    refused with ResourceLimitError before any state is built, as a call
+    takes 300-450 bytes an instance. The cap bounds memory, not time: a
+    failing call within it can still run for minutes.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise GraphError(f"colour count must be a nonnegative integer, got {k!r}")
     if k < g.max_degree():
         raise GraphError(f"{k} colours is below the maximum degree {g.max_degree()}")
+    total = g.total_instances()
+    if total > COLOUR_INSTANCE_CAP:
+        raise ResourceLimitError(f"fan_colouring capped at {COLOUR_INSTANCE_CAP} edge instances, got {total}")
     palette = min(k, 2 * g.max_degree())
     st = _State(g, palette)
-    if not any(_run_pass(st, order) for order in _pass_orders(g.total_instances())):
+    if not any(_run_pass(st, order) for order in _pass_orders(total)):
         return None
     if not _proper(palette, st.ends, st.colour):  # internal soundness guard
         raise RuntimeError("fan engine produced an improper colouring")

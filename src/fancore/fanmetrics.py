@@ -681,15 +681,13 @@ def fan_number(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> FanReport:
     return _report("fan", g, False)
 
 
-def fan_bound(g: Multigraph, max_product: int = FAN_PRODUCT_CAP) -> int:
+def fan_bound(g: Multigraph) -> int:
     """Fan(g) = max(max_degree, fan); an upper bound on the chromatic index.
 
     fan is read from the peel alone (_value): no report is built and no
-    witness searched. The cap on prod(mult + 1) over parallel classes is
-    fan_number's, so both refuse the same inputs; the peel itself is
-    linear in the classes per probe, and O(log d) probes make the value.
+    witness searched, so no cap applies. The peel is linear in the
+    classes per probe, and O(log d) probes make the value.
     """
-    _assignment_space(g.index_classes, max_product, "fan_bound")
     return max(g.max_degree(), _value(g, [0] * len(g.labels), _fan_failures)[0])
 
 
@@ -752,9 +750,7 @@ def has_qualifying_edge(h: Multigraph, sel: SubgraphSelection) -> bool:
     return False
 
 
-def full_multiplicity_criterion(
-    h: Multigraph, max_classes: int = CRITERION_CLASS_CAP
-) -> tuple[bool, list[tuple[SubgraphSelection, bool]]]:
+def full_multiplicity_criterion(h: Multigraph) -> tuple[bool, list[tuple[SubgraphSelection, bool]]]:
     """Per-subgraph qualifying-edge check for constant-multiplicity graphs.
 
     Requires every class of h to carry the same multiplicity t+1. Reports,
@@ -762,14 +758,14 @@ def full_multiplicity_criterion(
     edge exists; the conjunction over all K holds iff corefan(h) <= t,
     which the test suite checks against corefan directly. The subgraphs
     come in colex order, class 0 the fastest digit, all 2^C - 1 of them
-    for C classes, each a selection of its own, so the cap on the classes
-    is the result's size: CRITERION_CLASS_CAP, 14 classes, is 16,383
-    selections.
+    for C classes, each a selection of its own, so the fixed cap on the
+    classes is the result's size: CRITERION_CLASS_CAP, 14 classes, is
+    16,383 selections.
     """
     classes = h.index_classes
     if len({m for _, _, m in classes}) > 1:
         raise GraphError("the qualifying-edge criterion needs constant multiplicity")
-    _class_cap(classes, max_classes, "full_multiplicity_criterion")
+    _class_cap(classes, CRITERION_CLASS_CAP, "full_multiplicity_criterion")
     results: list[tuple[SubgraphSelection, bool]] = []
     for rev in islice(product(*[(0, m) for _, _, m in reversed(classes)]), 1, None):  # colex, class 0 fastest
         sel = SubgraphSelection._derived(h, _kept(classes, rev[::-1]))

@@ -26,7 +26,7 @@ from fancore import (
     verify_colouring,
     verify_witness,
 )
-from fancore import multigraph
+from fancore import colouring, multigraph
 from fancore.cli import main, run
 from helpers import FIXTURES, fixture
 
@@ -174,6 +174,17 @@ class TestChi:
         code, _ = cli("chi", fx("fat-triangle-t0.graph"), "--max-instances", 2)
         assert code == 3
 
+    def test_a_cap_past_the_state_cap_is_held_to_it(self, tmp_path, capsys):
+        # a class of 2^63 copies under a cap of 2^64 overflowed sizing the
+        # search's state; no cap admits more instances than fan_colouring's
+        host = tmp_path / "host.graph"
+        host.write_text("a b 9223372036854775808\n")
+        assert cli("chi", host, "--max-instances", 2**64) == (3, "")
+        assert capsys.readouterr().err == (
+            f"resource error: chromatic_index_exact capped at {colouring.COLOUR_INSTANCE_CAP} edge instances, "
+            "got 9223372036854775808\n"
+        )
+
 
 class TestColour:
     def test_below_chi_none(self):
@@ -190,6 +201,22 @@ class TestColour:
             u, v, copy, colour = line.split()
             assignment[(u, v, int(copy))] = int(colour)
         assert verify_colouring(EdgeColouring(g, 3, assignment))
+
+    @pytest.mark.parametrize("mult", [100000000, 99999999999999999999])
+    def test_a_class_over_the_instance_cap_is_refused_before_any_state(self, mult, tmp_path, capsys, monkeypatch):
+        # one class of 10^8 copies allocated one tuple per instance until
+        # memory ran out, and one of 10^20 overflowed sizing the state's
+        # lists; both are refused on their instance count, before _State
+        def no_state(*args):
+            raise AssertionError("a colouring state was built")
+
+        monkeypatch.setattr(colouring, "_State", no_state)
+        host = tmp_path / "host.graph"
+        host.write_text(f"a b {mult}\n")
+        assert cli("colour", host, "-k", mult) == (3, "")
+        assert capsys.readouterr().err == (
+            f"resource error: fan_colouring capped at {colouring.COLOUR_INSTANCE_CAP} edge instances, got {mult}\n"
+        )
 
 
 # sha256 of `fancore colour` stdout on constructed witnesses at both bounds,

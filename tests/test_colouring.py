@@ -134,6 +134,15 @@ class TestExactChromaticIndex:
         with pytest.raises(ResourceLimitError):
             chromatic_index_exact(g)
 
+    def test_no_cap_admits_more_than_the_state_cap(self, monkeypatch):
+        # the search's state is fan_colouring's, built under the same fixed cap
+        monkeypatch.setattr(colouring, "COLOUR_INSTANCE_CAP", 3)
+        assert chromatic_index_exact(Multigraph(edges=[("a", "b", 3)]), max_instances=10)[0] == 3
+        with pytest.raises(ResourceLimitError, match="capped at 3 edge instances, got 4"):
+            chromatic_index_exact(Multigraph(edges=[("a", "b", 4)]), max_instances=10)
+        with pytest.raises(ResourceLimitError, match="capped at 2 edge instances, got 3"):
+            chromatic_index_exact(Multigraph(edges=[("a", "b", 3)]), max_instances=2)
+
     def test_at_least_max_degree(self):
         rng = random.Random(31)
         for _ in range(60):
@@ -179,6 +188,12 @@ class TestFanColouring:
     def test_below_max_degree_rejected(self):
         with pytest.raises(GraphError):
             fan_colouring(fixture("fat-triangle-t0.graph"), 2)
+
+    def test_instance_cap_admits_its_own_count(self, monkeypatch):
+        monkeypatch.setattr(colouring, "COLOUR_INSTANCE_CAP", 3)
+        assert verify_colouring(fan_colouring(Multigraph(edges=[("a", "b", 2), ("b", "c", 1)]), 3))
+        with pytest.raises(ResourceLimitError, match="fan_colouring capped at 3 edge instances, got 4"):
+            fan_colouring(Multigraph(edges=[("a", "b", 2), ("b", "c", 2)]), 4)
 
     @pytest.mark.parametrize("k", [True, False, 1.0, "2", -1])
     def test_colour_count_must_be_a_nonnegative_int(self, k):
@@ -363,6 +378,20 @@ class TestFanColouring:
         g = fixture("fat-triangle-t0.graph")
         assert fan_colouring(g, g.max_degree()) is None
         assert engine_calls["_run_pass"] == 8 and built == [3]
+
+    def test_state_takes_at_most_twice_max_degree_colours(self, monkeypatch):
+        built = []
+
+        class Counted(colouring._State):
+            def __init__(self, g, k):
+                built.append(k)
+                super().__init__(g, k)
+
+        monkeypatch.setattr(colouring, "_State", Counted)
+        g = fixture("fat-triangle-t0.graph")
+        for k in (2, 3, 10):
+            assert fan_colouring(g, k * g.max_degree()).k == k * g.max_degree()
+        assert built == [2 * g.max_degree()] * 3
 
     def test_star_tables_stay_linear(self):
         # at k = Delta a palette-wide table at each of the 2,001 vertices

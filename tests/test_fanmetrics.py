@@ -1066,9 +1066,8 @@ class TestTheoremChains:
         # the paper's theorem on a nonempty t-core: the multiforest or the
         # full-B-queue condition gives Fan(G) <= Delta + t, and so does
         # corefan(t-core) <= t, checked where the core has at most 20
-        # classes. Fan(G) is peeled, as these graphs are far above
-        # fan_bound's cap. Of these 1,184 draws, 60 meet both conditions
-        # and 84 have corefan(t-core) <= t, the 60 among them
+        # classes. Of these 1,184 draws, 60 meet both conditions and 84
+        # have corefan(t-core) <= t, the 60 among them
         rng = random.Random(2027)
         held = 0
         for _ in range(1184):
@@ -1080,8 +1079,7 @@ class TestTheoremChains:
             small = core.class_count <= 20
             if forest_core_condition(g, t)[0] or bqueue_core_condition(g, t)[0] or small and corefan(core).value <= t:
                 held += 1
-                fan = max(g.max_degree(), fanmetrics._value(g, [0] * len(g.labels), fanmetrics._fan_failures)[0])
-                assert fan <= g.max_degree() + t, (g.classes(), t)
+                assert fan_bound(g) <= g.max_degree() + t, (g.classes(), t)
         assert held == 84
 
     @pytest.mark.parametrize("n", [20, 50, 100, 199])
@@ -1092,8 +1090,7 @@ class TestTheoremChains:
         g, base = cycle_with_pendants_host(n, t)
         assert t_core(g, t) == base
         assert not forest_core_condition(g, t)[0] and bqueue_core_condition(g, t)[0]
-        fan = max(g.max_degree(), fanmetrics._value(g, [0] * len(g.labels), fanmetrics._fan_failures)[0])
-        assert fan == 3 * (t + 1) <= g.max_degree() + t
+        assert fan_bound(g) == 3 * (t + 1) <= g.max_degree() + t
 
 
 class TestSelfCertification:

@@ -1,6 +1,7 @@
 """Package-wide rules that no single module's tests can see."""
 
 import ast
+import inspect
 import re
 import sys
 import types
@@ -44,15 +45,25 @@ def test_public_names_resolve():
     assert bound == set(exported)
 
 
-# each library call that takes a resource cap, and the cap's name
+# each library call that takes a resource cap, and the cap's name: a cap is a
+# parameter only where a CLI flag sets it
 CAPPED = [
     (fancore.corefan, "max_classes"),
-    (fancore.full_multiplicity_criterion, "max_classes"),
     (fancore.fan_number, "max_product"),
-    (fancore.fan_bound, "max_product"),
     (fancore.corefan_bruteforce, "max_product"),
     (fancore.chromatic_index_exact, "max_instances"),
 ]
+
+
+def test_only_the_calls_a_flag_caps_take_a_cap():
+    """No other public call takes a max_* parameter; verify_witness's max_diagnostics sizes a report, not a walk."""
+    taking = {
+        (name, param)
+        for name in fancore.__all__ if inspect.isfunction(getattr(fancore, name))
+        for param in inspect.signature(getattr(fancore, name)).parameters
+        if param.startswith("max_")
+    }
+    assert taking == {(call.__name__, name) for call, name in CAPPED} | {("verify_witness", "max_diagnostics")}
 
 
 @pytest.mark.parametrize("cap", [True, False, "3", 3.0, None])

@@ -15,6 +15,7 @@ from fancore import (
     choose_params,
     construct_witness,
     corefan,
+    fan_bound,
     fan_colouring,
     fan_degree,
     fan_pair_exceeds,
@@ -522,6 +523,7 @@ def test_witness_fan_is_pinned_from_both_sides(name, t):
     # some subgraph has every pair degree at least v, and none has all above v
     assert fanmetrics._peel(classes, base, v - 1, fanmetrics._fan_failures)
     assert not fanmetrics._peel(classes, base, v, fanmetrics._fan_failures)
+    assert fan_bound(g) == v
 
 
 def test_witness_fan_sits_between_the_two_bounds():
@@ -540,7 +542,7 @@ def test_witness_fan_sits_between_the_two_bounds():
                 pass
     for g, t in cases[:100]:
         delta = g.max_degree()
-        fan = max(delta, fanmetrics._value(g, [0] * len(g.labels), fanmetrics._fan_failures)[0])  # Fan(G), peeled
+        fan = fan_bound(g)
         t_star = next(s for s in itertools.count(t) if corefan(t_core(g, s)).value <= s)
         assert delta + t < fan <= delta + t_star, (g.classes(), t)
 

@@ -103,6 +103,8 @@ KNOWN_EQUIVALENT = {
         "a pair's two ends differ, so p[0] == p[1] never occurs",
     ("fanmetrics.py", "high = max((m + max(top[i], top[j]) for i, j, m in classes), default=-1) + 1", 0, "1", "2"):
         "with no class, a bound of 0 or -1 leaves nothing to bisect either way",
+    ("colouring.py", "for k in range(g.max_degree(), total + 1):", 0, "1", "2"):
+        "k = total always admits a colouring, so the loop returns before its end",
 }
 
 
