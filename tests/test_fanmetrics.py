@@ -257,6 +257,15 @@ class TestFanNumber:
         with pytest.raises(ResourceLimitError):
             fan_number(g, max_product=1 << 20)
 
+    def test_fan_bound_answers_where_fan_number_refuses(self):
+        # the fat triangle beside ten triple edges: 12 * 4^10 assignments,
+        # past fan_number's default cap, which fan_bound does not share
+        triples = [(f"a{i}", f"b{i}", 3) for i in range(10)]
+        g = Multigraph(edges=list(fixture("fat-triangle-t0.graph").classes()) + triples)
+        with pytest.raises(ResourceLimitError):
+            fan_number(g)
+        assert fan_bound(g) == fan_number(g, max_product=12 * 4**10).value == 4
+
     def test_fan_bound_searches_no_witness(self, monkeypatch):
         # fan_bound reads the peeled value alone: with the witness search
         # made to raise, it still returns max(Delta, fan) on every fixture
@@ -1016,6 +1025,16 @@ class TestReductions:
         monkeypatch.setattr(SubgraphSelection, "_derived", derived)
         with pytest.raises(ResourceLimitError, match=f"{cap + 1} parallel classes exceed the cap of {cap}"):
             full_multiplicity_criterion(h)
+
+    def test_criterion_cap_is_the_module_constant(self, monkeypatch):
+        # the cap is read at call time: lowered to 3, three classes give
+        # their 7 selections and a fourth class is refused
+        monkeypatch.setattr(fanmetrics, "CRITERION_CLASS_CAP", 3)
+        path = [(f"p{i}", f"p{i + 1}", 2) for i in range(4)]
+        _, per_k = full_multiplicity_criterion(Multigraph(edges=path[:3]))
+        assert len(per_k) == 7
+        with pytest.raises(ResourceLimitError, match="4 parallel classes exceed the cap of 3"):
+            full_multiplicity_criterion(Multigraph(edges=path))
 
     def test_criterion_needs_constant_multiplicity(self):
         with pytest.raises(GraphError):
