@@ -131,10 +131,13 @@ are tried class by class as (lo, hi) then (hi, lo). Colex counting
 changes fewer than two classes per step on average, so one loop counts
 and keeps the candidate in place: it resets each class at its top value
 to 0 in the vector, the degrees and the adjacency in one step, raises
-the first class below its top, and tests pairs from that class up, with
-no generator and nothing rebuilt. Candidates live in the host's dense
-index space as plain degree and adjacency lists; the witness subgraph,
-label pair and certifying set are built once, for the winner only.
+the first class below its top, and tests the raised class's two pairs
+right after the raise, going on to the classes above it only when both
+pass, with no generator and nothing rebuilt. The classes are read from
+columns of endpoints and multiplicities made once per walk. Candidates
+live in the host's dense index space as plain degree and adjacency
+lists; the witness subgraph, label pair and certifying set are built
+once, for the winner only.
 
 corefan_bruteforce runs the same enumerator over the whole space, with
 no peel, at fixed floors: some assignment has every pair above v - 1
@@ -536,16 +539,21 @@ def _max_min(base, classes, full_only: bool, exceeds, floor: int, top: bool = Fa
     in the selection. A caller that passes one below the maximum gets the
     first maximiser.
 
-    One loop counts the multiplicity vector in colex order and keeps deg
-    and adj in step with it: from class 0 up, each class at its top value
-    (tops) is reset to 0 in vec, deg and adj at once, and the first class
-    below its top rises by one, or to its top when full_only is set. Its
-    pairs and those of the classes above it are then tested, as every
-    class below it is off, and a candidate is dropped at its first pair
-    whose level is not above floor. The walk ends at the first candidate
-    that survives, or when every class is at its top. A dropped candidate
-    costs its update and about one pair test, a pass over one adjacency
-    dict.
+    The box is read as three columns built once per call, the endpoints lo
+    and hi and the multiplicities tops, which are also the top values, so
+    a step reads list slots and unpacks no class. One loop counts the
+    multiplicity vector in colex order and keeps deg and adj in step with
+    it: from class 0 up, each class at its top value is reset to 0 in vec,
+    deg and adj at once, and the first class below its top rises by one,
+    or to its top when full_only is set, its new multiplicity computed
+    once for both adjacency entries. Its pairs (lo, hi) and (hi, lo) are
+    tested right after the raise, and a failure takes the next step; only
+    a candidate that passes both goes on to the kept classes above it, in
+    class order, as every class below it is off. A candidate is so dropped
+    at its first pair whose level is not above floor. The walk ends at the
+    first candidate that survives, or when every class is at its top. A
+    dropped candidate costs its update and about one pair test, a pass
+    over one adjacency dict.
 
     The walk starts after the all-zero vector, or, with top set, after the
     last vector before the last class's block: every other class at its top
@@ -554,13 +562,13 @@ def _max_min(base, classes, full_only: bool, exceeds, floor: int, top: bool = Fa
     the first step resets every class below the last from its top value.
     """
     deg, adj = _loaded(base, classes[:-1] if top else ())
-    tops = [m for _, _, m in classes]
+    lo, hi, tops = ([c[k] for c in classes] for k in range(3))
     last = len(classes)
     vec = tops[:-1] + [0] if top else [0] * last
     while True:
         low = 0
         while low < last and vec[low] == tops[low]:  # at its top value: reset to 0
-            i, j, m = classes[low]
+            i, j, m = lo[low], hi[low], tops[low]
             vec[low] = 0
             deg[i] -= m
             deg[j] -= m
@@ -568,17 +576,17 @@ def _max_min(base, classes, full_only: bool, exceeds, floor: int, top: bool = Fa
             low += 1
         if low == last:
             return None
-        i, j, m = classes[low]
-        step = m if full_only else 1  # a full-only class below its top is at 0
-        vec[low] += step
+        i, j = lo[low], hi[low]
+        step = tops[low] if full_only else 1  # a full-only class below its top is at 0
+        vec[low] = m = vec[low] + step
         deg[i] += step
         deg[j] += step
-        adj[i][j] = adj[j][i] = vec[low]
-        for c in range(low, last):
-            if vec[c]:
-                i, j, _ = classes[c]
-                if not (exceeds(deg, adj, i, j, floor) and exceeds(deg, adj, j, i, floor)):
-                    break
+        adj[i][j] = adj[j][i] = m
+        if not (exceeds(deg, adj, i, j, floor) and exceeds(deg, adj, j, i, floor)):
+            continue
+        for c in range(low + 1, last):
+            if vec[c] and not (exceeds(deg, adj, lo[c], hi[c], floor) and exceeds(deg, adj, hi[c], lo[c], floor)):
+                break
         else:
             return _kept(classes, vec)
 

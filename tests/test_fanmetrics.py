@@ -692,6 +692,22 @@ def oracle_cores(g, kind):
     return cores
 
 
+# A fan host of 7,776 vectors whose first maximiser keeps v3 v4 at 2 of 3.
+FAN_PARTIAL_HOST = "v0 v1 2\nv0 v2 2\nv0 v3 2\nv0 v4 2\nv1 v2 1\nv1 v4 1\nv2 v3 2\nv2 v4 1\nv3 v4 3"
+
+
+def dense_reference_host(name):
+    """Simple K6, a seeded 14-class multigraph on 7 vertices, or the fan host FAN_PARTIAL_HOST."""
+    if name == "k6":
+        return Multigraph(edges=[(u, v, 1) for u, v in itertools.combinations("abcdef", 2)])
+    if name == "partial":
+        return parse(FAN_PARTIAL_HOST)
+    rng = random.Random(20)
+    n = rng.randint(7, 8)
+    pairs = sorted(rng.sample(list(itertools.combinations(range(n), 2)), 14))
+    return Multigraph([f"v{i}" for i in range(n)], [(f"v{i}", f"v{j}", rng.randint(1, 3)) for i, j in pairs])
+
+
 class TestPeel:
     """The v-cores behind the value, and the first-hit search over the value's core."""
 
@@ -794,6 +810,51 @@ class TestPeel:
         report = corefan(g)
         assert (report.value, report.witness.classes()) == (1, g.classes()[:14])
         assert calls == {"_cfan_exceeds": 8349, "_cfan_failures": 22}
+
+    def test_fan_walks_unit_steps_to_a_partial_class(self, monkeypatch):
+        # the unit-step walk of fan_number over 7,776 vectors: its first
+        # maximiser keeps v3 v4 at 2 of 3, so the walk raises classes one
+        # instance at a time. The walk's steps, its survivor's pairs and
+        # the search for the reported pair make 3,932 pair tests; the
+        # value's and the prefix bisection's peels make 23 anchor passes
+        g = parse(FAN_PARTIAL_HOST)
+        calls = {"_fan_exceeds": 0, "_fan_failures": 0}
+        for name in calls:
+            def counting(*args, name=name, test=getattr(fanmetrics, name)):
+                calls[name] += 1
+                return test(*args)
+            monkeypatch.setattr(fanmetrics, name, counting)
+        report = fan_number(g)
+        assert (report.value, report.pair, report.zset) == (8, ("v0", "v1"), frozenset({"v1", "v2", "v3", "v4"}))
+        assert report.witness.classes() == g.classes()[:-1] + (("v3", "v4", 2),)
+        assert calls == {"_fan_exceeds": 3932, "_fan_failures": 23}
+
+    @pytest.mark.parametrize("kind,host", [
+        ("corefan", "k6"),
+        ("corefan", "seeded-14"),
+        ("fan", "partial"),
+    ])
+    def test_dense_witnesses_match_the_public_degrees(self, kind, host):
+        # an independent reference for the walk where it walks longest:
+        # every candidate in colex order is built as a public
+        # SubgraphSelection, its pairs read through fan_degree or
+        # cfan_degree, and the first whose every ordered pair reaches the
+        # reported value is the first maximiser. The witnesses keep 14 of
+        # K6's 15 classes, 13 of the seeded host's 14 and all 9 classes of
+        # the fan host, one below its top, thousands of candidates in
+        g = dense_reference_host(host)
+        report = fan_number(g) if kind == "fan" else corefan(g)
+        classes = g.classes()
+
+        def degree(sel, x, y):
+            return (fan_degree(sel, x, y) if kind == "fan" else cfan_degree(g, sel, x, y))[0]
+
+        for vec in colex_vectors([m for _, _, m in classes], kind == "corefan"):
+            sel = SubgraphSelection(g, [(u, v, m) for (u, v, _), m in zip(classes, vec) if m])
+            if all(degree(sel, x, y) >= report.value for u, v, _ in sel.classes() for x, y in ((u, v), (v, u))):
+                break
+        assert sel.classes() == report.witness.classes()
+        assert degree(sel, *report.pair) == report.value
 
     @pytest.mark.parametrize("kind,edges,tests,passes,peels", [
         ("corefan", [("v0", "v1", 2), ("v0", "v2", 1), ("v0", "v3", 1), ("v1", "v3", 2), ("v2", "v3", 1)], 11, 14,
