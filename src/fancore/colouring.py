@@ -76,12 +76,14 @@ mask shortcuts that pick exactly what the plain tests pick:
   palette, which is the n-th entry of its present colours listed in order.
 
 The check of a colouring shares no code with that state. _proper
-recomputes every vertex's colours from scratch from the instance
-endpoints and colours alone, and fails unless every colour is in 1..k and
-none repeats at a vertex. It is the engine's soundness guard, which
-raises RuntimeError on an improper colouring, and verify_colouring, which
-checks the exact solver's colourings in the tests, maps a label-keyed
-assignment onto the instances and runs the same check.
+recomputes every vertex's colours from scratch from the graph's classes
+and the instance colours alone, vertex by vertex: each class's copies'
+colours are listed at both its ends, and the check fails unless every
+colour is in 1..k and no vertex's list holds a colour twice. It is the
+engine's soundness guard, which raises RuntimeError on an improper
+colouring, and verify_colouring, which checks the exact solver's
+colourings in the tests, maps a label-keyed assignment onto the instances
+and runs the same check.
 
 Colouring text has one formatter, _colouring_text, which writes a line per
 instance from the instance's colour. A colouring the library makes keeps
@@ -100,7 +102,7 @@ from .errors import GraphError, ResourceLimitError, check_cap
 from .multigraph import Multigraph
 
 INSTANCE_CAP = 24
-COLOUR_INSTANCE_CAP = 1 << 20  # 300-450 bytes an instance; the widest fixture witness has 28,090
+COLOUR_INSTANCE_CAP = 1 << 20  # 120-190 bytes an instance; the widest fixture witness has 28,090
 
 
 @dataclass(frozen=True)
@@ -186,25 +188,30 @@ def verify_colouring(c: EdgeColouring) -> bool:
     A colour is an int in 1..k; any other value, a bool included, fails.
     """
     g, a = c.graph, c.assignment
-    ends = _instances(g)
     colour = list(map(a.get, _keys(g)))
     ints = all(isinstance(col, int) and not isinstance(col, bool) for col in colour)
-    return ints and len(a) == len(ends) and _proper(c.k, ends, colour)
+    return ints and len(a) == len(colour) and _proper(c.k, g, colour)
 
 
-def _proper(k: int, ends, colour) -> bool:
+def _proper(k: int, g: Multigraph, colour) -> bool:
     """Whether every colour[e] is in 1..k and no colour repeats at a vertex.
 
-    The palettes are recomputed from ends and colour alone: instance e puts
-    the key v * (k + 1) + colour[e] at each end v, so a colour repeated at a
-    vertex is a repeated key. An uncoloured instance has colour 0 and fails.
+    Each vertex's colours are recomputed from g's classes and colour alone:
+    a class's slice of colour, its copies' colours, is appended to the list
+    of each of its two ends, so a colour repeated at a vertex is a repeated
+    entry of that vertex's list. An uncoloured instance has colour 0 and
+    fails.
     """
     if colour and not (1 <= min(colour) and max(colour) <= k):
         return False
-    s = k + 1
-    keys = [i * s + c for (i, _), c in zip(ends, colour)]
-    keys += [j * s + c for (_, j), c in zip(ends, colour)]
-    return len(set(keys)) == len(keys)
+    lists: list[list[int]] = [[] for _ in g.labels]
+    e = 0
+    for i, j, m in g.index_classes:
+        copies = colour[e:e + m]
+        lists[i] += copies
+        lists[j] += copies
+        e += m
+    return all(len(set(cs)) == len(cs) for cs in lists)
 
 
 def _instances(g: Multigraph) -> list[tuple[int, int]]:
@@ -587,7 +594,7 @@ def _colour_edge(st: _State, e: int) -> bool:
     return False
 
 
-def _run_pass(st: _State, order: list[int]) -> bool:
+def _run_pass(st: _State, order: range | list[int]) -> bool:
     """Colour st's instances in order, starting from none; False when one is stuck.
 
     Only colour and used start afresh: the rest of st holds for any order,
@@ -630,11 +637,13 @@ def _pass_orders(total: int):
     Every rotation of the forward order, then every rotation of the
     reversed one; a single empty order when there are no instances.
     They are made lazily because together they take O(total^2) memory,
-    while the first pass almost always succeeds.
+    while the first pass almost always succeeds. That pass is a range, so
+    the lists the later orders are cut from are built only once it fails.
     """
+    yield range(total)
     base = list(range(total))
     rev = base[::-1]
-    for o in range(max(1, total)):
+    for o in range(1, total):
         yield base[o:] + base[:o]
     for o in range(total):
         yield rev[o:] + rev[:o]
@@ -669,7 +678,7 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
 
     A graph of more than COLOUR_INSTANCE_CAP (2^20) edge instances is
     refused with ResourceLimitError before any state is built, as a call
-    takes 300-450 bytes an instance. The cap bounds memory, not time: a
+    takes 120-190 bytes an instance. The cap bounds memory, not time: a
     failing call within it can still run for minutes.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
@@ -683,6 +692,6 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
     st = _State(g, palette)
     if not any(_run_pass(st, order) for order in _pass_orders(total)):
         return None
-    if not _proper(palette, st.ends, st.colour):  # internal soundness guard
+    if not _proper(palette, g, st.colour):  # internal soundness guard
         raise RuntimeError("fan engine produced an improper colouring")
     return EdgeColouring(g, k, _InstanceColours(g, palette, st.colour))

@@ -195,27 +195,61 @@ class TestFanColouring:
         with pytest.raises(ResourceLimitError, match="fan_colouring capped at 3 edge instances, got 4"):
             fan_colouring(Multigraph(edges=[("a", "b", 2), ("b", "c", 2)]), 4)
 
+    def test_instance_cap_is_two_to_the_twenty(self):
+        # the cap is sized by a call's bytes an instance; twice it is refused
+        # on the count alone, before any state is built
+        g = Multigraph(edges=[("a", "b", 2**21 + 1)])
+        with pytest.raises(ResourceLimitError, match="fan_colouring capped at 1048576 edge instances, got 2097153"):
+            fan_colouring(g, g.max_degree())
+
     @pytest.mark.parametrize("k", [True, False, 1.0, "2", -1])
     def test_colour_count_must_be_a_nonnegative_int(self, k):
         with pytest.raises(GraphError, match="colour count must be a nonnegative integer"):
             fan_colouring(path_graph(["a", "b"]), k)
 
-    @pytest.mark.parametrize("corrupt", ["repeat", "uncoloured", "above-k"])
+    @pytest.mark.parametrize("corrupt", ["repeat", "repeat-across-classes", "uncoloured", "above-k"])
     def test_soundness_guard_fires(self, monkeypatch, corrupt):
-        # the guard recomputes palettes from the instance colours alone, so
-        # a colour changed behind the engine's palette tables is caught
+        # the guard recomputes palettes from the classes and the instance
+        # colours alone, so a colour changed behind the engine's palette
+        # tables is caught
         real = colouring._run_pass
 
         def corrupted(st, order):
             done = real(st, order)
-            e = next(e for e in range(1, len(st.ends)) if st.ends[e] == st.ends[e - 1])
-            st.colour[e] = {"repeat": st.colour[e - 1], "uncoloured": 0, "above-k": st.k + 1}[corrupt]
+            ends = st.ends
+            if corrupt == "repeat-across-classes":
+                # the first copy of the second class, next to the last of the first
+                e = next(e for e in range(1, len(ends)) if ends[e] != ends[e - 1])
+                assert set(ends[e]) & set(ends[e - 1])
+            else:
+                e = next(e for e in range(1, len(ends)) if ends[e] == ends[e - 1])
+            st.colour[e] = {"uncoloured": 0, "above-k": st.k + 1}.get(corrupt, st.colour[e - 1])
             return done
 
         monkeypatch.setattr(colouring, "_run_pass", corrupted)
         g = fixture("fat-triangle-t1.graph")
         with pytest.raises(RuntimeError, match="improper colouring"):
             fan_colouring(g, g.ore_bound())
+
+    def test_guard_agrees_with_the_pairwise_definition(self):
+        # one instance of a proper colouring is given a colour in 0..k+1; the
+        # guard must then agree with the definition checked pair by pair
+        rng = random.Random(35)
+        verdicts = []
+        for _ in range(200):
+            g = random_multigraph(rng, rng.randint(2, 6), 8, 4)
+            if g.class_count == 0:
+                continue
+            k = g.ore_bound()
+            a = dict(fan_colouring(g, k).assignment)
+            a[rng.choice(sorted(a))] = rng.randint(0, k + 1)
+            keys = list(a)
+            proper = all(1 <= col <= k for col in a.values()) and all(
+                a[p] != a[q] for n, p in enumerate(keys) for q in keys[n + 1 :] if set(p[:2]) & set(q[:2])
+            )
+            assert verify_colouring(EdgeColouring(g, k, a)) is proper
+            verdicts.append(proper)
+        assert True in verdicts and False in verdicts
 
     def test_edgeless_zero_colours(self):
         c = fan_colouring(Multigraph(vertices=["a", "b"]), 0)
@@ -419,6 +453,29 @@ class TestFanColouring:
             tracemalloc.stop()
         assert c is not None and verify_colouring(c)
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("bound", ["max_degree", "ore_bound"])
+    def test_call_peak_per_instance(self, bound):
+        # the call's state, first pass and guard: 124-139 bytes an instance
+        # here, where a guard keyed per instance end and pass orders built
+        # before the first pass took 426-441
+        g, _ = construct_witness(fixture("double-edge.graph"), 0)
+        k = getattr(g, bound)()
+        assert g.total_instances() == 2662
+        tracemalloc.start()
+        try:
+            c = fan_colouring(g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c is not None
+        assert peak < 200 * g.total_instances()
+
+    def test_pass_orders_are_the_forward_then_the_reversed_rotations(self):
+        for n in range(7):
+            fwd, rev = list(range(n)), list(range(n - 1, -1, -1))
+            rotations = [fwd[o:] + fwd[:o] for o in range(n)] + [rev[o:] + rev[:o] for o in range(n)]
+            assert [list(o) for o in colouring._pass_orders(n)] == (rotations or [[]])
 
     def test_cost_does_not_grow_with_k_above_twice_max_degree(self):
         # from 2 * Delta - 1 colours on no instance is ever stuck, so the
