@@ -20,7 +20,6 @@ Exit codes: 0 ok, 1 domain error, 2 usage error, 3 a size cap exceeded.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import sys
 
@@ -64,11 +63,11 @@ def _verdict(out, ok: bool, diags: list[str]) -> int:
 
 
 def _integer(text: str) -> int:
-    """argparse type of -k and --t: an integer as graph text writes one, ASCII digits with an optional '-'."""
-    if mg._is_int(text):
-        with contextlib.suppress(ValueError):  # more digits than int converts
-            return int(text)
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """argparse type of -k and --t: an integer as graph text writes one (multigraph._int)."""
+    try:
+        return mg._int(text)
+    except ValueError:  # outside the grammar, or more digits than int converts
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _nonnegative_int(text: str) -> int:
@@ -185,6 +184,16 @@ def _cmd_verify_witness(args, out) -> int:
     return _verdict(out, *wit.verify_witness(h, args.t, g, plan))
 
 
+def _cap_flag(p, flag: str, default: int, bounds: str, note: str) -> None:
+    """A size-cap flag N: a graph of more than N of what it bounds exits 3 before any search."""
+    text = f"refuse a graph of more than N {bounds} (default %(default)s); {note}"
+    p.add_argument(flag, type=_nonnegative_int, default=default, metavar="N", help=text)
+
+
+_SUBGRAPHS = "candidate subgraphs, the product of m + 1 over its classes"
+_WALK = "a raised N admits a walk of up to N candidates, which can run for a long time"
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
@@ -219,18 +228,18 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corefan", help="corefan value with witness subgraph")
     p.add_argument("file")
     p.add_argument("--brute", action="store_true")
-    p.add_argument("--max-classes", type=_nonnegative_int, default=fm.COREFAN_CLASS_CAP)
-    p.add_argument("--max-subgraphs", type=_nonnegative_int, default=fm.BRUTEFORCE_PRODUCT_CAP)
+    _cap_flag(p, "--max-classes", fm.COREFAN_CLASS_CAP, "parallel classes", "C classes make 2^C candidates")
+    _cap_flag(p, "--max-subgraphs", fm.BRUTEFORCE_PRODUCT_CAP, _SUBGRAPHS, "read by --brute only; " + _WALK)
     p.set_defaults(func=_cmd_corefan)
 
     p = sub.add_parser("fan", help="fan and Fan values with witness subgraph")
     p.add_argument("file")
-    p.add_argument("--max-subgraphs", type=_nonnegative_int, default=fm.FAN_PRODUCT_CAP)
+    _cap_flag(p, "--max-subgraphs", fm.FAN_PRODUCT_CAP, _SUBGRAPHS, _WALK)
     p.set_defaults(func=_cmd_fan)
 
     p = sub.add_parser("chi", help="exact chromatic index with an optimal colouring")
     p.add_argument("file")
-    p.add_argument("--max-instances", type=_nonnegative_int, default=col.INSTANCE_CAP)
+    _cap_flag(p, "--max-instances", col.INSTANCE_CAP, "edge instances", f"never more than {col.COLOUR_INSTANCE_CAP}")
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("colour", help="k-edge-colouring via the fan engine")

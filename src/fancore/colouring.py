@@ -98,7 +98,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .errors import GraphError, ResourceLimitError, check_cap
+from .errors import GraphError, ResourceLimitError, check_cap, check_count
 from .multigraph import Multigraph
 
 INSTANCE_CAP = 24
@@ -681,8 +681,7 @@ def fan_colouring(g: Multigraph, k: int) -> EdgeColouring | None:
     takes 120-190 bytes an instance. The cap bounds memory, not time: a
     failing call within it can still run for minutes.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise GraphError(f"colour count must be a nonnegative integer, got {k!r}")
+    check_count("colour count", k)
     if k < g.max_degree():
         raise GraphError(f"{k} colours is below the maximum degree {g.max_degree()}")
     total = g.total_instances()

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bqueue import greedy_full_bqueue
-from .errors import GraphError
+from .errors import check_count
 from .multigraph import Multigraph
-
-
-def check_t(t: int) -> None:
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise GraphError(f"t must be a nonnegative integer, got {t!r}")
 
 
 def t_core(g: Multigraph, t: int) -> Multigraph:
@@ -31,7 +26,7 @@ def t_core(g: Multigraph, t: int) -> Multigraph:
     most d(v), so no other vertex can pass, and a vertex that may pass has
     d(v) >= 1, hence a neighbour.
     """
-    check_t(t)
+    check_count("t", t)
     threshold = g.max_degree() + t
     adj = g.adj
     return g._induced([v for v, d in enumerate(g.deg) if 2 * d > threshold and d + max(adj[v].values()) > threshold])
@@ -39,7 +34,7 @@ def t_core(g: Multigraph, t: int) -> Multigraph:
 
 def edges_above(h: Multigraph, t: int) -> Multigraph:
     """Keep every vertex of h but only the classes with multiplicity > t."""
-    check_t(t)
+    check_count("t", t)
     return Multigraph._derived(h.labels, [c for c in h.index_classes if c[2] > t])
 
 

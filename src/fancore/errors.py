@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check of the resource caps."""
+"""Exception types shared across the package, and the checks of integer arguments."""
 
 
 class GraphError(ValueError):
@@ -17,13 +17,22 @@ class ResourceLimitError(RuntimeError):
     """An enumeration cap was exceeded; raise instead of running forever."""
 
 
-def check_cap(name: str, cap) -> None:
-    """Refuse a resource cap that is not an int, a bool included, or is negative.
+def check_int(name: str, value, kind: str = "an integer", least=None) -> None:
+    """Refuse with GraphError, as '<name> must be <kind>', a value that is not an int or is below least.
 
-    The first is a GraphError. A negative cap is a ResourceLimitError, raised
-    here before any input is measured, so an edgeless graph fails it too.
+    A bool is not an int here: isinstance says it is one, but it reads as a word.
     """
-    if not isinstance(cap, int) or isinstance(cap, bool):
-        raise GraphError(f"{name} must be an integer, got {cap!r}")
+    if not isinstance(value, int) or isinstance(value, bool) or least is not None and value < least:
+        raise GraphError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_count(name: str, value) -> None:
+    """check_int for an int of at least 0: a negative int gets the same message."""
+    check_int(name, value, "a nonnegative integer", 0)
+
+
+def check_cap(name: str, cap) -> None:
+    """check_int for a resource cap; a negative cap is a ResourceLimitError, raised before any input is measured."""
+    check_int(name, cap)
     if cap < 0:
         raise ResourceLimitError(f"{name} of {cap} admits no input")

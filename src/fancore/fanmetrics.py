@@ -168,7 +168,7 @@ from itertools import islice, product
 from math import inf, prod
 from typing import Optional, Union
 
-from .errors import GraphError, ResourceLimitError, check_cap
+from .errors import GraphError, ResourceLimitError, check_cap, check_count, check_int
 from .multigraph import Multigraph, SubgraphSelection
 
 FAN_PRODUCT_CAP = 1 << 20
@@ -410,11 +410,10 @@ def fan_pair_exceeds(j: GraphLike, x: str, y: str, k: int) -> tuple[bool, Option
     checked by hand where the fan degree itself is astronomically large.
     verify_witness does not call it: _failing_pairs makes the same test on
     every edge of a witness, with one anchor pass per vertex, so the whole
-    certificate is linear in the witness's classes. A negative k raises
-    GraphError.
+    certificate is linear in the witness's classes. A k that is not an
+    int, or is negative, raises GraphError.
     """
-    if k < 0:
-        raise GraphError(f"level {k} is negative")
+    check_count("level", k)
     xi, yi = _pair_indices(j, x, y)
     if not _fan_exceeds(j.deg, j.adj, xi, yi, k):
         return False, None
@@ -785,6 +784,7 @@ def constant_multiplicity_lift(b: Multigraph, m: int) -> Multigraph:
     """Replace every class of the simple graph b by m parallel copies."""
     if not b.is_simple():
         raise GraphError("lift expects a simple graph")
+    check_int("lift multiplicity", m, "a positive integer")
     if m < 1:
         raise GraphError("lift multiplicity must be at least 1")
     return Multigraph(b.labels, [(u, v, m) for u, v, _ in b.classes()])

@@ -38,7 +38,7 @@ import stat
 from operator import lt
 from typing import Iterable, Optional
 
-from .errors import GraphError, ParseError
+from .errors import GraphError, ParseError, check_int
 
 _RESERVED = "vertex"
 # str.isspace's characters are exactly those \s matches in a str pattern
@@ -86,8 +86,7 @@ class _Builder:
 
     def add_class(self, u: str, v: str, m: int) -> None:
         if not (isinstance(m, int) and m > 0) or m is True:
-            if not isinstance(m, int) or isinstance(m, bool):
-                raise GraphError(f"multiplicity of {u!r},{v!r} must be a positive integer, got {m!r}")
+            check_int(f"multiplicity of {u!r},{v!r}", m, "a positive integer")
             if m < 0:
                 raise GraphError(f"negative multiplicity {m} on {u!r},{v!r}")
             raise GraphError(f"zero multiplicity on {u!r},{v!r}; omit the pair instead")
@@ -421,9 +420,16 @@ class SubgraphSelection:
 def _is_int(token: str) -> bool:
     """The format's integer grammar: ASCII digits with an optional leading '-'.
 
-    The plan sidecar and the CLI's -k and --t read integers by it too.
+    The plan sidecar and the CLI's integer arguments read tokens by it, through _int.
     """
     return token.isascii() and token.removeprefix("-").isdigit()
+
+
+def _int(token: str) -> int:
+    """int(token) for a token of the integer grammar (_is_int), else int's ValueError."""
+    if not _is_int(token):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r:.200}")
+    return int(token)
 
 
 def parse(text: str) -> Multigraph:

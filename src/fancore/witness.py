@@ -39,14 +39,15 @@ one pendant class of multiplicity r-1 plus single-copy pendants.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import check_t, t_core
-from .errors import GraphError, ResourceLimitError
+from .core import t_core
+from .errors import GraphError, ResourceLimitError, check_count, check_int
 from .fanmetrics import _cfan_failures, _deficits, _failing, _failing_pairs, cfan_degree, corefan
-from .multigraph import Multigraph, SubgraphSelection, _is_int, _split_lines
+from .multigraph import Multigraph, SubgraphSelection, _int, _split_lines
 
 # The most classes construct_witness builds: some 220 MB of graph at the
 # 206 bytes a class that building 'x y 120' at t = 40 adds to peak RSS.
@@ -159,7 +160,7 @@ def choose_params(h: Multigraph, t: int, k_sel: SubgraphSelection) -> Constructi
       a_rm1 = alpha, so s = |S| >= 2(m - 1) - 1 = 2m - 3 > m - 2 = reg_k,
       and _circulant_pairs gets reg_k < s.
     """
-    check_t(t)
+    check_count("t", t)
     _validate_witness_subgraph(h, k_sel, t)
 
     delta = h.max_degree()
@@ -246,8 +247,8 @@ def _build(h: Multigraph, plan: ConstructionPlan) -> Multigraph:
         classes.append((n + i, n + j, r - 3 if i % 2 == 0 and j == i + 1 < s_r else r - 1))
 
     # Stage 3: top up the remaining h vertices with fresh pendants, named
-    # with the prefix choose_params found fresh for the S labels ('<prefix>sq0').
-    prefix = plan.s_rm1_vertices[0][: -len("sq0")]
+    # with the prefix choose_params found fresh for the S labels.
+    prefix = _fresh_prefix(h.labels)
     labels = list(h.labels) + list(s_order)
     px0 = len(labels)
     in_k = set(plan.k_vertices)
@@ -269,7 +270,7 @@ def construct_witness(h: Multigraph, t: int) -> tuple[Multigraph, ConstructionPl
     Raises GraphError (carrying the corefan value) when corefan(h) <= t; no
     such graph exists then, so the precondition is sharp.
     """
-    check_t(t)
+    check_count("t", t)
     report = corefan(h)
     if report.value <= t:
         raise GraphError(
@@ -309,12 +310,14 @@ def verify_witness(
     max_diagnostics of them are kept, and checking stops at the first
     problem past the cap: the verdict says whether any problem was found,
     so a cap of 0 or below still returns False, having looked no further
-    than the first problem. t is checked before anything else, so a bad t
-    raises GraphError at every cap.
+    than the first problem, and a cap past sys.maxsize keeps every
+    message. t is checked before anything else, so a bad t raises
+    GraphError at every cap; a max_diagnostics that is not an int does too.
     """
-    check_t(t)
+    check_count("t", t)
+    check_int("max_diagnostics", max_diagnostics)
     problems = _diagnostics(h, t, g, plan)
-    kept = list(islice(problems, max(max_diagnostics, 0)))
+    kept = list(islice(problems, min(max(max_diagnostics, 0), sys.maxsize)))
     return not kept and next(problems, None) is None, kept
 
 
@@ -383,13 +386,6 @@ def _diagnostics(h: Multigraph, t: int, g: Multigraph, plan: ConstructionPlan):
 
 
 # -- plan sidecar text ----------------------------------------------------
-
-
-def _int(token: str) -> int:
-    """int(token) for a token of the graph format's integer grammar, else int's ValueError."""
-    if not _is_int(token):
-        raise ValueError(f"invalid literal for int() with base 10: {token!r:.200}")
-    return int(token)
 
 
 # One 'key=value' line per field, in this order: the sidecar key, the

@@ -1,6 +1,7 @@
 """Shared graph families and fixture access for the test suite."""
 
 import itertools
+import tracemalloc
 from pathlib import Path
 
 from fancore import Multigraph, parse
@@ -94,6 +95,34 @@ def cycle_with_pendants_host(n: int = 5, t: int = 0):
     for v in labels:
         edges += [(v, f"pad{v}_{p}", 1) for p in range(3 * (t + 1) - base.degree(v))]
     return Multigraph(labels, edges), base
+
+
+def record(monkeypatch, owner, *names):
+    """{name: [args, ...]}: the positional arguments of each call of owner's named functions, which still run.
+
+    The arguments are kept as passed: a test that reads state a call mutates copies it in a wrapper of its own.
+    """
+    calls = {name: [] for name in names}
+    for name in names:
+        def recording(*args, log=calls[name], real=getattr(owner, name)):
+            log.append(args)
+            return real(*args)
+        monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def counts(calls):
+    """{name: number of calls} of a record log."""
+    return {name: len(log) for name, log in calls.items()}
+
+
+def traced(call):
+    """(call(), the peak bytes tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def iso_representatives(graphs):

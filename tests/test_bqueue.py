@@ -1,7 +1,6 @@
 """B-queue validation and greedy construction, checked against a depth-first oracle."""
 
 import random
-import tracemalloc
 
 import pytest
 
@@ -13,7 +12,7 @@ from fancore import (
     validate_bqueue,
 )
 from fancore import bqueue
-from helpers import cycle_graph, fixture, path_graph, random_simple_graph
+from helpers import counts, cycle_graph, fixture, path_graph, random_simple_graph, record, traced
 from oracles import least_full_bqueue_oracle
 
 
@@ -123,23 +122,16 @@ class TestGreedy:
         # where a scan from vertex 0 makes n(n - 1)/2 = 1,999,000
         n = 2000
         g = path_graph([f"p{i}" for i in range(n)])
-        calls = []
-        legal_new = bqueue._legal_new
-        monkeypatch.setattr(bqueue, "_legal_new", lambda *args: calls.append(args[1]) or legal_new(*args))
+        calls = record(monkeypatch, bqueue, "_legal_new")
         q = greedy_full_bqueue(g)
         assert q.order == g.labels[:-1] and q.is_full()
-        assert len(calls) <= 2 * n
+        assert counts(calls)["_legal_new"] <= 2 * n
 
     def test_a_long_path_runs_in_linear_memory(self):
         # the queue is its order, so memory stays linear in the path; a
         # stored reach set per step would hold n^2/2 labels, about 83 MB
         g = path_graph([f"p{i}" for i in range(2000)])
-        tracemalloc.start()
-        try:
-            q = greedy_full_bqueue(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        q, peak = traced(lambda: greedy_full_bqueue(g))
         assert q.is_full()
         assert peak < 1_000_000
 

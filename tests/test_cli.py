@@ -1,5 +1,6 @@
 """CLI behaviour: payload shape, re-verifiable blocks, exit codes, determinism."""
 
+import argparse
 import errno
 import hashlib
 import io
@@ -15,20 +16,23 @@ import pytest
 from fancore import (
     BQueue,
     EdgeColouring,
+    GraphError,
     Multigraph,
     SubgraphSelection,
     cfan_degree,
+    construct_witness,
     fan_degree,
     parse,
     plan_from_text,
+    plan_to_text,
     t_core,
     validate_bqueue,
     verify_colouring,
     verify_witness,
 )
 from fancore import colouring, multigraph
-from fancore.cli import main, run
-from helpers import FIXTURES, fixture
+from fancore.cli import _integer, main, run
+from helpers import FIXTURES, fixture, record
 
 
 def cli(*argv) -> tuple[int, str]:
@@ -440,15 +444,9 @@ class TestOutputFiles:
     def test_a_rewrite_opens_without_o_trunc(self, tmp_path, monkeypatch):
         out_path = tmp_path / "w.graph"
         assert cli("construct", fx("double-edge.graph"), "--t", 0, "-o", out_path)[0] == 0
-        opened, real_open = [], os.open
-
-        def recording(path, flags, *args, **kwargs):
-            opened.append((os.fspath(path), flags))
-            return real_open(path, flags, *args, **kwargs)
-
-        monkeypatch.setattr(os, "open", recording)
+        opened = record(monkeypatch, os, "open")["open"]
         assert cli("construct", fx("double-edge.graph"), "--t", 0, "-o", out_path)[0] == 0
-        writes = [(path, flags) for path, flags in opened if path.startswith(str(out_path))]
+        writes = [(path, flags) for path, flags, *_ in opened if str(path).startswith(str(out_path))]
         assert [path for path, _ in writes] == [str(out_path), f"{out_path}.plan"]
         assert all(flags & os.O_TRUNC == 0 and flags & os.O_CREAT for _, flags in writes)
 
@@ -619,6 +617,19 @@ class TestCapArguments:
         assert f"{argv[-1]}: invalid int value: '1111" in err
         assert "_nonnegative_int" not in err
 
+    WALK = "a raised N admits a walk of up to N candidates, which can run for a long time"
+
+    @pytest.mark.parametrize("command,says", [
+        ("fan", ["--max-subgraphs N refuse a graph of more than N candidate subgraphs", WALK]),
+        ("corefan", ["--max-classes N refuse a graph of more than N parallel classes", "--brute only; " + WALK]),
+        ("chi", ["--max-instances N refuse a graph of more than N edge instances (default 24); never more than 1048576"]),
+    ])
+    def test_cap_flags_say_what_they_bound(self, command, says, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli(command, "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        assert exc.value.code == 0 and all(phrase in text for phrase in says), text
+
 
 class TestIntegerArguments:
     # -k and --t take integers as graph text writes them: ASCII digits with
@@ -644,6 +655,21 @@ class TestIntegerArguments:
         assert cli("colour", fx("fat-triangle-t1.graph"), "-k", "05") == cli("colour", fx("fat-triangle-t1.graph"), "-k", 5)
         assert cli("tcore", fx("c3.graph"), "--t", "-1")[0] == 1
         assert "nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token,value", [
+        ("0", 0), ("-0", 0), ("007", 7), ("+1", None), ("1e3", None), ("1_000", None),
+        ("\u0661\u0662", None), ("9" * 4301, None),
+    ], ids=["0", "-0", "007", "+1", "1e3", "1_000", "arabic-indic-12", "4301-digits"])
+    def test_flags_and_the_plan_sidecar_read_one_grammar(self, token, value):
+        # one reader, multigraph._int, behind both: the same tokens are
+        # accepted with the same values, and the same refused (None)
+        _, plan = construct_witness(fixture("double-edge.graph"), 0)
+        sidecar = plan_to_text(plan).replace("t=0\n", f"t={token}\n")
+        if value is None:
+            pytest.raises(argparse.ArgumentTypeError, _integer, token)
+            pytest.raises(GraphError, plan_from_text, sidecar)
+        else:
+            assert _integer(token) == plan_from_text(sidecar).t == value
 
 
 class TestDeterminism:

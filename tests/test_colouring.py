@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-import tracemalloc
 
 import pytest
 
@@ -22,21 +21,13 @@ from fancore import (
     verify_colouring,
 )
 from fancore import colouring
-from helpers import FIXTURES, all_small_multigraphs, fixture, path_graph, random_multigraph
+from helpers import FIXTURES, all_small_multigraphs, counts, fixture, path_graph, random_multigraph, record, traced
 
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """How often the fan engine's passes, fan attempts and perturbations run."""
-    calls = {"_run_pass": 0, "_fan_attempt": 0, "_perturb": 0}
-    for name in calls:
-
-        def counted(*args, _real=getattr(colouring, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(colouring, name, counted)
-    return calls
+    """The calls of the fan engine's passes, fan attempts and perturbations (helpers.record)."""
+    return record(monkeypatch, colouring, "_run_pass", "_fan_attempt", "_perturb")
 
 
 def p3():
@@ -91,18 +82,11 @@ class TestExactChromaticIndex:
     @pytest.mark.parametrize("name,delta,chi", [("fat-triangle-t1.graph", 5, 7), ("c5.graph", 2, 3)])
     def test_one_palette_state_per_call(self, name, delta, chi, monkeypatch):
         # a failed k hands the state back uncoloured, so every k reuses it
-        built = []
-
-        class Counted(colouring._State):
-            def __init__(self, g, k):
-                built.append(k)
-                super().__init__(g, k)
-
-        monkeypatch.setattr(colouring, "_State", Counted)
+        calls = record(monkeypatch, colouring, "_State")
         g = fixture(name)
         value, c = chromatic_index_exact(g)
         assert (g.max_degree(), value) == (delta, chi) and verify_colouring(c)
-        assert len(built) == 1
+        assert counts(calls) == {"_State": 1}
 
     @pytest.mark.parametrize("name,steps", [("c5", 9), ("petersen", 54)])
     def test_backtracking_steps_where_the_first_k_fails(self, name, steps, monkeypatch):
@@ -117,17 +101,10 @@ class TestExactChromaticIndex:
             g = Multigraph(edges=[(f"o{i}", f"o{(i + 1) % 5}", 1) for i in range(5)]
                            + [(f"i{i}", f"i{(i + 2) % 5}", 1) for i in range(5)]
                            + [(f"o{i}", f"i{i}", 1) for i in range(5)])
-        assigned = []
-        assign = colouring._State.assign
-
-        def counting(state, e, c):
-            assigned.append(c)
-            assign(state, e, c)
-
-        monkeypatch.setattr(colouring._State, "assign", counting)
+        calls = record(monkeypatch, colouring._State, "assign")
         value, c = chromatic_index_exact(g)
         assert (g.max_degree(), value) == (value - 1, value) and verify_colouring(c)
-        assert len(assigned) == steps
+        assert counts(calls) == {"assign": steps}
 
     def test_cap(self):
         g = Multigraph(edges=[(f"a{i}", f"b{i}", 5) for i in range(5)])
@@ -310,7 +287,8 @@ class TestFanColouring:
             graphs += 1
             c = fan_colouring(g, g.ore_bound())
             assert c is not None and verify_colouring(c)
-        assert engine_calls["_run_pass"] == graphs and engine_calls["_perturb"] == 0
+        calls = counts(engine_calls)
+        assert calls["_run_pass"] == graphs and calls["_perturb"] == 0
 
     @pytest.mark.parametrize("host,t", [("double-edge", 0), ("fig1-h", 0), ("multiforest-path", 4)])
     def test_witness_at_ore_bound_takes_one_pass_and_no_perturbation(self, engine_calls, host, t):
@@ -319,8 +297,8 @@ class TestFanColouring:
         g, _ = construct_witness(fixture(host + ".graph"), t)
         c = fan_colouring(g, g.ore_bound())
         assert c is not None and verify_colouring(c)
-        assert engine_calls["_run_pass"] == 1 and engine_calls["_perturb"] == 0
-        assert engine_calls["_fan_attempt"] > 0
+        calls = counts(engine_calls)
+        assert calls["_run_pass"] == 1 and calls["_perturb"] == 0 and calls["_fan_attempt"] > 0
 
     def test_fan_grows_past_a_repeated_rim_vertex(self):
         # x's fan from the uncoloured x-a takes x-b (colour 6, free at a),
@@ -401,43 +379,24 @@ class TestFanColouring:
     def test_one_palette_state_across_passes(self, engine_calls, monkeypatch):
         # every pass resets the colours and palettes of the one state; the
         # instance tables and anchor lists hold for any instance order
-        built = []
-
-        class Counted(colouring._State):
-            def __init__(self, g, k):
-                built.append(k)
-                super().__init__(g, k)
-
-        monkeypatch.setattr(colouring, "_State", Counted)
+        built = record(monkeypatch, colouring, "_State")["_State"]
         g = fixture("fat-triangle-t0.graph")
         assert fan_colouring(g, g.max_degree()) is None
-        assert engine_calls["_run_pass"] == 8 and built == [3]
+        assert counts(engine_calls)["_run_pass"] == 8 and [k for _, k in built] == [3]
 
     def test_state_takes_at_most_twice_max_degree_colours(self, monkeypatch):
-        built = []
-
-        class Counted(colouring._State):
-            def __init__(self, g, k):
-                built.append(k)
-                super().__init__(g, k)
-
-        monkeypatch.setattr(colouring, "_State", Counted)
+        built = record(monkeypatch, colouring, "_State")["_State"]
         g = fixture("fat-triangle-t0.graph")
         for k in (2, 3, 10):
             assert fan_colouring(g, k * g.max_degree()).k == k * g.max_degree()
-        assert built == [2 * g.max_degree()] * 3
+        assert [k for _, k in built] == [2 * g.max_degree()] * 3
 
     def test_star_tables_stay_linear(self):
         # at k = Delta a palette-wide table at each of the 2,001 vertices
         # would take about 32 MB here, and O(|V| * Delta) in general; only
         # the centre, with 4 * deg >= k, gets one
         g = Multigraph(edges=[("hub", f"leaf{i}", 1) for i in range(2000)])
-        tracemalloc.start()
-        try:
-            c = fan_colouring(g, g.max_degree())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        c, peak = traced(lambda: fan_colouring(g, g.max_degree()))
         assert c is not None and verify_colouring(c)
         assert peak < 4 * 2**20
 
@@ -445,12 +404,7 @@ class TestFanColouring:
         # all 2N pass orders held at once take O(N^2) memory: about 110 MB
         # on this 2,662-instance witness, against about 1.5 MB for one pass
         g, _ = construct_witness(fixture("double-edge.graph"), 0)
-        tracemalloc.start()
-        try:
-            c = fan_colouring(g, g.ore_bound())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        c, peak = traced(lambda: fan_colouring(g, g.ore_bound()))
         assert c is not None and verify_colouring(c)
         assert peak < 16 * 2**20
 
@@ -462,12 +416,7 @@ class TestFanColouring:
         g, _ = construct_witness(fixture("double-edge.graph"), 0)
         k = getattr(g, bound)()
         assert g.total_instances() == 2662
-        tracemalloc.start()
-        try:
-            c = fan_colouring(g, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        c, peak = traced(lambda: fan_colouring(g, k))
         assert c is not None
         assert peak < 200 * g.total_instances()
 
@@ -484,13 +433,12 @@ class TestFanColouring:
         # 60 MB traced), and the colouring was the same
         g, _ = construct_witness(fixture("double-edge.graph"), 0)
         at_2delta = fan_colouring(g, 2 * g.max_degree()).as_text()
-        tracemalloc.start()
-        try:
+
+        def colour_and_write():
             c = fan_colouring(g, 10**6)
-            text = c.as_text()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return c, c.as_text()
+
+        (c, text), peak = traced(colour_and_write)
         assert c.k == 10**6 and verify_colouring(c)
         assert text == at_2delta
         assert peak < 4 * 2**20
@@ -603,7 +551,7 @@ def test_fan_engine_retry_path_is_pinned(engine_calls):
             c = fan_colouring(g, k)
             digest.update(b"None\n" if c is None else c.as_text().encode() + b"\n")
     assert digest.hexdigest() == "61bff0a31568dfa2cdc7435b75d40bd6f6b75bd7aeecac5f830c57e73dc90da8"
-    assert engine_calls == {"_run_pass": 14312, "_fan_attempt": 196757, "_perturb": 196398}
+    assert counts(engine_calls) == {"_run_pass": 14312, "_fan_attempt": 196757, "_perturb": 196398}
 
 
 class TestColouringText:

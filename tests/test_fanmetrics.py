@@ -36,9 +36,11 @@ from helpers import (
     FIXTURES,
     all_simple_graphs_up_to,
     all_small_multigraphs,
+    counts,
     cycle_with_pendants_host,
     fixture,
     random_multigraph,
+    record,
 )
 from oracles import (
     cfan_degree_oracle,
@@ -203,25 +205,19 @@ class TestCertificateKernel:
         # vertex and no per-pair test
         leaves = 2000
         g = Multigraph(edges=[("c", f"l{i}", 1) for i in range(leaves)])
-        calls = {"_fan_anchor": 0, "_fan_exceeds": 0}
-        for name in calls:
-            def counting(*args, name=name, test=getattr(fanmetrics, name)):
-                calls[name] += 1
-                return test(*args)
-            monkeypatch.setattr(fanmetrics, name, counting)
+        calls = record(monkeypatch, fanmetrics, "_fan_anchor", "_fan_exceeds")
         bad = _failing_pairs(g, range(leaves + 1), 17)
         assert bad == [p for i in range(1, leaves + 1) for p in ((0, i), (i, 0))]
-        assert calls == {"_fan_anchor": leaves + 1, "_fan_exceeds": 0}
+        assert counts(calls) == {"_fan_anchor": leaves + 1, "_fan_exceeds": 0}
 
     def test_an_anchor_whose_least_term_sums_to_2_makes_no_per_pair_step(self, monkeypatch):
         # K3 at level 2: every term is 3, each slack 1 is above the cap 0,
         # and the worst sum at the least term is (3 - 2) + (3 - 2) = 2, above
         # 1, so each of the 3 anchors is passed on that one worst sum
         g = Multigraph(edges=[("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
-        sums, worst_sum = [], fanmetrics._worst_sum
-        monkeypatch.setattr(fanmetrics, "_worst_sum", lambda *args: sums.append(args) or worst_sum(*args))
+        calls = record(monkeypatch, fanmetrics, "_worst_sum")
         assert _failing_pairs(g, range(3), 2) == []
-        assert len(sums) == 3
+        assert counts(calls) == {"_worst_sum": 3}
 
 
 class TestFanNumber:
@@ -267,17 +263,14 @@ class TestFanNumber:
         assert fan_bound(g) == fan_number(g, max_product=12 * 4**10).value == 4
 
     def test_fan_bound_searches_no_witness(self, monkeypatch):
-        # fan_bound reads the peeled value alone: with the witness search
-        # made to raise, it still returns max(Delta, fan) on every fixture
-        # and every four-vertex graph of the family
+        # fan_bound reads the peeled value alone: with no call of the witness
+        # search, it returns max(Delta, fan) on every fixture and every
+        # four-vertex graph of the family
         graphs = [fixture(p.name) for p in sorted(FIXTURES.glob("*.graph"))] + list(all_small_multigraphs())
         want = [max(g.max_degree(), fan_number(g).value) for g in graphs]
-
-        def no_search(*args):
-            raise AssertionError("fan_bound searched for a witness")
-
-        monkeypatch.setattr(fanmetrics, "_max_min", no_search)
+        calls = record(monkeypatch, fanmetrics, "_max_min")
         assert [fan_bound(g) for g in graphs] == want
+        assert counts(calls) == {"_max_min": 0}
 
 
 class TestCfanDegree:
@@ -495,10 +488,9 @@ class TestFirstMaximiser:
         # largest multiplicity M, each probe v a whole-space walk at the
         # fixed floor v - 1; with no class nothing is walked
         g = parse(text) if text else Multigraph(vertices=["a"])
-        walked, walk = [], fanmetrics._max_min
-        monkeypatch.setattr(fanmetrics, "_max_min", lambda *args: walked.append(args[4]) or walk(*args))
+        calls = record(monkeypatch, fanmetrics, "_max_min")
         assert corefan_bruteforce(g) == value
-        assert walked == floors
+        assert [args[4] for args in calls["_max_min"]] == floors
 
 
 def triangle_behind_a_matching(count):
@@ -509,21 +501,10 @@ def triangle_behind_a_matching(count):
 class TestLevelIsBisected:
     """A level costs O(log d) pair tests, not one per unit of the value it returns."""
 
-    @staticmethod
-    def counted(monkeypatch, name):
-        calls = []
-        test = getattr(fanmetrics, name)
-
-        def counting(*args):
-            calls.append(args[-1])
-            return test(*args)
-
-        monkeypatch.setattr(fanmetrics, name, counting)
-        return calls
-
     def test_corefan_of_one_heavy_class(self, monkeypatch):
-        levels = self.counted(monkeypatch, "_cfan_exceeds")
+        calls = record(monkeypatch, fanmetrics, "_cfan_exceeds")
         report = corefan(parse("x y 1000000"))
+        levels = [args[-1] for args in calls["_cfan_exceeds"]]
         assert (report.value, report.pair, report.zset) == (999_999, ("x", "y"), {"y"})
         # the value bisected in 21 probes of at most two tests each, the core's
         # one candidate's two pairs, one test for the pair and 21 for its degree
@@ -534,10 +515,10 @@ class TestLevelIsBisected:
         # the largest term of a is 3,000,000, so the degree v is the largest
         # in [0, 3,000,001) whose test at v - 1 holds: each probe tests one
         # below the midpoint, and every test below the degree holds
-        levels = self.counted(monkeypatch, "_fan_exceeds")
+        calls = record(monkeypatch, fanmetrics, "_fan_exceeds")
         g = parse("a b 1000000\nb c 1000000\na c 1000000")
         assert fan_degree(g, "a", "b") == (3_000_000, {"b", "c"})
-        assert levels == [
+        assert [args[-1] for args in calls["_fan_exceeds"]] == [
             1499999, 2249999, 2624999, 2812499, 2906249, 2953124, 2976562, 2988281, 2994140, 2997070, 2998535,
             2999267, 2999633, 2999816, 2999908, 2999954, 2999977, 2999988, 2999994, 2999997, 2999998, 2999999,
         ]
@@ -557,12 +538,13 @@ class TestLevelIsBisected:
         # candidates, the pair and its degree cost a few tests per class and
         # bisection step, not one per candidate
         g = Multigraph(edges=edges)
-        levels = self.counted(monkeypatch, "_fan_exceeds" if kind == "fan" else "_cfan_exceeds")
+        name = "_fan_exceeds" if kind == "fan" else "_cfan_exceeds"
+        calls = record(monkeypatch, fanmetrics, name)
         report = fan_number(g) if kind == "fan" else corefan(g)
         first = g.classes()[0][:2] + (1,)
         assert report.witness.classes() == ((first,) if witness == "first" else g.classes()[-3:])
         bits = max(g.deg[i] + g.deg[j] for i, j, _ in g.index_classes).bit_length()
-        assert len(levels) <= 3 * g.class_count * bits
+        assert counts(calls)[name] <= 3 * g.class_count * bits
 
     def test_degrees_past_2_to_the_63(self):
         # a level is bisected over plain integers: a range of the length
@@ -573,10 +555,10 @@ class TestLevelIsBisected:
         assert corefan(g).value == 99999999999999999998
 
     def test_construct_refuses_a_heavy_class_after_few_pair_tests(self, monkeypatch):
-        levels = self.counted(monkeypatch, "_cfan_exceeds")
+        calls = record(monkeypatch, fanmetrics, "_cfan_exceeds")
         with pytest.raises(ResourceLimitError):
             construct_witness(parse("x y 1000000"), 5)
-        assert len(levels) <= 2 + 5 * 22
+        assert counts(calls)["_cfan_exceeds"] <= 2 + 5 * 22
 
 
 class TestPinnedReports:
@@ -801,15 +783,10 @@ class TestPeel:
         # prefix bisection's last nonempty peel is the search box, not
         # peeled a second time
         g = Multigraph(edges=[(u, v, 1) for u, v in itertools.combinations("abcdef", 2)])
-        calls = {"_cfan_exceeds": 0, "_cfan_failures": 0}
-        for name in calls:
-            def counting(*args, name=name, test=getattr(fanmetrics, name)):
-                calls[name] += 1
-                return test(*args)
-            monkeypatch.setattr(fanmetrics, name, counting)
+        calls = record(monkeypatch, fanmetrics, "_cfan_exceeds", "_cfan_failures")
         report = corefan(g)
         assert (report.value, report.witness.classes()) == (1, g.classes()[:14])
-        assert calls == {"_cfan_exceeds": 8349, "_cfan_failures": 22}
+        assert counts(calls) == {"_cfan_exceeds": 8349, "_cfan_failures": 22}
 
     def test_fan_walks_unit_steps_to_a_partial_class(self, monkeypatch):
         # the unit-step walk of fan_number over 7,776 vectors: its first
@@ -818,16 +795,11 @@ class TestPeel:
         # the search for the reported pair make 3,932 pair tests; the
         # value's and the prefix bisection's peels make 23 anchor passes
         g = parse(FAN_PARTIAL_HOST)
-        calls = {"_fan_exceeds": 0, "_fan_failures": 0}
-        for name in calls:
-            def counting(*args, name=name, test=getattr(fanmetrics, name)):
-                calls[name] += 1
-                return test(*args)
-            monkeypatch.setattr(fanmetrics, name, counting)
+        calls = record(monkeypatch, fanmetrics, "_fan_exceeds", "_fan_failures")
         report = fan_number(g)
         assert (report.value, report.pair, report.zset) == (8, ("v0", "v1"), frozenset({"v1", "v2", "v3", "v4"}))
         assert report.witness.classes() == g.classes()[:-1] + (("v3", "v4", 2),)
-        assert calls == {"_fan_exceeds": 3932, "_fan_failures": 23}
+        assert counts(calls) == {"_fan_exceeds": 3932, "_fan_failures": 23}
 
     @pytest.mark.parametrize("kind,host", [
         ("corefan", "k6"),
@@ -878,21 +850,15 @@ class TestPeel:
         # last nonempty prefix is the search box, peeled no second time
         g = Multigraph(edges=edges)
         rule = "_fan" if kind == "fan" else "_cfan"
-        calls = {rule + "_exceeds": 0, rule + "_failures": 0}
-        for name in calls:
-            def counting(*args, name=name, test=getattr(fanmetrics, name)):
-                calls[name] += 1
-                return test(*args)
-            monkeypatch.setattr(fanmetrics, name, counting)
-        peeled, peel = [], fanmetrics._peel
-        monkeypatch.setattr(fanmetrics, "_peel", lambda box, b, k, f: peeled.append((len(box), k)) or peel(box, b, k, f))
+        calls = record(monkeypatch, fanmetrics, rule + "_exceeds", rule + "_failures")
+        peeled = record(monkeypatch, fanmetrics, "_peel")["_peel"]
         report = fan_number(g) if kind == "fan" else corefan(g)
         if kind == "corefan":
             assert (report.value, report.witness.classes()) == (1, (edges[0], edges[2], edges[3]))
         else:
             assert (report.value, report.witness.classes()) == (2 + edges[2][2], g.classes())
-        assert calls == {rule + "_exceeds": tests, rule + "_failures": passes}
-        assert peeled == peels
+        assert counts(calls) == {rule + "_exceeds": tests, rule + "_failures": passes}
+        assert [(len(box), k) for box, _, k, _ in peeled] == peels
 
     @pytest.mark.parametrize("report,value", [(corefan, 1), (fan_number, 3)], ids=["corefan", "fan"])
     def test_a_space_of_exactly_c2_walks_the_whole_core(self, report, value, monkeypatch):
@@ -901,15 +867,10 @@ class TestPeel:
         # from its first vector in 23 pair tests; bisecting the top class
         # first would make 16
         g = Multigraph(edges=[("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("a", "d", 1)])
-        calls = []
-        for name in ("_fan_exceeds", "_cfan_exceeds"):
-            def counting(*args, test=getattr(fanmetrics, name)):
-                calls.append(args[-1])
-                return test(*args)
-            monkeypatch.setattr(fanmetrics, name, counting)
+        calls = record(monkeypatch, fanmetrics, "_fan_exceeds", "_cfan_exceeds")
         r = report(g)
         assert (r.value, r.pair, r.zset, r.witness.classes()) == (value, ("a", "b"), frozenset("bd"), g.classes())
-        assert len(calls) == 23
+        assert sum(counts(calls).values()) == 23
 
     def test_a_tail_peels_in_linear_work(self, monkeypatch):
         # a triangle with a path of L classes hanging from it, peeled for the
@@ -946,10 +907,9 @@ class TestPeel:
         # there is nothing to peel
         g = Multigraph(["a", "b", "c", "d"], [(u, v, 1) for u, v in edges])
         base, _, failures = rules(g, kind)
-        probed, peel = [], fanmetrics._peel
-        monkeypatch.setattr(fanmetrics, "_peel", lambda box, b, k, f: probed.append(k) or peel(box, b, k, f))
+        calls = record(monkeypatch, fanmetrics, "_peel")
         assert fanmetrics._value(g, base, failures)[0] == value
-        assert probed == levels
+        assert [k for _, _, k, _ in calls["_peel"]] == levels
 
     @pytest.mark.parametrize("report", [corefan, fan_number], ids=["corefan", "fan"])
     @pytest.mark.parametrize("host", ["path-value-0", "triangle-8-vectors"])
@@ -964,13 +924,7 @@ class TestPeel:
         else:
             g = Multigraph(edges=[("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
             expected = (1 if report is corefan else 3, ("a", "b"), frozenset("bc"), g.classes())
-        peeled, peel = [], fanmetrics._peel
-
-        def recording(box, base, k, failures):
-            peeled.append((list(box), list(base), k, failures))
-            return peel(box, base, k, failures)
-
-        monkeypatch.setattr(fanmetrics, "_peel", recording)
+        peeled = record(monkeypatch, fanmetrics, "_peel")["_peel"]
         r = report(g)
         by_report = peeled[:]
         peeled.clear()

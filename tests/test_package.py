@@ -1,6 +1,7 @@
 """Package-wide rules that no single module's tests can see."""
 
 import ast
+import functools
 import inspect
 import re
 import sys
@@ -81,3 +82,33 @@ def test_caps_take_only_ints(call, name, cap):
             call(g, **{name: -1})
     call(edge, **{name: 2})
     call(edgeless, **{name: 0})
+
+
+def _integer_arguments():
+    """Each integer argument of a public call, as a call of its value with every other argument valid."""
+    h = fancore.parse("x y 2\n")
+    g, plan = fancore.construct_witness(h, 0)
+    k_sel = fancore.corefan(h).witness.strip_isolated()
+    taking_t = [fancore.t_core, fancore.edges_above, fancore.core_report, fancore.forest_core_condition,
+                fancore.bqueue_core_condition, fancore.construct_witness]
+    calls = {f"{call.__name__}-t": functools.partial(call, h) for call in taking_t}
+    calls |= {f"{call.__name__}-{name}": lambda n, call=call, name=name: call(h, **{name: n}) for call, name in CAPPED}
+    return calls | {
+        "choose_params-t": lambda t: fancore.choose_params(h, t, k_sel),
+        "verify_witness-t": lambda t: fancore.verify_witness(h, t, g, plan),
+        "verify_witness-max_diagnostics": lambda n: fancore.verify_witness(h, 0, g, plan, max_diagnostics=n),
+        "fan_colouring-k": lambda k: fancore.fan_colouring(h, k),
+        "fan_pair_exceeds-level": lambda k: fancore.fan_pair_exceeds(h, "x", "y", k),
+        "constant_multiplicity_lift-m": lambda m: fancore.constant_multiplicity_lift(fancore.parse("x y 1\n"), m),
+    }
+
+
+INTEGER_ARGUMENTS = _integer_arguments()
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "1", None], ids=repr)
+@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_what_is_not_an_int(argument, value):
+    """Every integer argument of the public calls is checked by one rule (fancore.errors): a bool is not an int."""
+    with pytest.raises(fancore.GraphError, match=f" must be an? [a-z ]*integer, got {re.escape(repr(value))}$"):
+        INTEGER_ARGUMENTS[argument](value)

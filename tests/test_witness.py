@@ -27,7 +27,7 @@ from fancore import (
     verify_witness,
 )
 from fancore import fanmetrics, witness
-from helpers import FIXTURES, fixture, random_multigraph
+from helpers import FIXTURES, counts, fixture, random_multigraph, record
 
 
 def hosts():
@@ -257,19 +257,24 @@ class TestConstructAndVerify:
             assert verify_witness(h, 0, broken, plan, max_diagnostics=cap) == (False, [])
         assert verify_witness(h, 0, g, plan, max_diagnostics=0) == (True, [])
 
+    @pytest.mark.parametrize("cap", [2**63, 10**30], ids=["2^63", "10^30"])
+    def test_a_cap_past_sys_maxsize_keeps_every_diagnostic(self, cap):
+        # islice refuses a stop past sys.maxsize; this witness has 41 messages, one past the default cap
+        h = fixture("double-edge.graph")
+        g, plan = construct_witness(h, 0)
+        broken = Multigraph(g.labels, g.classes()[1:])
+        full = verify_witness(h, 0, broken, plan, max_diagnostics=1000)[1]
+        assert verify_witness(h, 0, broken, plan, max_diagnostics=cap) == (False, full) and len(full) == 41
+
     def test_verification_stops_at_the_cap(self, monkeypatch):
         # the broken degree is the first problem found: at cap 0 it settles
         # the verdict, and neither the t-core nor the certificates are read
         h = fixture("double-edge.graph")
         g, plan = construct_witness(h, 0)
         broken = Multigraph(g.labels, g.classes()[1:])
-
-        def past_the_cap(*args):
-            raise AssertionError("checked past the cap")
-
-        monkeypatch.setattr(witness, "_failing_pairs", past_the_cap)
-        monkeypatch.setattr(witness, "t_core", past_the_cap)
+        calls = record(monkeypatch, witness, "_failing_pairs", "t_core")
         assert verify_witness(h, 0, broken, plan, max_diagnostics=0) == (False, [])
+        assert counts(calls) == {"_failing_pairs": 0, "t_core": 0}
 
     @pytest.mark.parametrize("cap", [0, 1, 40])
     def test_a_negative_t_raises_at_every_cap(self, cap):

@@ -105,6 +105,15 @@ KNOWN_EQUIVALENT = {
         "with no class, a bound of 0 or -1 leaves nothing to bisect either way",
     ("colouring.py", "for k in range(g.max_degree(), total + 1):", 0, "1", "2"):
         "k = total always admits a colouring, so the loop returns before its end",
+    ("core.py", "return g._induced([v for v, d in enumerate(g.deg) if 2 * d > threshold and "
+                "d + max(adj[v].values()) > threshold])", 0, "2", "3"):
+        "a prefilter only: d + (largest multiplicity at v) <= 2d, so the exact test decides either way, "
+        "and 3d > threshold >= 0 still skips every vertex of degree 0",
+    ("witness.py", "m = -(-(delta + 2 * r * r + t) // (r - 1))  # ceil division", 1, "+", "-"):
+        "t < cfan <= Delta on a valid witness and r - 1 >= Delta + 5 + t, so Delta + 2 - t and Delta + 2 + t "
+        "both lie in (0, r - 1] and both ceilings are 2r + 3",
+    ("witness.py", "classes.append((n + i, n + j, r - 3 if i % 2 == 0 and j == i + 1 < s_r else r - 1))", 0, "<", "<="):
+        "s_r = sum(a_r) is even, so j = i + 1 = s_r only at an odd i, which i % 2 == 0 refuses",
 }
 
 
